@@ -59,22 +59,10 @@ class CacheConfig:
         assert self.num_sets == self.num_colors * self.sets_per_color
 
 
-@dataclass(frozen=True)
-class CacheBlock:
-    """Read-only snapshot of one block's state."""
-
-    tag: int | None
-    valid: bool
-    dirty: bool
-    lru_rank: int
-    write_count: int
-
-
 @dataclass(slots=True)
 class AccessOutcome:
     hit: bool
     evicted_dirty: bool
-    fill_occurred: bool
     latency: int
 
 
@@ -104,17 +92,19 @@ class CacheState:
     invalid way, else evict the least recently used block. ``count_fills``
     selects whether installing a block on a miss programs its cells (the
     default) or only demand writes do; write hits always count.
+
+    Each set keeps one insertion-ordered ``tag -> way`` dict of its valid
+    blocks, least recently used first. Only ``flush_color`` invalidates, and
+    it empties whole sets, so the valid ways of a set are always
+    ``0 .. len(dict) - 1`` and the lowest-index invalid way is ``len(dict)``.
     """
 
     def __init__(self, cfg: CacheConfig, count_fills: bool = True):
         self.cfg = cfg
         self.count_fills = count_fills
         n, a = cfg.num_sets, cfg.associativity
-        self._tags = [[None] * a for _ in range(n)]
+        self._lru = [{} for _ in range(n)]
         self._dirty = [[False] * a for _ in range(n)]
-        self._where = [dict() for _ in range(n)]  # tag -> way, valid blocks only
-        self._recency = [list(range(a)) for _ in range(n)]  # way ids, MRU first
-        self._valid_count = [0] * n
         self.write_counts = [[0] * a for _ in range(n)]
         self.n_fills = 0
         self.n_write_hits = 0
@@ -123,42 +113,33 @@ class CacheState:
     def access(self, set_index, tag, is_write) -> AccessOutcome:
         """One demand access. Hits promote to MRU; misses fill and may evict."""
         cfg = self.cfg
-        where = self._where[set_index]
-        rec = self._recency[set_index]
-        way = where.get(tag)
+        lru = self._lru[set_index]
+        way = lru.pop(tag, None)
         if way is not None:
-            if rec[0] != way:
-                rec.remove(way)
-                rec.insert(0, way)
+            lru[tag] = way
             if is_write:
                 self._dirty[set_index][way] = True
                 self.write_counts[set_index][way] += 1
                 self.n_write_hits += 1
                 self.n_block_writes += 1
-                return AccessOutcome(True, False, False, cfg.hit_write_latency)
-            return AccessOutcome(True, False, False, cfg.hit_read_latency)
+                return AccessOutcome(True, False, cfg.hit_write_latency)
+            return AccessOutcome(True, False, cfg.hit_read_latency)
 
-        tags = self._tags[set_index]
-        if self._valid_count[set_index] < cfg.associativity:
-            way = tags.index(None)
-            self._valid_count[set_index] += 1
+        dirty = self._dirty[set_index]
+        if len(lru) < cfg.associativity:
+            way = len(lru)
             evicted_dirty = False
         else:
-            way = rec[-1]
-            evicted_dirty = self._dirty[set_index][way]
-            del where[tags[way]]
-        tags[way] = tag
-        where[tag] = way
-        self._dirty[set_index][way] = is_write
+            way = lru.pop(next(iter(lru)))
+            evicted_dirty = dirty[way]
+        lru[tag] = way
+        dirty[way] = is_write
         if is_write or self.count_fills:
             self.write_counts[set_index][way] += 1
             self.n_block_writes += 1
         self.n_fills += 1
-        if rec[0] != way:
-            rec.remove(way)
-            rec.insert(0, way)
         # miss pays the memory round trip plus programming the filled block
-        return AccessOutcome(False, evicted_dirty, True,
+        return AccessOutcome(False, evicted_dirty,
                              cfg.miss_penalty + cfg.hit_write_latency)
 
     def flush_color(self, color):
@@ -173,33 +154,15 @@ class CacheState:
         spc = cfg.sets_per_color
         writebacks = 0
         for s in range(color * spc, (color + 1) * spc):
-            tags = self._tags[s]
-            dirty = self._dirty[s]
-            for w in range(cfg.associativity):
-                if tags[w] is not None:
-                    if dirty[w]:
-                        writebacks += 1
-                    tags[w] = None
-                    dirty[w] = False
-            self._where[s].clear()
-            self._valid_count[s] = 0
+            # invalid ways are never dirty, so every set bit is a valid block
+            writebacks += self._dirty[s].count(True)
+            self._dirty[s] = [False] * cfg.associativity
+            self._lru[s].clear()
         return writebacks
 
     def max_block_writes(self):
         return max(max(row) for row in self.write_counts)
 
-    def block(self, set_index, way) -> CacheBlock:
-        tag = self._tags[set_index][way]
-        return CacheBlock(tag=tag,
-                          valid=tag is not None,
-                          dirty=self._dirty[set_index][way],
-                          lru_rank=self._recency[set_index].index(way),
-                          write_count=self.write_counts[set_index][way])
-
-    def lru_ranks(self, set_index):
-        """Rank of each way (0 = most recent)."""
-        rec = self._recency[set_index]
-        ranks = [0] * self.cfg.associativity
-        for rank, way in enumerate(rec):
-            ranks[way] = rank
-        return ranks
+    def lru_order(self, set_index):
+        """Tags of the set's valid blocks, least recently used first."""
+        return list(self._lru[set_index])

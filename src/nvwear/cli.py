@@ -15,14 +15,15 @@ from .coloring import MappingTable
 from .errors import ConfigError
 from .experiment import (build_config, compare_experiments, run_experiment,
                          write_comparison_report, write_run_report)
+from .policy import POLICY_KINDS
 from .reference import ReferenceSimulator
-from .workload import generate, write_trace
+from .workload import GENERATOR_KINDS, generate, write_trace
 
 log = logging.getLogger("nvwear.cli")
 
 
 def _add_policy_flags(parser):
-    parser.add_argument("--policy", choices=("swl", "static", "xor"),
+    parser.add_argument("--policy", choices=POLICY_KINDS,
                         help="wear-leveling policy to simulate")
     parser.add_argument("--k", type=int, dest="k",
                         help="writes per policy interval (K)")
@@ -41,8 +42,7 @@ def _add_policy_flags(parser):
 
 
 def _add_workload_flags(parser):
-    parser.add_argument("--kind", dest="workload_kind",
-                        choices=("uniform", "zipf", "hotset", "roundrobin"),
+    parser.add_argument("--kind", dest="workload_kind", choices=GENERATOR_KINDS,
                         help="synthetic workload kind")
     parser.add_argument("--events", type=int, help="number of accesses")
     parser.add_argument("--write-fraction", type=float, dest="write_fraction")

@@ -3,17 +3,6 @@
 from .errors import ConfigError
 
 
-def compute_num_colors(cfg):
-    """Number of cache colors: cache size / (page size * associativity)."""
-    denom = cfg.page_size_bytes * cfg.associativity
-    n, rem = divmod(cfg.cache_size_bytes, denom)
-    if rem != 0 or n < 1:
-        raise ConfigError(
-            f"cache of {cfg.cache_size_bytes} bytes does not split into a whole "
-            f"number of colors of {denom} bytes")
-    return n
-
-
 class MappingTable:
     """Bijection between memory regions and cache colors, identity at start.
 
@@ -26,9 +15,6 @@ class MappingTable:
             raise ConfigError("mapping table needs at least one color")
         self.color_of = list(range(num_colors))
         self.region_of = list(range(num_colors))
-
-    def __len__(self):
-        return len(self.color_of)
 
     def swap(self, c1, c2):
         """Exchange the regions mapped to colors c1 and c2; c1 == c2 is a no-op."""

@@ -90,33 +90,3 @@ def block_write_sd(state):
     mean = total / n
     var = math.fsum((v - mean) ** 2 for row in counts for v in row) / n
     return math.sqrt(var)
-
-
-def geometric_mean(values):
-    vals = list(values)
-    if not vals:
-        raise ValueError("geometric mean of no values")
-    if any(v <= 0 for v in vals):
-        raise ValueError("geometric mean needs strictly positive values")
-    return math.exp(math.fsum(math.log(v) for v in vals) / len(vals))
-
-
-def arithmetic_mean(values):
-    vals = list(values)
-    if not vals:
-        raise ValueError("arithmetic mean of no values")
-    return math.fsum(vals) / len(vals)
-
-
-# ratio-like metrics aggregate geometrically, additive ones arithmetically
-_GEOMETRIC_KINDS = frozenset({"geometric", "ratio", "lifetime", "performance"})
-_ARITHMETIC_KINDS = frozenset({"arithmetic", "additive", "energy_saving", "mpki_increase"})
-
-
-def aggregate(values, metric_kind):
-    """Mean of per-workload values, geometric or arithmetic by metric kind."""
-    if metric_kind in _GEOMETRIC_KINDS:
-        return geometric_mean(values)
-    if metric_kind in _ARITHMETIC_KINDS:
-        return arithmetic_mean(values)
-    raise ValueError(f"unknown metric kind {metric_kind!r}")

@@ -105,6 +105,17 @@ class PolicyState:
         self.last_run_cycle = now_cycle
         return True
 
+    def close_window(self):
+        """End the current write window and start an empty one.
+
+        Returns the closed window's per-color counts, their population SD
+        (sdw) and how many colors were written above the window's mean.
+        """
+        last = self.n_write_last_interval
+        self.n_write_last_interval = [0] * self.num_colors
+        avg = sum(last) / self.num_colors
+        return last, stddev_writes(last), sum(1 for v in last if v > avg)
+
     def plan_remap(self) -> RemapDecision:
         """Decide which color pairs to swap for this interval.
 
@@ -117,25 +128,19 @@ class PolicyState:
         The interval window restarts afterwards either way; lifetime counters
         are never reset.
         """
-        last = self.n_write_last_interval
         n = self.num_colors
-        sdw = stddev_writes(last)
-        avg = sum(last) / n
-        decision = RemapDecision(ran=False, sdw=sdw,
-                                 n_higher=sum(1 for v in last if v > avg))
-        if sdw >= self.beta:
-            cum = self.n_write_global
-            l1 = sorted(range(n), key=lambda c: (-last[c], c))
-            l2 = sorted(range(n), key=lambda c: (cum[c], c))
-            if self.swap_limit_mode == "min":
-                n_swap = min(decision.n_higher, self.swap_limit)
-            else:
-                n_swap = min(max(decision.n_higher, self.swap_limit), n // 2)
-            decision.swaps = list(zip(l1[:n_swap], l2[:n_swap]))
-            decision.ran = True
-        for i in range(n):
-            last[i] = 0
-        return decision
+        last, sdw, n_higher = self.close_window()
+        if sdw < self.beta:
+            return RemapDecision(ran=False, sdw=sdw, n_higher=n_higher)
+        cum = self.n_write_global
+        l1 = sorted(range(n), key=lambda c: (-last[c], c))
+        l2 = sorted(range(n), key=lambda c: (cum[c], c))
+        if self.swap_limit_mode == "min":
+            n_swap = min(n_higher, self.swap_limit)
+        else:
+            n_swap = min(max(n_higher, self.swap_limit), n // 2)
+        return RemapDecision(ran=True, swaps=list(zip(l1[:n_swap], l2[:n_swap])),
+                             sdw=sdw, n_higher=n_higher)
 
 
 class StaticPolicy:
@@ -194,18 +199,13 @@ class XorRemapPolicy:
         if not st.check_trigger(now_cycle):
             return None
         n = st.num_colors
-        last = st.n_write_last_interval
-        avg = sum(last) / n
-        decision = RemapDecision(ran=True, sdw=stddev_writes(last),
-                                 n_higher=sum(1 for v in last if v > avg))
+        _, sdw, n_higher = st.close_window()
         self.runs += 1
         new_register = (self.runs - 1) % (n - 1) + 1
         delta = self.register ^ new_register
         self.register = new_register
-        decision.swaps = [(c, c ^ delta) for c in range(n) if c < c ^ delta]
-        for i in range(n):
-            last[i] = 0
-        return decision
+        swaps = [(c, c ^ delta) for c in range(n) if c < c ^ delta]
+        return RemapDecision(ran=True, swaps=swaps, sdw=sdw, n_higher=n_higher)
 
 
 POLICY_KINDS = ("swl", "static", "xor")

@@ -142,11 +142,17 @@ def read_trace(path):
 
     One event per line: ``R|W 0x<hex address> <decimal cumulative icount>``.
     ``#`` lines are comments; blank lines are skipped. Addresses must stay
-    within 2^48 and icounts must never decrease.
+    within 2^48 and icounts must never decrease. Traces are ASCII.
     """
     last_icount = 0
-    with open(path, "r", encoding="ascii") as fh:
+    # latin-1 decodes every byte, so a non-ASCII byte reaches the line check
+    # below, which can name its line
+    with open(path, "r", encoding="latin-1") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                byte = next(ch for ch in line if not ch.isascii())
+                raise TraceFormatError(
+                    f"{path}:{lineno}: non-ASCII byte 0x{ord(byte):02x}")
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

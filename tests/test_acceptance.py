@@ -6,8 +6,8 @@ import csv
 import pytest
 
 from nvwear import (CacheConfig, CacheState, MappingTable, PolicyState,
-                    GeneratorSpec, RunStats, compute_num_colors,
-                    energy_joules, run_experiment, ExperimentConfig)
+                    GeneratorSpec, RunStats, energy_joules, run_experiment,
+                    ExperimentConfig)
 from nvwear.cli import main
 
 from helpers import random_trace, replay_both, seeded, small_cfg
@@ -84,7 +84,6 @@ def test_c02_plan_remap_matches_straight_line_transcription():
 def test_c03_reference_geometry_has_64_colors_4096_sets():
     cfg = CacheConfig(cache_size_bytes=4 * 1024 * 1024, associativity=16,
                       block_size_bytes=64, page_size_bytes=4096)
-    assert compute_num_colors(cfg) == 64
     assert cfg.num_colors == 64
     assert cfg.num_sets == 4096
     _passed("criterion 3: 4MiB/4KiB-page/16-way cache has exactly 64 colors "

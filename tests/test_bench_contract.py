@@ -1,0 +1,47 @@
+"""The benchmark's traced run (perfbench/tracer.py) wraps nvwear entry points
+by name and reads the objects they return. This runs a short experiment under
+that instrumentation, so a change to the package that breaks the traced
+benchmark fails here too."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from nvwear import ExperimentConfig, GeneratorSpec, run_experiment
+from nvwear import cache, coloring, engine, experiment, policy
+
+from helpers import small_cfg
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+EVENTS = 3000
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("kind", ["swl", "xor"])
+def test_traced_run_tallies_accesses_and_restores_originals(kind):
+    tracer = _tracer()
+    owners = (engine, engine.Simulator, cache.CacheState, coloring.MappingTable,
+              experiment, policy.StaticPolicy, policy.SwapWearPolicy,
+              policy.XorRemapPolicy)
+    before = [dict(vars(owner)) for owner in owners]
+    cfg = small_cfg(colors=4, sets_per_color=4, assoc=2)
+    workload = GeneratorSpec(kind="hotset", num_events=EVENTS, write_fraction=1.0,
+                             page_count=16, seed=3,
+                             page_size_bytes=cfg.page_size_bytes,
+                             block_size_bytes=cfg.block_size_bytes)
+    rec = tracer.Recorder()
+    with tracer.instrumented(rec):
+        run_experiment(ExperimentConfig(cache=cfg, policy_kind=kind,
+                                        workload=workload, k_writes=200,
+                                        min_gap_cycles=0, out_dir="unused"))
+    assert rec.tallies["cache.access"].calls == EVENTS
+    assert rec.tallies["cache.decompose"].calls == EVENTS
+    assert rec.tallies["policy.plan"].calls >= 1
+    assert [dict(vars(owner)) for owner in owners] == before

@@ -178,6 +178,14 @@ class TestRun:
                      "--out", str(tmp_path / "o")]) == 2
         assert "unknown kind" in capsys.readouterr().err
 
+    def test_non_ascii_trace_fails_with_line(self, tmp_path, capsys):
+        trace = tmp_path / "bad.trace"
+        trace.write_bytes(b"R 0x0 0\nR 0x40 5\nW 0x\xe980 9\n")
+        cfg = small_config(tmp_path)
+        assert main(["run", "--config", cfg, "--trace", str(trace),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "bad.trace:3: non-ASCII byte 0xe9" in capsys.readouterr().err
+
     def test_repeat_runs_identical_csv(self, tmp_path):
         cfg = small_config(tmp_path)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -259,6 +267,19 @@ class TestCompareEdges:
         assert cmp_.relative_lifetime is None
         assert cmp_.relative_performance is None
         assert cmp_.mpki_increase is None
+
+    def test_empty_workload_leaves_both_rows_ratios_empty(self, tmp_path):
+        workload = "kind = uniform\nevents = 0\npages = 4\n"
+        base = small_config(tmp_path, "b.ini", policy="static", workload=workload)
+        tech = small_config(tmp_path, "t.ini", policy="swl", workload=workload)
+        out = tmp_path / "cmp"
+        assert main(["compare", base, tech, "--out", str(out)]) == 0
+        header, *rows = read_csv(out / "report.csv")
+        assert [row[0] for row in rows] == ["static", "swl"]
+        for row in rows:
+            for column in ("relLifetime", "relPerf", "energyDeltaPct",
+                           "mpkiDelta"):
+                assert row[header.index(column)] == "", column
 
     def test_single_color_cache_refuses_wear_policies(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "one.ini",

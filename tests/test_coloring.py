@@ -1,9 +1,6 @@
-from types import SimpleNamespace
-
 import pytest
 
-from nvwear import (CacheConfig, CacheState, ConfigError, MappingTable,
-                    compute_num_colors, decompose_address)
+from nvwear import CacheConfig, CacheState, MappingTable, decompose_address
 
 from helpers import seeded, small_cfg
 
@@ -12,34 +9,18 @@ class TestNumColors:
     def test_reference_llc_has_64_colors(self):
         cfg = CacheConfig(cache_size_bytes=4 * 1024 * 1024, associativity=16,
                           page_size_bytes=4096)
-        assert compute_num_colors(cfg) == 64
+        assert cfg.num_colors == 64
         assert cfg.num_sets == 4096
 
     def test_single_color_identity_case(self):
         cfg = CacheConfig(cache_size_bytes=4096 * 16, associativity=16,
                           page_size_bytes=4096)
-        assert compute_num_colors(cfg) == 1
+        assert cfg.num_colors == 1
 
     def test_two_mib_eight_way(self):
         cfg = CacheConfig(cache_size_bytes=2 * 1024 * 1024, associativity=8,
                           page_size_bytes=4096)
-        assert compute_num_colors(cfg) == 64
-
-    def test_agrees_with_cache_config(self):
-        for colors, spc, assoc in ((2, 2, 1), (4, 8, 2), (16, 64, 16)):
-            cfg = small_cfg(colors=colors, sets_per_color=spc, assoc=assoc)
-            assert compute_num_colors(cfg) == cfg.num_colors == colors
-
-    def test_rejects_fractional_or_zero_colors(self):
-        # duck-typed cfg so we can feed geometry CacheConfig itself refuses
-        bad = SimpleNamespace(cache_size_bytes=6000, page_size_bytes=4096,
-                              associativity=1)
-        with pytest.raises(ConfigError):
-            compute_num_colors(bad)
-        tiny = SimpleNamespace(cache_size_bytes=4096, page_size_bytes=4096,
-                               associativity=4)
-        with pytest.raises(ConfigError):
-            compute_num_colors(tiny)
+        assert cfg.num_colors == 64
 
 
 class TestSwap:
@@ -87,22 +68,21 @@ class TestApplyRemap:
         mapping = MappingTable(4)
         assert mapping.apply_remap(cache, []) == 0
         assert mapping.color_of == [0, 1, 2, 3]
-        assert cache.block(0, 0).valid
+        assert cache.lru_order(0) == [1]
 
     def test_one_swap_flushes_both_colors(self):
         cfg, cache = self._loaded_cache()
         mapping = MappingTable(4)
         assert mapping.apply_remap(cache, [(0, 1)]) == 5
         for s in range(8):  # both flushed colors empty
-            for w in range(2):
-                assert not cache.block(s, w).valid
-        assert cache.block(8, 0).valid  # untouched color keeps its block
+            assert cache.lru_order(s) == []
+        assert cache.lru_order(8) == [1]  # untouched color keeps its block
 
     def test_self_pair_never_flushes(self):
         cfg, cache = self._loaded_cache()
         mapping = MappingTable(4)
         assert mapping.apply_remap(cache, [(0, 0)]) == 0
-        assert cache.block(0, 0).valid
+        assert cache.lru_order(0) == [1]
         assert mapping.color_of == [0, 1, 2, 3]
 
     def test_unswapped_colors_keep_their_regions(self):

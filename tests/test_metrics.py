@@ -5,8 +5,7 @@ from dataclasses import replace
 import pytest
 
 from nvwear import (CacheState, ConfigError, EnergyConstants, RunStats,
-                    aggregate, arithmetic_mean, block_write_sd, energy_joules,
-                    geometric_mean, mpki, relative_lifetime)
+                    block_write_sd, energy_joules, mpki, relative_lifetime)
 
 from helpers import seeded, small_cfg
 
@@ -113,25 +112,3 @@ class TestBlockWriteSD:
         assert block_write_sd(cache) == pytest.approx(statistics.pstdev(flat),
                                                       rel=1e-12)
 
-
-class TestAggregate:
-    def test_geometric_examples(self):
-        assert geometric_mean([2, 8]) == pytest.approx(4.0, rel=1e-12)
-        assert geometric_mean([3.5, 3.5, 3.5]) == pytest.approx(3.5, rel=1e-12)
-
-    def test_arithmetic_example(self):
-        assert arithmetic_mean([1, 3]) == 2.0
-
-    def test_kind_routing(self):
-        assert aggregate([2, 8], "lifetime") == pytest.approx(4.0)
-        assert aggregate([2, 8], "performance") == pytest.approx(4.0)
-        assert aggregate([1, 3], "energy_saving") == 2.0
-        assert aggregate([1, 3], "mpki_increase") == 2.0
-        with pytest.raises(ValueError):
-            aggregate([1], "median")
-
-    def test_geometric_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-        with pytest.raises(ValueError):
-            geometric_mean([])

@@ -136,7 +136,7 @@ class TestPlanRemap:
         mapping = MappingTable(4)
         assert mapping.apply_remap(cache, decision.swaps) == 0
         assert mapping.color_of == [0, 1, 2, 3]
-        assert cache.block(2 * cfg.sets_per_color, 0).valid
+        assert cache.lru_order(2 * cfg.sets_per_color) == [1]
 
     def test_max_mode_caps_at_half_the_colors(self):
         ps = PolicyState(8, beta=0, swap_limit=4, swap_limit_mode="max")

@@ -52,6 +52,16 @@ class TestReadTrace:
         with pytest.raises(TraceFormatError):
             self._read(tmp_path, "R 0x0 ten\n")
 
+    @pytest.mark.parametrize("body", [b"R 0x0 0\nW 0x40 5 caf\xe9\n",
+                                      b"R 0x0 0\n# caf\xe9\nW 0x40 5\n"],
+                             ids=["event", "comment"])
+    def test_non_ascii_byte_names_its_line(self, tmp_path, body):
+        path = tmp_path / "t.trace"
+        path.write_bytes(body)
+        with pytest.raises(TraceFormatError,
+                           match=r"t\.trace:2: non-ASCII byte 0xe9"):
+            list(read_trace(path))
+
 
 class TestRoundTrip:
     def test_empty_stream(self, tmp_path):
