@@ -59,7 +59,7 @@ class CacheConfig:
         assert self.num_sets == self.num_colors * self.sets_per_color
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class AccessOutcome:
     hit: bool
     evicted_dirty: bool
@@ -103,16 +103,22 @@ class CacheState:
         self.cfg = cfg
         self.count_fills = count_fills
         n, a = cfg.num_sets, cfg.associativity
+        self._assoc = a
         self._lru = [{} for _ in range(n)]
         self._dirty = [[False] * a for _ in range(n)]
         self.write_counts = [[0] * a for _ in range(n)]
         self.n_fills = 0
         self.n_write_hits = 0
         self.n_block_writes = 0  # total write-counter increments
+        # shared by all accesses; a miss pays the round trip plus the fill write
+        miss = cfg.miss_penalty + cfg.hit_write_latency
+        self._read_hit = AccessOutcome(True, False, cfg.hit_read_latency)
+        self._write_hit = AccessOutcome(True, False, cfg.hit_write_latency)
+        self._clean_miss = AccessOutcome(False, False, miss)
+        self._dirty_miss = AccessOutcome(False, True, miss)
 
     def access(self, set_index, tag, is_write) -> AccessOutcome:
         """One demand access. Hits promote to MRU; misses fill and may evict."""
-        cfg = self.cfg
         lru = self._lru[set_index]
         way = lru.pop(tag, None)
         if way is not None:
@@ -122,11 +128,11 @@ class CacheState:
                 self.write_counts[set_index][way] += 1
                 self.n_write_hits += 1
                 self.n_block_writes += 1
-                return AccessOutcome(True, False, cfg.hit_write_latency)
-            return AccessOutcome(True, False, cfg.hit_read_latency)
+                return self._write_hit
+            return self._read_hit
 
         dirty = self._dirty[set_index]
-        if len(lru) < cfg.associativity:
+        if len(lru) < self._assoc:
             way = len(lru)
             evicted_dirty = False
         else:
@@ -138,9 +144,7 @@ class CacheState:
             self.write_counts[set_index][way] += 1
             self.n_block_writes += 1
         self.n_fills += 1
-        # miss pays the memory round trip plus programming the filled block
-        return AccessOutcome(False, evicted_dirty,
-                             cfg.miss_penalty + cfg.hit_write_latency)
+        return self._dirty_miss if evicted_dirty else self._clean_miss
 
     def flush_color(self, color):
         """Invalidate every block of one color; returns dirty blocks written back.

@@ -10,13 +10,12 @@ import os
 import random
 import sys
 
-from .cache import CacheConfig, CacheState, decompose_address
-from .coloring import MappingTable
+from .cache import CacheConfig
 from .errors import ConfigError
 from .experiment import (build_config, compare_experiments, run_experiment,
                          write_comparison_report, write_run_report)
 from .policy import POLICY_KINDS
-from .reference import ReferenceSimulator
+from .reference import replay_against_reference
 from .workload import GENERATOR_KINDS, generate, write_trace
 
 log = logging.getLogger("nvwear.cli")
@@ -149,50 +148,21 @@ def _selftest_case(rng, case_index, ops):
                       associativity=assoc, block_size_bytes=block,
                       page_size_bytes=page)
     count_fills = bool(rng.getrandbits(1))
-    cache = CacheState(cfg, count_fills=count_fills)
-    mapping = MappingTable(cfg.num_colors)
-    ref = ReferenceSimulator(cfg, count_fills=count_fills)
     pages = colors * rng.choice((2, 4))
-    writebacks = 0
-    flush_writebacks = 0
-    for op_index in range(ops):
-        roll = rng.random()
-        if roll < 0.01:
-            color = rng.randrange(colors)
-            got = cache.flush_color(color)
-            want = ref.flush_color(color)
-            if got != want:
-                return (f"case {case_index} op {op_index}: flush writebacks "
-                        f"{got} != {want}")
-            flush_writebacks += got
-        elif roll < 0.02:
-            c1, c2 = rng.randrange(colors), rng.randrange(colors)
-            got = mapping.apply_remap(cache, [(c1, c2)])
-            want = ref.remap(c1, c2)
-            if got != want:
-                return (f"case {case_index} op {op_index}: remap writebacks "
-                        f"{got} != {want}")
-            flush_writebacks += got
-        else:
-            addr = rng.randrange(pages) * page + rng.randrange(sets_per_color) * block
-            is_write = bool(rng.getrandbits(1))
-            set_index, tag = decompose_address(addr, cfg, mapping)
-            outcome = cache.access(set_index, tag, is_write)
-            hit, evicted_dirty = ref.access_addr(addr, is_write)
-            if (outcome.hit, outcome.evicted_dirty) != (hit, evicted_dirty):
-                return (f"case {case_index} op {op_index}: access outcome "
-                        f"({outcome.hit}, {outcome.evicted_dirty}) != "
-                        f"({hit}, {evicted_dirty})")
-            if outcome.evicted_dirty:
-                writebacks += 1
-    if cache.write_counts != ref.write_count_matrix():
-        return f"case {case_index}: write count matrices differ"
-    if writebacks != ref.writebacks:
-        return f"case {case_index}: eviction writebacks {writebacks} != {ref.writebacks}"
-    if flush_writebacks != ref.flush_writebacks:
-        return (f"case {case_index}: flush writebacks {flush_writebacks} != "
-                f"{ref.flush_writebacks}")
-    return None
+
+    def schedule():
+        for _ in range(ops):
+            roll = rng.random()
+            if roll < 0.01:
+                yield "flush", rng.randrange(colors)
+            elif roll < 0.02:
+                yield "remap", rng.randrange(colors), rng.randrange(colors)
+            else:
+                addr = rng.randrange(pages) * page + rng.randrange(sets_per_color) * block
+                yield "access", addr, bool(rng.getrandbits(1))
+
+    failure = replay_against_reference(cfg, schedule(), count_fills)[0]
+    return None if failure is None else f"case {case_index}: {failure}"
 
 
 def _cmd_selftest(args):

@@ -54,41 +54,50 @@ class Simulator:
         mapping = self.mapping
         policy = self.policy
         sets_per_color = cfg.sets_per_color
-        stats = RunStats()
+        count_fills = cache.count_fills
+        # bound once per run, so instrumentation must patch them before run()
+        decompose = decompose_address
+        access = cache.access
+        note_write = policy.note_write
+        poll = policy.poll
         decisions = []
         audit = [(0, region, color) for region, color in enumerate(mapping.color_of)]
 
         cycles = 0
         last_icount = 0
         interval = 0
-        for ev in events:
-            delta = ev.icount - last_icount
-            last_icount = ev.icount
+        reads = writes = misses = writebacks = flush_writebacks = remap_runs = 0
+        for is_write, addr, icount in events:
+            delta = icount - last_icount
+            last_icount = icount
             if delta > 0:
                 cycles += delta
-            set_index, tag = decompose_address(ev.addr, cfg, mapping)
-            writes_before = cache.n_block_writes
-            outcome = cache.access(set_index, tag, ev.is_write)
+            set_index, tag = decompose(addr, cfg, mapping)
+            outcome = access(set_index, tag, is_write)
             cycles += outcome.latency
-            if ev.is_write:
-                stats.writes += 1
+            if is_write:
+                writes += 1
             else:
-                stats.reads += 1
+                reads += 1
             if not outcome.hit:
-                stats.misses += 1
-            if outcome.evicted_dirty:
-                stats.writebacks += 1
-            if cache.n_block_writes == writes_before:
+                misses += 1
+                if outcome.evicted_dirty:
+                    writebacks += 1
+                # a fill programs the block only when fills count
+                if not (is_write or count_fills):
+                    continue
+            elif not is_write:
                 continue
-            policy.note_write(set_index // sets_per_color)
-            decision = policy.poll(cycles)
+            if not note_write(set_index // sets_per_color):
+                continue
+            decision = poll(cycles)
             if decision is None:
                 continue
             interval += 1
             flushed = mapping.apply_remap(cache, decision.swaps)
-            stats.flush_writebacks += flushed
+            flush_writebacks += flushed
             if decision.ran:
-                stats.remap_runs += 1
+                remap_runs += 1
                 if decision.swaps:
                     audit.extend((interval, region, color)
                                  for region, color in enumerate(mapping.color_of))
@@ -99,12 +108,12 @@ class Simulator:
             log.debug("interval %d @%d cycles: sdw=%.3f swaps=%s writebacks=%d",
                       interval, cycles, decision.sdw, decision.swaps, flushed)
 
-        stats.cycles = cycles
-        stats.instructions = last_icount
-        stats.fills = cache.n_fills
-        stats.write_hits = cache.n_write_hits
-        stats.block_write_events = cache.n_block_writes
-        stats.max_block_writes = cache.max_block_writes()
-        stats.block_write_sd = block_write_sd(cache)
+        stats = RunStats(
+            reads=reads, writes=writes, misses=misses, fills=cache.n_fills,
+            write_hits=cache.n_write_hits, block_write_events=cache.n_block_writes,
+            writebacks=writebacks, flush_writebacks=flush_writebacks,
+            cycles=cycles, instructions=last_icount,
+            max_block_writes=cache.max_block_writes(),
+            block_write_sd=block_write_sd(cache), remap_runs=remap_runs)
         return RunResult(stats=stats, decisions=decisions, mapping_audit=audit,
                          mapping=mapping)

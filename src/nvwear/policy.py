@@ -84,9 +84,12 @@ class PolicyState:
         self.n_write_last_interval = [0] * n
 
     def observe_write(self, color):
+        """Count one write. True once K writes accumulated, when ``poll`` may
+        act; the engine polls only then, and ``poll`` re-checks the trigger."""
         self.n_write_global[color] += 1
         self.n_write_last_interval[color] += 1
         self.writes_since_check += 1
+        return self.writes_since_check >= self.k_writes
 
     def check_trigger(self, now_cycle):
         """True when K writes accumulated and the minimum cycle gap has passed.
@@ -149,7 +152,7 @@ class StaticPolicy:
     name = "static"
 
     def note_write(self, color):
-        pass
+        """Returns None, so the engine never polls this policy."""
 
     def poll(self, now_cycle):
         return None
@@ -164,7 +167,7 @@ class SwapWearPolicy:
         self.state = state
 
     def note_write(self, color):
-        self.state.observe_write(color)
+        return self.state.observe_write(color)
 
     def poll(self, now_cycle):
         if self.state.check_trigger(now_cycle):
@@ -192,7 +195,7 @@ class XorRemapPolicy:
         self.runs = 0
 
     def note_write(self, color):
-        self.state.observe_write(color)
+        return self.state.observe_write(color)
 
     def poll(self, now_cycle):
         st = self.state

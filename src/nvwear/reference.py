@@ -1,10 +1,14 @@
 """Naive mirror of the cache model, used as a differential oracle.
 
-Everything here is deliberately simple and slow: linear tag scans, an
+``ReferenceSimulator`` is deliberately simple and slow: linear tag scans, an
 explicit least-recent-first list per set, plain div/mod address math, and a
 linear inverse lookup for the region map. It shares no machinery with the
-production model so that any disagreement between the two flags a bug.
+production model so that any disagreement between the two flags a bug;
+``replay_against_reference`` drives both side by side to find one.
 """
+
+from .cache import CacheState, decompose_address
+from .coloring import MappingTable
 
 
 class _Slot:
@@ -106,3 +110,34 @@ class ReferenceSimulator:
 
     def max_block_writes(self):
         return max(max(slot.writes for slot in row) for row in self.slots)
+
+
+def replay_against_reference(cfg, ops, count_fills=True):
+    """Replay one schedule of operations through the production model
+    (``CacheState`` behind a ``MappingTable``) and a ``ReferenceSimulator``.
+
+    ``ops`` yields ``("access", addr, is_write)``, ``("flush", color)`` and
+    ``("remap", c1, c2)``. Returns ``(failure, outcomes, cache, ref)``, where
+    ``outcomes`` pairs each access's ``(hit, evicted_dirty)`` with the
+    reference's and ``failure`` is None, or names the first differing op
+    (replay stops there) or differing final write-count matrices.
+    """
+    cache = CacheState(cfg, count_fills=count_fills)
+    mapping = MappingTable(cfg.num_colors)
+    ref = ReferenceSimulator(cfg, count_fills=count_fills)
+    outcomes = []
+    for index, (op, *args) in enumerate(ops):
+        if op == "access":
+            out = cache.access(*decompose_address(args[0], cfg, mapping), args[1])
+            got, want = (out.hit, out.evicted_dirty), ref.access_addr(*args)
+            outcomes.append((got, want))
+        elif op == "flush":
+            got, want = cache.flush_color(*args), ref.flush_color(*args)
+        else:
+            got, want = mapping.apply_remap(cache, [args]), ref.remap(*args)
+        if got != want:
+            failure = f"op {index}: {op}{tuple(args)} gave {got}, reference {want}"
+            return failure, outcomes, cache, ref
+    if cache.write_counts != ref.write_count_matrix():
+        return "write count matrices differ", outcomes, cache, ref
+    return None, outcomes, cache, ref

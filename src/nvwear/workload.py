@@ -3,6 +3,8 @@
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import ConfigError, TraceFormatError
 
@@ -11,8 +13,9 @@ MAX_ADDRESS = 1 << 48
 GENERATOR_KINDS = ("uniform", "zipf", "hotset", "roundrobin")
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """One access, as an immutable NamedTuple: ``is_write, addr, icount``."""
+
     is_write: bool
     addr: int
     icount: int  # cumulative instructions executed at this access
@@ -88,52 +91,70 @@ class GeneratorSpec:
 
 
 def _page_picker(spec, rng):
+    """Page draw of one event. Uniform and hotset draws inline ``randrange(n)``:
+    ``getrandbits(n.bit_length())`` until below n; same stream, no arg checks."""
     p = spec.page_count
-    if spec.kind == "uniform":
-        return lambda: rng.randrange(p)
+    random_, getrandbits = rng.random, rng.getrandbits
     if spec.kind == "zipf":
         s = spec.zipf_exponent
         weights = [1.0 / (rank ** s) for rank in range(1, p + 1)]
         total = sum(weights)
-        cum = []
-        acc = 0.0
-        for w in weights:
-            acc += w
-            cum.append(acc / total)
+        cum = [acc / total for acc in accumulate(weights)]
         cum[-1] = 1.0
-        return lambda: bisect_right(cum, rng.random())
+        return lambda: bisect_right(cum, random_())
     if spec.kind == "hotset":
         hot = max(1, round(spec.hotset_fraction * p))
-        if hot >= p:
-            return lambda: rng.randrange(p)
-        prob = spec.hotset_probability
+        if hot < p:
+            prob = spec.hotset_probability
+            cold = p - hot
+            k_hot, k_cold = hot.bit_length(), cold.bit_length()
 
-        def pick():
-            if rng.random() < prob:
-                return rng.randrange(hot)
-            return rng.randrange(hot, p)
+            def pick_hotset():
+                if random_() < prob:
+                    r = getrandbits(k_hot)
+                    while r >= hot:
+                        r = getrandbits(k_hot)
+                    return r
+                r = getrandbits(k_cold)
+                while r >= cold:
+                    r = getrandbits(k_cold)
+                return hot + r
 
-        return pick
-    raise ConfigError(f"no page picker for kind {spec.kind!r}")
+            return pick_hotset
+    k = p.bit_length()
+
+    def pick_uniform():
+        r = getrandbits(k)
+        while r >= p:
+            r = getrandbits(k)
+        return r
+
+    return pick_uniform
 
 
 def generate(spec: GeneratorSpec):
     """Yield the deterministic event stream described by ``spec``."""
     rng = random.Random(spec.seed)
+    random_, getrandbits = rng.random, rng.getrandbits
     blocks_per_page = spec.page_size_bytes // spec.block_size_bytes
+    k_block = blocks_per_page.bit_length()
     pick_page = None if spec.kind == "roundrobin" else _page_picker(spec, rng)
     page_size = spec.page_size_bytes
     block_size = spec.block_size_bytes
+    write_fraction = spec.write_fraction
+    step = spec.instructions_per_access
     icount = 0
     for i in range(spec.num_events):
-        icount += spec.instructions_per_access
-        is_write = rng.random() < spec.write_fraction
+        icount += step
+        is_write = random_() < write_fraction
         if pick_page is None:
             page = i % spec.page_count
             block = (i // spec.page_count) % blocks_per_page
         else:
             page = pick_page()
-            block = rng.randrange(blocks_per_page)
+            block = getrandbits(k_block)
+            while block >= blocks_per_page:
+                block = getrandbits(k_block)
         yield TraceEvent(is_write, page * page_size + block * block_size, icount)
 
 
@@ -142,7 +163,8 @@ def read_trace(path):
 
     One event per line: ``R|W 0x<hex address> <decimal cumulative icount>``.
     ``#`` lines are comments; blank lines are skipped. Addresses must stay
-    within 2^48 and icounts must never decrease. Traces are ASCII.
+    within 2^48 and icounts must never decrease. Traces are ASCII; digit
+    separators (``_``) and signs are rejected.
     """
     last_icount = 0
     # latin-1 decodes every byte, so a non-ASCII byte reaches the line check
@@ -184,6 +206,11 @@ def read_trace(path):
                 raise TraceFormatError(
                     f"{path}:{lineno}: instruction count decreased "
                     f"({last_icount} -> {icount})")
+            # int() accepts '_' and signs; tested last so older errors keep their text
+            if "_" in addr_text or not icount_text.isdigit():
+                raise TraceFormatError(
+                    f"{path}:{lineno}: '_' and signs are not allowed in "
+                    f"numbers, got {stripped!r}")
             last_icount = icount
             yield TraceEvent(kind == "W", addr, icount)
 

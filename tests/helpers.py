@@ -2,7 +2,8 @@
 
 import random
 
-from nvwear import CacheConfig, CacheState, MappingTable, ReferenceSimulator, decompose_address
+from nvwear import CacheConfig
+from nvwear.reference import replay_against_reference
 
 
 def small_cfg(colors=4, sets_per_color=4, assoc=2, block=64, **kwargs):
@@ -23,17 +24,9 @@ def random_trace(rng, length, pages, page_bytes, block_bytes, write_bias=0.5):
 def replay_both(cfg, trace, count_fills=True):
     """Run one access trace through the production model and the naive
     reference; returns (outcomes, ref_outcomes, cache, ref)."""
-    cache = CacheState(cfg, count_fills=count_fills)
-    mapping = MappingTable(cfg.num_colors)
-    ref = ReferenceSimulator(cfg, count_fills=count_fills)
-    outcomes = []
-    ref_outcomes = []
-    for addr, is_write in trace:
-        set_index, tag = decompose_address(addr, cfg, mapping)
-        out = cache.access(set_index, tag, is_write)
-        outcomes.append((out.hit, out.evicted_dirty))
-        ref_outcomes.append(ref.access_addr(addr, is_write))
-    return outcomes, ref_outcomes, cache, ref
+    _, pairs, cache, ref = replay_against_reference(
+        cfg, (("access", addr, is_write) for addr, is_write in trace), count_fills)
+    return [ours for ours, _ in pairs], [theirs for _, theirs in pairs], cache, ref
 
 
 def seeded(seed):

@@ -3,6 +3,8 @@ import pytest
 from nvwear import (CacheConfig, CacheState, ConfigError, MappingTable,
                     decompose_address)
 
+from nvwear.reference import replay_against_reference
+
 from helpers import random_trace, replay_both, seeded, small_cfg
 
 
@@ -105,6 +107,19 @@ class TestAccess:
         assert read_hit.latency == cfg.hit_read_latency
         assert write_hit.latency == cfg.hit_write_latency
         assert write_hit.latency - read_hit.latency == 10
+
+    def test_outcomes_are_immutable(self):
+        cache = CacheState(small_cfg(assoc=1))
+        outcomes = [cache.access(0, 1, True), cache.access(0, 2, False),
+                    cache.access(0, 2, False), cache.access(0, 2, True),
+                    cache.access(0, 3, False)]
+        assert [(o.hit, o.evicted_dirty) for o in outcomes] == [
+            (False, False), (False, True), (True, False), (True, False),
+            (False, True)]
+        for out in outcomes:
+            with pytest.raises(AttributeError):
+                out.hit = not out.hit
+        assert not cache.access(0, 4, False).hit
 
     def test_lru_evicts_oldest_and_reports_dirty(self):
         # 2-way set: fill A dirty, fill B, then C must evict A
@@ -256,25 +271,20 @@ class TestDifferentialSmall:
     def test_remaps_and_flushes_match_reference(self):
         rng = seeded(99)
         cfg = small_cfg(colors=4, sets_per_color=4, assoc=2)
-        cache = CacheState(cfg)
-        mapping = MappingTable(cfg.num_colors)
-        from nvwear import ReferenceSimulator
-        ref = ReferenceSimulator(cfg)
-        our_wb = ref_seen = 0
-        for step in range(4000):
-            roll = rng.random()
-            if roll < 0.02:
-                pair = (rng.randrange(4), rng.randrange(4))
-                assert mapping.apply_remap(cache, [pair]) == ref.remap(*pair)
-            elif roll < 0.04:
-                color = rng.randrange(4)
-                assert cache.flush_color(color) == ref.flush_color(color)
-            else:
-                blocks = cfg.page_size_bytes // cfg.block_size_bytes
-                addr = (rng.randrange(16) * cfg.page_size_bytes
-                        + rng.randrange(blocks) * cfg.block_size_bytes)
-                is_write = bool(rng.getrandbits(1))
-                s, t = decompose_address(addr, cfg, mapping)
-                out = cache.access(s, t, is_write)
-                assert (out.hit, out.evicted_dirty) == ref.access_addr(addr, is_write)
-        assert cache.write_counts == ref.write_count_matrix()
+        blocks = cfg.page_size_bytes // cfg.block_size_bytes
+
+        def schedule():
+            for _ in range(4000):
+                roll = rng.random()
+                if roll < 0.02:
+                    yield "remap", rng.randrange(4), rng.randrange(4)
+                elif roll < 0.04:
+                    yield "flush", rng.randrange(4)
+                else:
+                    yield ("access", rng.randrange(16) * cfg.page_size_bytes
+                           + rng.randrange(blocks) * cfg.block_size_bytes,
+                           bool(rng.getrandbits(1)))
+
+        failure, outcomes, _, ref = replay_against_reference(cfg, schedule())
+        assert failure is None
+        assert ref.flush_writebacks > 0 and len(outcomes) > 3800

@@ -186,6 +186,14 @@ class TestRun:
                      "--out", str(tmp_path / "o")]) == 2
         assert "bad.trace:3: non-ASCII byte 0xe9" in capsys.readouterr().err
 
+    def test_digit_separator_in_trace_fails_with_line(self, tmp_path, capsys):
+        trace = tmp_path / "bad.trace"
+        trace.write_text("R 0x0 0\nW 0x1_0 1_0\n")
+        cfg = small_config(tmp_path)
+        assert main(["run", "--config", cfg, "--trace", str(trace),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "bad.trace:2: '_' and signs are not allowed" in capsys.readouterr().err
+
     def test_repeat_runs_identical_csv(self, tmp_path):
         cfg = small_config(tmp_path)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

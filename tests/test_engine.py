@@ -1,3 +1,5 @@
+import pytest
+
 from nvwear import (GeneratorSpec, ReferenceSimulator, Simulator, TraceEvent,
                     build_policy, generate)
 
@@ -182,6 +184,57 @@ class TestPolicyIntegration:
         cycles = [d.cycle for d in result.decisions]
         assert len(cycles) >= 2
         assert all(b - a >= gap for a, b in zip(cycles, cycles[1:]))
+
+
+class RecordingPolicy:
+    """Passes the engine's calls through to a real policy and records them."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.notes = self.true_notes = 0
+        self.last_note = None
+        self.polled_after = []  # what note_write returned just before each poll
+
+    def note_write(self, color):
+        self.notes += 1
+        self.last_note = self.inner.note_write(color)
+        self.true_notes += bool(self.last_note)
+        return self.last_note
+
+    def poll(self, now_cycle):
+        self.polled_after.append(self.last_note)
+        self.last_note = None
+        return self.inner.poll(now_cycle)
+
+
+class TestPolicyContract:
+    def _events(self):
+        spec = GeneratorSpec(kind="uniform", num_events=6000, write_fraction=0.4,
+                             page_count=32, seed=4, page_size_bytes=256,
+                             block_size_bytes=64)
+        return list(generate(spec))
+
+    @pytest.mark.parametrize("count_fills", [True, False])
+    def test_note_write_once_per_block_write_and_poll_only_after_true(
+            self, count_fills):
+        cfg = small_cfg()
+        policy = RecordingPolicy(build_policy("swl", cfg.num_colors, k_writes=50,
+                                              min_gap_cycles=20_000, beta=0.0))
+        events = self._events()
+        result = Simulator(cfg, policy, count_fills=count_fills).run(events)
+        s = result.stats
+        assert 0 < s.write_hits < s.writes < len(events)  # a mixed stream
+        assert policy.notes == s.block_write_events
+        assert policy.polled_after and all(policy.polled_after)
+        assert len(policy.polled_after) == policy.true_notes
+        assert 0 < len(result.decisions) < policy.true_notes  # the gap defers some
+
+    def test_static_run_never_polls(self):
+        cfg = small_cfg()
+        policy = RecordingPolicy(build_policy("static", cfg.num_colors))
+        result = Simulator(cfg, policy).run(self._events())
+        assert policy.notes == result.stats.block_write_events > 0
+        assert policy.polled_after == []
 
 
 class TestDeterminismAndOracle:

@@ -1,10 +1,14 @@
+import hashlib
 import math
+import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from nvwear import (ConfigError, GeneratorSpec, TraceEvent, TraceFormatError,
                     generate, read_trace, write_trace)
+from nvwear.workload import _page_picker
 
 
 class TestReadTrace:
@@ -51,6 +55,23 @@ class TestReadTrace:
     def test_rejects_bad_icount(self, tmp_path):
         with pytest.raises(TraceFormatError):
             self._read(tmp_path, "R 0x0 ten\n")
+
+    @pytest.mark.parametrize("line", ["W 0x1_0 10", "W 0x_10 10", "W 0x10 1_0",
+                                      "R 0x20 +20", "R 0x20 -0"])
+    def test_rejects_separators_and_signs(self, tmp_path, line):
+        with pytest.raises(TraceFormatError,
+                           match=r"t\.trace:2: '_' and signs are not allowed"):
+            self._read(tmp_path, f"R 0x0 0\n{line}\n")
+
+    @pytest.mark.parametrize("line, message", [
+        ("R 0x10 -5", "negative instruction count"),
+        ("R 0x-10 5", "bad hex address"),
+        ("R 0x1_0 zz", "bad instruction count"),
+        ("R 0x1_0 1_0", "decreased"),
+    ])
+    def test_earlier_errors_keep_their_messages(self, tmp_path, line, message):
+        with pytest.raises(TraceFormatError, match=message):
+            self._read(tmp_path, f"R 0x0 20\n{line}\n")
 
     @pytest.mark.parametrize("body", [b"R 0x0 0\nW 0x40 5 caf\xe9\n",
                                       b"R 0x0 0\n# caf\xe9\nW 0x40 5\n"],
@@ -145,6 +166,83 @@ class TestGenerate:
         for ev in generate(spec):
             assert 0 <= ev.addr < top
             assert ev.addr % spec.block_size_bytes == 0
+
+
+# SHA-256 of the first 20k events, one "is_write addr icount" line each, as
+# generated when every draw still went through Random.randrange; pins the
+# inlined rejection sampling to that stream
+PINNED_STREAMS = {
+    ("uniform", 1): "bae36a492fc8a5b5f945e650dafa088c6ac303bad1af1844dfeb2f524e24a8be",
+    ("uniform", 7): "a1728684128b61d55acbbb1fba2b31507c780faca872b8bb90de9c8936630239",
+    ("zipf", 1): "41298072009af6f3d764f8826a569b210d056831277b7544cb24e194e1a4339e",
+    ("zipf", 7): "a57badcb18d1f487d956d507f93fc30ddbadcb6203268b77ae01d9d26be26ffb",
+    ("hotset", 1): "30f950fbc4a9ab043485511ede68f7454a31c8749d8b78852dbef0c3a596019c",
+    ("hotset", 7): "fb02ee1f44ad4310e2f8e5d321c742838da868810d4bb0f4fd68733ac24aac85",
+    ("hotset-all-hot", 1): "1fee17a4580688ab24107b54c86e6c9fb354b69b3b24d060ccd8923eb5127893",
+    ("hotset-all-hot", 7): "4698572accd632f008bf3ac149c5054212020f82991e1d65e92675f190ce1a52",
+    ("roundrobin", 1): "eb05067ba25c168a6fe34c07551b77239865c6219f6db9ae60b0a706a4739cf5",
+    ("roundrobin", 7): "d9f54eb4bb177ce24670d3292a670cdcdcae5cba84d700e77f84c3c278339ba1",
+}
+PINNED_SPECS = {
+    "uniform": dict(kind="uniform", page_count=100),
+    "zipf": dict(kind="zipf", zipf_exponent=0.8, write_fraction=0.3),
+    "hotset": dict(kind="hotset", page_count=64, write_fraction=1.0),
+    # hot >= pages: the hot set covers every page, so draws are uniform over
+    # a power-of-two page count, where rejection is most frequent
+    "hotset-all-hot": dict(kind="hotset", page_count=64, hotset_fraction=1.0,
+                           page_size_bytes=512),
+    "roundrobin": dict(kind="roundrobin", page_count=10),
+}
+
+
+def _randrange_stream(spec):
+    """The generator's draw order written out with Random.randrange."""
+    rng = random.Random(spec.seed)
+    p = spec.page_count
+    hot = max(1, round(spec.hotset_fraction * p))
+    for i in range(1, spec.num_events + 1):
+        is_write = rng.random() < spec.write_fraction
+        if spec.kind == "hotset" and hot < p:
+            page = (rng.randrange(hot) if rng.random() < spec.hotset_probability
+                    else rng.randrange(hot, p))
+        else:
+            page = rng.randrange(p)
+        block = rng.randrange(spec.page_size_bytes // spec.block_size_bytes)
+        yield TraceEvent(is_write, page * spec.page_size_bytes
+                         + block * spec.block_size_bytes,
+                         i * spec.instructions_per_access)
+
+
+# powers of two reject most often: randrange(2**e) draws e + 1 bits
+SIZES = st.one_of(st.integers(1, 2 ** 20), st.integers(0, 20).map(lambda e: 1 << e))
+SEEDS = st.integers(0, 2 ** 32)
+
+
+class TestStreamPinning:
+    @pytest.mark.parametrize("name, seed", sorted(PINNED_STREAMS))
+    def test_stream_matches_pinned_digest(self, name, seed):
+        spec = GeneratorSpec(num_events=20_000, seed=seed, **PINNED_SPECS[name])
+        digest = hashlib.sha256()
+        for ev in generate(spec):
+            digest.update(f"{int(ev.is_write)} {ev.addr} {ev.icount}\n".encode())
+        assert digest.hexdigest() == PINNED_STREAMS[name, seed]
+
+    @given(n=SIZES, seed=SEEDS)
+    def test_uniform_draws_equal_randrange(self, n, seed):
+        pick = _page_picker(GeneratorSpec(kind="uniform", page_count=n),
+                            random.Random(seed))
+        ref = random.Random(seed)
+        assert [pick() for _ in range(20)] == [ref.randrange(n) for _ in range(20)]
+
+    @given(kind=st.sampled_from(["uniform", "hotset"]), n=SIZES, seed=SEEDS,
+           block_shift=st.integers(0, 6),
+           hot_fraction=st.sampled_from([0.01, 0.125, 0.5, 1.0]))
+    def test_generate_equals_randrange_transcription(self, kind, n, seed,
+                                                     block_shift, hot_fraction):
+        spec = GeneratorSpec(kind=kind, num_events=30, page_count=n, seed=seed,
+                             hotset_fraction=hot_fraction,
+                             block_size_bytes=4096 >> block_shift)
+        assert list(generate(spec)) == list(_randrange_stream(spec))
 
 
 class TestSpecValidation:
