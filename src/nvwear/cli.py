@@ -94,20 +94,8 @@ def _build_parser():
     return parser
 
 
-_OVERRIDE_KEYS = ("policy", "seed", "out", "trace", "k", "beta", "lam",
-                  "swap_limit_mode", "count_fills", "min_gap_cycles",
-                  "workload_kind", "events", "write_fraction", "pages",
-                  "zipf_s", "hotset_fraction", "hotset_probability",
-                  "instructions_per_access")
-
-
-def _overrides(args):
-    return {key: getattr(args, key) for key in _OVERRIDE_KEYS
-            if hasattr(args, key)}
-
-
 def _cmd_run(args):
-    cfg = build_config(args.config, _overrides(args))
+    cfg = build_config(args.config, vars(args))
     report = run_experiment(cfg)
     write_run_report(report, cfg.out_dir)
     log.info("wrote reports for %s to %s", report.policy, cfg.out_dir)
@@ -126,7 +114,7 @@ def _cmd_compare(args):
 
 
 def _cmd_gen_trace(args):
-    cfg = build_config(args.config, _overrides(args))
+    cfg = build_config(args.config, vars(args))
     if cfg.workload is None:
         raise ConfigError("gen-trace needs a generator workload, not a trace")
     directory = os.path.dirname(os.path.abspath(args.path))
@@ -187,8 +175,7 @@ def main(argv=None):
                 "gen-trace": _cmd_gen_trace, "selftest": _cmd_selftest}
     try:
         return handlers[args.command](args)
-    # ConfigError and TraceFormatError are ValueErrors; plain ValueError also
-    # covers malformed numbers fed to the config parser
+    # ConfigError and TraceFormatError are ValueErrors
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,22 +11,9 @@ log = logging.getLogger("nvwear.engine")
 
 
 @dataclass
-class IntervalDecision:
-    """One policy execution, as logged to the decision CSV."""
-
-    interval: int
-    cycle: int
-    sdw: float
-    n_higher: int
-    n_color_to_swap: int
-    swaps: list
-    writebacks: int
-
-
-@dataclass
 class RunResult:
     stats: RunStats
-    decisions: list = field(default_factory=list)
+    decisions: list = field(default_factory=list)  # policy.RemapDecision
     mapping_audit: list = field(default_factory=list)  # (interval, region, color)
     mapping: MappingTable | None = None
 
@@ -101,10 +88,10 @@ class Simulator:
                 if decision.swaps:
                     audit.extend((interval, region, color)
                                  for region, color in enumerate(mapping.color_of))
-            decisions.append(IntervalDecision(
-                interval=interval, cycle=cycles, sdw=decision.sdw,
-                n_higher=decision.n_higher, n_color_to_swap=len(decision.swaps),
-                swaps=list(decision.swaps), writebacks=flushed))
+            decision.interval = interval
+            decision.cycle = cycles
+            decision.writebacks = flushed
+            decisions.append(decision)
             log.debug("interval %d @%d cycles: sdw=%.3f swaps=%s writebacks=%d",
                       interval, cycles, decision.sdw, decision.swaps, flushed)
 

@@ -23,7 +23,7 @@ from .errors import ConfigError
 from .metrics import (EnergyConstants, RunStats, energy_joules, mpki,
                       relative_lifetime)
 from .policy import (DEFAULT_BETA, DEFAULT_K_WRITES, DEFAULT_MIN_GAP_CYCLES,
-                     POLICY_KINDS, build_policy)
+                     POLICY_KINDS, build_policy, default_swap_limit)
 from .workload import GeneratorSpec, generate, read_trace
 
 log = logging.getLogger("nvwear.experiment")
@@ -120,17 +120,39 @@ def parse_bool(text):
         raise ConfigError(f"cannot parse boolean {text!r} (use on/off)") from None
 
 
-_CACHE_KEYS = {"size_bytes", "associativity", "block_bytes", "page_bytes",
-               "read_hit_cycles", "write_hit_cycles", "miss_penalty_cycles",
-               "frequency_hz"}
-_POLICY_KEYS = {"kind", "beta", "lambda", "k_writes", "min_gap_cycles",
-                "swap_limit_mode", "count_fills"}
-_WORKLOAD_KEYS = {"kind", "trace", "events", "write_fraction", "zipf_s",
-                  "hotset_fraction", "hotset_probability", "pages", "seed",
-                  "instructions_per_access"}
-_OUTPUT_KEYS = {"dir"}
-_SECTIONS = {"cache": _CACHE_KEYS, "policy": _POLICY_KEYS,
-             "workload": _WORKLOAD_KEYS, "output": _OUTPUT_KEYS}
+# One row per setting: INI section and key, override key (a CLI flag's dest;
+# None for file-only settings), the dataclass the value goes to and its field,
+# and the parser of the value. Defaults live only in the dataclasses.
+_SETTINGS = (
+    ("cache", "size_bytes", None, CacheConfig, "cache_size_bytes", parse_size),
+    ("cache", "associativity", None, CacheConfig, "associativity", int),
+    ("cache", "block_bytes", None, CacheConfig, "block_size_bytes", parse_size),
+    ("cache", "page_bytes", None, CacheConfig, "page_size_bytes", parse_size),
+    ("cache", "read_hit_cycles", None, CacheConfig, "hit_read_latency", int),
+    ("cache", "write_hit_cycles", None, CacheConfig, "hit_write_latency", int),
+    ("cache", "miss_penalty_cycles", None, CacheConfig, "miss_penalty", int),
+    ("cache", "frequency_hz", None, CacheConfig, "core_frequency_hz", int),
+    ("policy", "kind", "policy", ExperimentConfig, "policy_kind", str),
+    ("policy", "beta", "beta", ExperimentConfig, "beta", float),
+    ("policy", "lambda", "lam", ExperimentConfig, "swap_limit", int),
+    ("policy", "k_writes", "k", ExperimentConfig, "k_writes", int),
+    ("policy", "min_gap_cycles", "min_gap_cycles", ExperimentConfig, "min_gap_cycles", int),
+    ("policy", "swap_limit_mode", "swap_limit_mode", ExperimentConfig, "swap_limit_mode", str),
+    ("policy", "count_fills", "count_fills", ExperimentConfig, "count_fills", parse_bool),
+    ("workload", "kind", "workload_kind", GeneratorSpec, "kind", str),
+    ("workload", "trace", "trace", ExperimentConfig, "trace_path", str),
+    ("workload", "events", "events", GeneratorSpec, "num_events", int),
+    ("workload", "write_fraction", "write_fraction", GeneratorSpec, "write_fraction", float),
+    ("workload", "zipf_s", "zipf_s", GeneratorSpec, "zipf_exponent", float),
+    ("workload", "hotset_fraction", "hotset_fraction", GeneratorSpec, "hotset_fraction", float),
+    ("workload", "hotset_probability", "hotset_probability", GeneratorSpec,
+     "hotset_probability", float),
+    ("workload", "pages", "pages", GeneratorSpec, "page_count", int),
+    ("workload", "seed", "seed", GeneratorSpec, "seed", int),
+    ("workload", "instructions_per_access", "instructions_per_access", GeneratorSpec,
+     "instructions_per_access", int),
+    ("output", "dir", "out", ExperimentConfig, "out_dir", str),
+)
 
 
 def _read_ini(path):
@@ -140,12 +162,13 @@ def _read_ini(path):
             parser.read_file(fh, source=path)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    known = {(section, key) for section, key, *_ in _SETTINGS}
     sections = {}
     for name in parser.sections():
-        if name not in _SECTIONS:
+        if name not in {section for section, _ in known}:
             raise ConfigError(f"{path}: unknown section [{name}]")
         body = dict(parser.items(name))
-        unknown = set(body) - _SECTIONS[name]
+        unknown = {key for key in body if (name, key) not in known}
         if unknown:
             raise ConfigError(f"{path}: unknown key(s) in [{name}]: "
                               f"{', '.join(sorted(unknown))}")
@@ -154,68 +177,34 @@ def _read_ini(path):
 
 
 def build_config(path=None, overrides=None) -> ExperimentConfig:
-    """Assemble an ExperimentConfig from an optional INI file plus flag
-    overrides (override values of None are ignored)."""
+    """Assemble an ExperimentConfig from an optional INI file plus overrides
+    keyed by the settings' override keys (other keys and values of None are
+    ignored). A setting given neither way keeps its dataclass default."""
     sections = _read_ini(path) if path else {}
-    ov = {k: v for k, v in (overrides or {}).items() if v is not None}
+    overrides = overrides or {}
+    given = {CacheConfig: {}, GeneratorSpec: {}, ExperimentConfig: {}}
+    for section, key, override_key, target, name, parse in _SETTINGS:
+        value = overrides.get(override_key)
+        source = f"override {override_key}"
+        if value is None:
+            value = sections.get(section, {}).get(key)
+            source = f"{path}: [{section}] {key}"
+        if value is None:
+            continue
+        try:
+            given[target][name] = parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"{source}: {exc}") from None
 
-    c = sections.get("cache", {})
-    cache = CacheConfig(
-        cache_size_bytes=parse_size(c.get("size_bytes", 4 * 1024 * 1024)),
-        associativity=int(c.get("associativity", 16)),
-        block_size_bytes=parse_size(c.get("block_bytes", 64)),
-        page_size_bytes=parse_size(c.get("page_bytes", 4096)),
-        hit_read_latency=int(c.get("read_hit_cycles", 2)),
-        hit_write_latency=int(c.get("write_hit_cycles", 12)),
-        miss_penalty=int(c.get("miss_penalty_cycles", 160)),
-        core_frequency_hz=int(c.get("frequency_hz", 2_000_000_000)),
-    )
-
-    p = sections.get("policy", {})
-    policy_kind = ov.get("policy", p.get("kind", "swl"))
-    beta = float(ov.get("beta", p.get("beta", DEFAULT_BETA)))
-    lam = ov.get("lam", p.get("lambda"))
-    swap_limit = None if lam is None else int(lam)
-    k_writes = int(ov.get("k", p.get("k_writes", DEFAULT_K_WRITES)))
-    min_gap = int(ov.get("min_gap_cycles",
-                         p.get("min_gap_cycles", DEFAULT_MIN_GAP_CYCLES)))
-    mode = ov.get("swap_limit_mode", p.get("swap_limit_mode", "min"))
-    count_fills_raw = ov.get("count_fills", p.get("count_fills", "on"))
-    count_fills = (count_fills_raw if isinstance(count_fills_raw, bool)
-                   else parse_bool(count_fills_raw))
-
-    w = sections.get("workload", {})
-    trace_path = ov.get("trace", w.get("trace"))
-    wkind = ov.get("workload_kind", w.get("kind", "uniform"))
-    workload = None
-    if trace_path is None and wkind != "trace":
-        workload = GeneratorSpec(
-            kind=wkind,
-            num_events=int(ov.get("events", w.get("events", 100_000))),
-            write_fraction=float(ov.get("write_fraction",
-                                        w.get("write_fraction", 0.5))),
-            zipf_exponent=float(ov.get("zipf_s", w.get("zipf_s", 1.0))),
-            hotset_fraction=float(ov.get("hotset_fraction",
-                                         w.get("hotset_fraction", 0.125))),
-            hotset_probability=float(ov.get("hotset_probability",
-                                            w.get("hotset_probability", 0.9))),
-            page_count=int(ov.get("pages", w.get("pages", 256))),
-            seed=int(ov.get("seed", w.get("seed", 1))),
-            instructions_per_access=int(ov.get("instructions_per_access",
-                                               w.get("instructions_per_access", 5))),
-            page_size_bytes=cache.page_size_bytes,
-            block_size_bytes=cache.block_size_bytes,
-        )
-    elif trace_path is None:
-        raise ConfigError("workload kind 'trace' requires a trace path")
-
-    out_dir = ov.get("out", sections.get("output", {}).get("dir", "out"))
-
-    return ExperimentConfig(cache=cache, policy_kind=policy_kind, beta=beta,
-                            swap_limit=swap_limit, k_writes=k_writes,
-                            min_gap_cycles=min_gap, swap_limit_mode=mode,
-                            count_fills=count_fills, workload=workload,
-                            trace_path=trace_path, out_dir=out_dir)
+    cache = CacheConfig(**given[CacheConfig])
+    fields = given[ExperimentConfig]
+    if fields.get("trace_path") is None:
+        if given[GeneratorSpec].get("kind") == "trace":
+            raise ConfigError("workload kind 'trace' requires a trace path")
+        fields["workload"] = GeneratorSpec(
+            **given[GeneratorSpec], page_size_bytes=cache.page_size_bytes,
+            block_size_bytes=cache.block_size_bytes)
+    return ExperimentConfig(cache=cache, **fields)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -348,21 +337,21 @@ def write_atomic(path, text):
 
 def _config_lines(cfg: ExperimentConfig):
     cache = cfg.cache
-    lines = [
+    lam = (default_swap_limit(cache.num_colors) if cfg.swap_limit is None
+           else cfg.swap_limit)
+    return [
         f"- cache: {cache.cache_size_bytes} B, {cache.associativity}-way, "
         f"{cache.block_size_bytes} B blocks, {cache.page_size_bytes} B pages "
         f"({cache.num_colors} colors x {cache.sets_per_color} sets)",
         f"- latencies: read hit {cache.hit_read_latency}, write hit "
         f"{cache.hit_write_latency}, miss {cache.miss_penalty} cycles "
         f"at {cache.core_frequency_hz} Hz",
-        f"- policy: {cfg.policy_kind} (beta={cfg.beta:g}, "
-        f"lambda={cfg.swap_limit if cfg.swap_limit is not None else cache.num_colors // 4}, "
+        f"- policy: {cfg.policy_kind} (beta={cfg.beta:g}, lambda={lam}, "
         f"K={cfg.k_writes}, min_gap={cfg.min_gap_cycles} cycles, "
         f"mode={cfg.swap_limit_mode}, count_fills="
         f"{'on' if cfg.count_fills else 'off'})",
         f"- workload: {cfg.workload_label()}",
     ]
-    return lines
 
 
 def _stats_table(reports):

@@ -28,15 +28,28 @@ def stddev_writes(values):
     return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / n)
 
 
+def default_swap_limit(num_colors):
+    """The pair budget when none is configured: a quarter of the colors, >= 1."""
+    return max(1, num_colors // 4)
+
+
 @dataclass
 class RemapDecision:
-    """Outcome of one policy execution. ``ran`` False means the imbalance
-    gate rejected remapping; the swap list is empty in that case."""
+    """One policy execution. The policy sets ``ran`` (False: the imbalance gate
+    rejected remapping, no swaps), ``swaps``, ``sdw`` and ``n_higher``; the
+    engine sets the interval index, the cycle and the flush writebacks."""
 
     ran: bool
     swaps: list = field(default_factory=list)
     sdw: float = 0.0
     n_higher: int = 0
+    interval: int = 0
+    cycle: int = 0
+    writebacks: int = 0
+
+    @property
+    def n_color_to_swap(self):
+        return len(self.swaps)
 
 
 @dataclass
@@ -66,7 +79,7 @@ class PolicyState:
         if n < 2:
             raise ConfigError("wear-leveling needs at least 2 colors")
         if self.swap_limit is None:
-            self.swap_limit = max(1, n // 4)
+            self.swap_limit = default_swap_limit(n)
         if not 1 <= self.swap_limit <= n // 2:
             raise ConfigError(
                 f"swap_limit must lie in [1, {n // 2}] for {n} colors, "
@@ -158,24 +171,19 @@ class StaticPolicy:
         return None
 
 
-class SwapWearPolicy:
+class SwapWearPolicy(PolicyState):
     """Periodic pairwise swapping of hot colors toward the least-worn ones."""
 
     name = "swl"
-
-    def __init__(self, state: PolicyState):
-        self.state = state
-
-    def note_write(self, color):
-        return self.state.observe_write(color)
+    note_write = PolicyState.observe_write
 
     def poll(self, now_cycle):
-        if self.state.check_trigger(now_cycle):
-            return self.state.plan_remap()
+        if self.check_trigger(now_cycle):
+            return self.plan_remap()
         return None
 
 
-class XorRemapPolicy:
+class XorRemapPolicy(PolicyState):
     """Blind periodic remap: XOR a register into every region index.
 
     Each execution advances the register through 1..N-1 (never 0, which would
@@ -185,26 +193,21 @@ class XorRemapPolicy:
     """
 
     name = "xor"
+    note_write = PolicyState.observe_write
 
-    def __init__(self, state: PolicyState):
-        n = state.num_colors
+    def __post_init__(self):
+        super().__post_init__()
+        n = self.num_colors
         if n & (n - 1):
             raise ConfigError("xor remap needs a power-of-two color count")
-        self.state = state
         self.register = 0
-        self.runs = 0
-
-    def note_write(self, color):
-        return self.state.observe_write(color)
 
     def poll(self, now_cycle):
-        st = self.state
-        if not st.check_trigger(now_cycle):
+        if not self.check_trigger(now_cycle):
             return None
-        n = st.num_colors
-        _, sdw, n_higher = st.close_window()
-        self.runs += 1
-        new_register = (self.runs - 1) % (n - 1) + 1
+        n = self.num_colors
+        _, sdw, n_higher = self.close_window()
+        new_register = self.register % (n - 1) + 1
         delta = self.register ^ new_register
         self.register = new_register
         swaps = [(c, c ^ delta) for c in range(n) if c < c ^ delta]
@@ -214,16 +217,12 @@ class XorRemapPolicy:
 POLICY_KINDS = ("swl", "static", "xor")
 
 
-def build_policy(kind, num_colors, *, beta=DEFAULT_BETA, swap_limit=None,
-                 k_writes=DEFAULT_K_WRITES, min_gap_cycles=DEFAULT_MIN_GAP_CYCLES,
-                 swap_limit_mode="min"):
+def build_policy(kind, num_colors, **params):
+    """``params`` are ``PolicyState`` fields (beta, k_writes, ...); static ignores them."""
     if kind == "static":
         return StaticPolicy()
-    state = PolicyState(num_colors, beta=beta, swap_limit=swap_limit,
-                        k_writes=k_writes, min_gap_cycles=min_gap_cycles,
-                        swap_limit_mode=swap_limit_mode)
     if kind == "swl":
-        return SwapWearPolicy(state)
+        return SwapWearPolicy(num_colors, **params)
     if kind == "xor":
-        return XorRemapPolicy(state)
+        return XorRemapPolicy(num_colors, **params)
     raise ConfigError(f"unknown policy kind {kind!r} (expected one of {POLICY_KINDS})")

@@ -1,10 +1,16 @@
+import argparse
 import csv
+import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
 from nvwear import ConfigError, build_config, read_trace
-from nvwear.cli import main
-from nvwear.experiment import parse_bool, parse_size
+from nvwear.cli import _build_parser, main
+from nvwear.experiment import _SETTINGS, parse_bool, parse_size
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_config(path, text):
@@ -93,6 +99,54 @@ class TestBuildConfig:
         bad = write_config(tmp_path / "t.ini", "[workload]\nkind = trace\n")
         with pytest.raises(ConfigError):
             build_config(bad)
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("cache", "associativity", "abc"),        # int
+        ("policy", "beta", "high"),               # float
+        ("cache", "size_bytes", "4.5M"),          # parse_size
+        ("policy", "count_fills", "maybe"),       # parse_bool
+    ])
+    def test_malformed_value_names_file_section_and_key(self, tmp_path, capsys,
+                                                        section, key, value):
+        bad = write_config(tmp_path / "bad.ini", f"[{section}]\n{key} = {value}\n")
+        assert main(["run", "--config", bad, "--out", str(tmp_path / "o")]) == 2
+        assert f"{bad}: [{section}] {key}: " in capsys.readouterr().err
+
+    def test_malformed_override_names_override_key(self):
+        with pytest.raises(ConfigError, match=r"^override lam: "):
+            build_config(None, {"lam": "many"})
+
+    def test_every_flag_is_a_setting_and_every_setting_a_run_flag(self):
+        subparsers = next(a for a in _build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction)).choices
+        dests = {name: {a.dest for a in subparsers[name]._actions}
+                 - {"help", "command", "config", "path"}
+                 for name in ("run", "gen-trace")}
+        override_keys = {row[2] for row in _SETTINGS} - {None}
+        assert dests["gen-trace"] <= override_keys
+        assert dests["run"] == override_keys
+
+
+class TestReadmeConfig:
+    def _block(self):
+        return re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+
+    def test_block_names_every_setting_once(self):
+        named, section = [], None
+        for line in self._block().splitlines():
+            if m := re.match(r"\[(\w+)\]", line):
+                section = m.group(1)
+            elif m := re.match(r"#?\s*(\w+)\s*=", line):
+                named.append((section, m.group(1)))
+        assert sorted(named) == sorted(row[:2] for row in _SETTINGS)
+
+    def test_block_runs_and_shows_the_defaults(self, tmp_path):
+        path = write_config(tmp_path / "readme.ini", self._block())
+        assert main(["run", "--config", path, "--events", "2000",
+                     "--out", str(tmp_path / "o")]) == 0
+        cfg = build_config(path)
+        assert cfg.swap_limit == 16  # the default for the 64 colors shown
+        assert dataclasses.replace(cfg, swap_limit=None) == build_config()
 
 
 class TestGenTrace:
@@ -193,6 +247,14 @@ class TestRun:
         assert main(["run", "--config", cfg, "--trace", str(trace),
                      "--out", str(tmp_path / "o")]) == 2
         assert "bad.trace:2: '_' and signs are not allowed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size,lam", [("128K", 1), ("4M", 16)])
+    def test_summary_shows_default_lambda(self, tmp_path, size, lam):
+        cfg = write_config(tmp_path / "c.ini", f"[cache]\nsize_bytes = {size}\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--events", "200",
+                     "--out", str(out)]) == 0
+        assert f"lambda={lam}," in (out / "summary.md").read_text()
 
     def test_repeat_runs_identical_csv(self, tmp_path):
         cfg = small_config(tmp_path)
