@@ -94,8 +94,13 @@ def _build_parser():
     return parser
 
 
+def _settings(args):
+    """The parsed flags that are settings: all but command, config and path."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "config", "path")}
+
+
 def _cmd_run(args):
-    cfg = build_config(args.config, vars(args))
+    cfg = build_config(args.config, _settings(args))
     report = run_experiment(cfg)
     write_run_report(report, cfg.out_dir)
     log.info("wrote reports for %s to %s", report.policy, cfg.out_dir)
@@ -114,7 +119,7 @@ def _cmd_compare(args):
 
 
 def _cmd_gen_trace(args):
-    cfg = build_config(args.config, vars(args))
+    cfg = build_config(args.config, _settings(args))
     if cfg.workload is None:
         raise ConfigError("gen-trace needs a generator workload, not a trace")
     directory = os.path.dirname(os.path.abspath(args.path))

@@ -16,6 +16,7 @@ import re
 import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from operator import attrgetter
 
 from .cache import CacheConfig
 from .engine import Simulator
@@ -23,22 +24,10 @@ from .errors import ConfigError
 from .metrics import (EnergyConstants, RunStats, energy_joules, mpki,
                       relative_lifetime)
 from .policy import (DEFAULT_BETA, DEFAULT_K_WRITES, DEFAULT_MIN_GAP_CYCLES,
-                     POLICY_KINDS, build_policy, default_swap_limit)
+                     build_policy, default_swap_limit)
 from .workload import GeneratorSpec, generate, read_trace
 
 log = logging.getLogger("nvwear.experiment")
-
-REPORT_COLUMNS = ["policy", "seed", "workload", "maxBlockWrites", "relLifetime",
-                  "cycles", "relPerf", "energyJ", "energyDeltaPct", "mpki",
-                  "mpkiDelta", "remapRuns", "flushWritebacks", "blockWriteSD"]
-
-DECISION_COLUMNS = ["intervalIndex", "cycle", "sdw", "nHigher", "nColorToSwap",
-                    "swaps", "writebacks"]
-
-AUDIT_COLUMNS = ["interval", "region", "color"]
-
-PLOT_COLUMNS = ["metric", "policy", "workload", "value"]
-
 
 @dataclass
 class ExperimentConfig:
@@ -56,19 +45,17 @@ class ExperimentConfig:
     energy: EnergyConstants = field(default_factory=EnergyConstants)
 
     def __post_init__(self):
-        if self.policy_kind not in POLICY_KINDS:
-            raise ConfigError(f"unknown policy kind {self.policy_kind!r}")
+        self.make_policy()
         if (self.workload is None) == (self.trace_path is None):
             raise ConfigError("exactly one of a generator workload or a trace "
                               "path must be configured")
 
-    def workload_label(self):
-        if self.trace_path is not None:
-            return f"trace:{os.path.basename(self.trace_path)}"
-        return self.workload.label()
-
-    def workload_seed(self):
-        return None if self.workload is None else self.workload.seed
+    def make_policy(self):
+        """A fresh policy for one run; building one validates the policy settings."""
+        return build_policy(self.policy_kind, self.cache.num_colors, beta=self.beta,
+                            swap_limit=self.swap_limit, k_writes=self.k_writes,
+                            min_gap_cycles=self.min_gap_cycles,
+                            swap_limit_mode=self.swap_limit_mode)
 
 
 @dataclass
@@ -178,10 +165,14 @@ def _read_ini(path):
 
 def build_config(path=None, overrides=None) -> ExperimentConfig:
     """Assemble an ExperimentConfig from an optional INI file plus overrides
-    keyed by the settings' override keys (other keys and values of None are
-    ignored). A setting given neither way keeps its dataclass default."""
+    keyed by the settings' override keys (a value of None is not given). A
+    setting given neither way keeps its dataclass default; an empty value or
+    an undeclared override key is an error."""
     sections = _read_ini(path) if path else {}
     overrides = overrides or {}
+    unknown = set(overrides) - {row[2] for row in _SETTINGS}
+    if unknown:
+        raise ConfigError(f"unknown override key(s): {', '.join(sorted(unknown))}")
     given = {CacheConfig: {}, GeneratorSpec: {}, ExperimentConfig: {}}
     for section, key, override_key, target, name, parse in _SETTINGS:
         value = overrides.get(override_key)
@@ -191,20 +182,27 @@ def build_config(path=None, overrides=None) -> ExperimentConfig:
             source = f"{path}: [{section}] {key}"
         if value is None:
             continue
+        if isinstance(value, str) and not value.strip():
+            raise ConfigError(f"{source}: empty value")
         try:
             given[target][name] = parse(value)
         except ValueError as exc:
             raise ConfigError(f"{source}: {exc}") from None
 
-    cache = CacheConfig(**given[CacheConfig])
-    fields = given[ExperimentConfig]
-    if fields.get("trace_path") is None:
-        if given[GeneratorSpec].get("kind") == "trace":
-            raise ConfigError("workload kind 'trace' requires a trace path")
-        fields["workload"] = GeneratorSpec(
-            **given[GeneratorSpec], page_size_bytes=cache.page_size_bytes,
-            block_size_bytes=cache.block_size_bytes)
-    return ExperimentConfig(cache=cache, **fields)
+    try:
+        cache = CacheConfig(**given[CacheConfig])
+        fields = given[ExperimentConfig]
+        if fields.get("trace_path") is None:
+            if given[GeneratorSpec].get("kind") == "trace":
+                raise ConfigError("workload kind 'trace' requires a trace path")
+            fields["workload"] = GeneratorSpec(
+                **given[GeneratorSpec], page_size_bytes=cache.page_size_bytes,
+                block_size_bytes=cache.block_size_bytes)
+        return ExperimentConfig(cache=cache, **fields)
+    except ConfigError as exc:
+        if path:
+            raise ConfigError(f"{path}: {exc}") from None
+        raise
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -212,23 +210,21 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         if not os.path.exists(cfg.trace_path):
             raise ConfigError(f"trace file not found: {cfg.trace_path}")
         events = read_trace(cfg.trace_path)
+        label, seed = f"trace:{os.path.basename(cfg.trace_path)}", None
     else:
         if cfg.workload.page_count < cfg.cache.num_colors:
             log.warning("workload touches %d pages but the cache has %d colors; "
                         "some colors will never see traffic",
                         cfg.workload.page_count, cfg.cache.num_colors)
         events = generate(cfg.workload)
-    policy = build_policy(cfg.policy_kind, cfg.cache.num_colors, beta=cfg.beta,
-                          swap_limit=cfg.swap_limit, k_writes=cfg.k_writes,
-                          min_gap_cycles=cfg.min_gap_cycles,
-                          swap_limit_mode=cfg.swap_limit_mode)
-    sim = Simulator(cfg.cache, policy, count_fills=cfg.count_fills)
+        label, seed = cfg.workload.label(), cfg.workload.seed
+    sim = Simulator(cfg.cache, cfg.make_policy(), count_fills=cfg.count_fills)
     result = sim.run(events)
     stats = result.stats
     return ExperimentReport(
         policy=cfg.policy_kind,
-        workload=cfg.workload_label(),
-        seed=cfg.workload_seed(),
+        workload=label,
+        seed=seed,
         stats=stats,
         energy_j=energy_joules(stats, cfg.energy, cfg.cache.core_frequency_hz),
         mpki_value=mpki(stats.misses, stats.instructions),
@@ -251,73 +247,66 @@ def check_comparable(baseline: ExperimentConfig, technique: ExperimentConfig):
                           "not be comparable")
 
 
+def _ratios(baseline: ExperimentReport, technique: ExperimentReport):
+    """Technique over baseline, in _RATIOS order: relative lifetime, relative
+    performance, energy saving (%) and MPKI increase. Each is None where its
+    denominator run gives no value, so a run against itself gives 1.0, 1.0,
+    0.0, 0.0 or None."""
+    b, t = baseline, technique
+    return (relative_lifetime(b.stats, t.stats),
+            b.stats.cycles / t.stats.cycles if t.stats.cycles > 0 else None,
+            (b.energy_j - t.energy_j) / b.energy_j * 100.0 if b.energy_j > 0 else None,
+            t.mpki_value - b.mpki_value
+            if b.mpki_value is not None and t.mpki_value is not None else None)
+
+
 def compare_experiments(baseline_cfg: ExperimentConfig,
                         technique_cfg: ExperimentConfig) -> Comparison:
     check_comparable(baseline_cfg, technique_cfg)
     baseline = run_experiment(baseline_cfg)
     technique = run_experiment(technique_cfg)
-    rel_perf = (baseline.stats.cycles / technique.stats.cycles
-                if technique.stats.cycles > 0 else None)
-    saving = ((baseline.energy_j - technique.energy_j) / baseline.energy_j * 100.0
-              if baseline.energy_j > 0 else None)
-    delta_mpki = (technique.mpki_value - baseline.mpki_value
-                  if baseline.mpki_value is not None
-                  and technique.mpki_value is not None else None)
-    return Comparison(
-        baseline=baseline,
-        technique=technique,
-        relative_lifetime=relative_lifetime(baseline.stats, technique.stats),
-        relative_performance=rel_perf,
-        energy_saving_pct=saving,
-        mpki_increase=delta_mpki,
-    )
+    return Comparison(baseline, technique, *_ratios(baseline, technique))
 
 
-def _cell(value):
-    if value is None:
-        return ""
-    return str(value)
+# Per-run metrics in report.csv column order: the report.csv column, the
+# plot.csv metric, and the attribute path of the value in an ExperimentReport.
+_METRICS = (
+    ("maxBlockWrites", "max_block_writes", "stats.max_block_writes"),
+    ("cycles", "cycles", "stats.cycles"),
+    ("energyJ", "energy_j", "energy_j"),
+    ("mpki", "mpki", "mpki_value"),
+    ("remapRuns", "remap_runs", "stats.remap_runs"),
+    ("flushWritebacks", "flush_writebacks", "stats.flush_writebacks"),
+    ("blockWriteSD", "block_write_sd", "stats.block_write_sd"),
+)
+
+# The ratios of _ratios, in its order: the report.csv column, and the plot.csv
+# metric, which is also the Comparison field.
+_RATIOS = (
+    ("relLifetime", "relative_lifetime"),
+    ("relPerf", "relative_performance"),
+    ("energyDeltaPct", "energy_saving_pct"),
+    ("mpkiDelta", "mpki_increase"),
+)
 
 
-def _report_row(report: ExperimentReport, *, rel_lifetime=None, rel_perf=None,
-                energy_delta_pct=None, mpki_delta=None):
-    s = report.stats
-    return [report.policy, _cell(report.seed), report.workload,
-            s.max_block_writes, _cell(rel_lifetime), s.cycles, _cell(rel_perf),
-            report.energy_j, _cell(energy_delta_pct), _cell(report.mpki_value),
-            _cell(mpki_delta), s.remap_runs, s.flush_writebacks,
-            s.block_write_sd]
+def _report_row(head, metrics, ratios):
+    """A report.csv row: each ratio goes right after the metric it compares."""
+    return [*head, *(x for pair in zip(metrics, ratios) for x in pair),
+            *metrics[len(ratios):]]
+
+
+REPORT_COLUMNS = _report_row(("policy", "seed", "workload"),
+                             [c for c, _, _ in _METRICS], [c for c, _ in _RATIOS])
 
 
 def _csv_text(columns, rows):
+    """CSV with a header; None cells are written empty."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def _format_swaps(swaps):
-    return ";".join(f"{c1}:{c2}" for c1, c2 in swaps)
-
-
-def _decision_rows(report):
-    return [[d.interval, d.cycle, d.sdw, d.n_higher, d.n_color_to_swap,
-             _format_swaps(d.swaps), d.writebacks] for d in report.decisions]
-
-
-def _plot_rows(report, extra=()):
-    s = report.stats
-    base = [("max_block_writes", s.max_block_writes), ("cycles", s.cycles),
-            ("energy_j", report.energy_j), ("mpki", report.mpki_value),
-            ("remap_runs", s.remap_runs),
-            ("flush_writebacks", s.flush_writebacks),
-            ("block_write_sd", s.block_write_sd)]
-    rows = [[metric, report.policy, report.workload, _cell(value)]
-            for metric, value in base]
-    rows.extend([metric, report.policy, report.workload, _cell(value)]
-                for metric, value in extra)
-    return rows
 
 
 def write_atomic(path, text):
@@ -335,8 +324,8 @@ def write_atomic(path, text):
         raise
 
 
-def _config_lines(cfg: ExperimentConfig):
-    cache = cfg.cache
+def _config_lines(report: ExperimentReport):
+    cfg, cache = report.config, report.config.cache
     lam = (default_swap_limit(cache.num_colors) if cfg.swap_limit is None
            else cfg.swap_limit)
     return [
@@ -350,86 +339,76 @@ def _config_lines(cfg: ExperimentConfig):
         f"K={cfg.k_writes}, min_gap={cfg.min_gap_cycles} cycles, "
         f"mode={cfg.swap_limit_mode}, count_fills="
         f"{'on' if cfg.count_fills else 'off'})",
-        f"- workload: {cfg.workload_label()}",
+        f"- workload: {report.workload}",
     ]
 
 
-def _stats_table(reports):
-    head = ("| policy | workload | maxBlockWrites | cycles | energyJ | mpki | "
-            "remapRuns | flushWritebacks | blockWriteSD |")
-    sep = "|" + "---|" * 9
-    rows = [head, sep]
-    for r in reports:
-        s = r.stats
-        mpki_text = "n/a" if r.mpki_value is None else f"{r.mpki_value:.6g}"
-        rows.append(f"| {r.policy} | {r.workload} | {s.max_block_writes} | "
-                    f"{s.cycles} | {r.energy_j:.6g} | {mpki_text} | "
-                    f"{s.remap_runs} | {s.flush_writebacks} | "
-                    f"{s.block_write_sd:.6g} |")
-    return rows
+def _fmt(value, suffix=""):
+    if value is None:
+        return "n/a"
+    return f"{value}{suffix}" if isinstance(value, int) else f"{value:.6g}{suffix}"
 
 
-def _fmt_opt(value, suffix=""):
-    return "n/a" if value is None else f"{value:.6g}{suffix}"
+def _write_reports(out_dir, runs, compared=None):
+    """Write report.csv, plot.csv, summary.md and a decision log and mapping
+    audit per run. ``runs`` holds (role, report, ratios): a role prefixes the
+    run's log and audit file names and its configuration heading, and the
+    ratios fill its report.csv cells. ``compared``, the comparison's ratios,
+    adds their plot.csv rows and the summary's comparison section."""
+    def write(name, text):
+        write_atomic(os.path.join(out_dir, name), text)
+
+    rows, plot, lines = [], [], [
+        f"# nvwear {'run' if compared is None else 'comparison'} summary", "",
+        f"generated: {datetime.now(timezone.utc).isoformat()}", ""]
+    table = ["| policy | workload | " + " | ".join(c for c, _, _ in _METRICS) + " |",
+             "|" + "---|" * (2 + len(_METRICS))]
+    for role, rep, ratios in runs:
+        values = [attrgetter(path)(rep) for _, _, path in _METRICS]
+        rows.append(_report_row((rep.policy, rep.seed, rep.workload), values, ratios))
+        plot += [[name, rep.policy, rep.workload, value]
+                 for (_, name, _), value in zip(_METRICS, values)]
+        table.append(f"| {rep.policy} | {rep.workload} | "
+                     f"{' | '.join(map(_fmt, values))} |")
+        prefix = f"{role}_" if role else ""
+        write(f"{prefix}decisions.csv", _csv_text(
+            ["intervalIndex", "cycle", "sdw", "nHigher", "nColorToSwap", "swaps",
+             "writebacks"],
+            [[d.interval, d.cycle, d.sdw, d.n_higher, d.n_color_to_swap,
+              ";".join(f"{c1}:{c2}" for c1, c2 in d.swaps), d.writebacks]
+             for d in rep.decisions]))
+        write(f"{prefix}mapping_audit.csv",
+              _csv_text(["interval", "region", "color"], rep.mapping_audit))
+        lines += [f"## {role} configuration" if role else "## configuration",
+                  *_config_lines(rep), ""]
+    lines += ["## results", *table, ""]
+    if compared is not None:
+        plot += [[name, rep.policy, rep.workload, value]  # the technique, run last
+                 for (_, name), value in zip(_RATIOS, compared)]
+        lifetime, perf, saving, mpki_delta = compared
+        lines += ["## comparison (technique vs baseline)",
+                  f"- relative lifetime: {_fmt(lifetime)}",
+                  f"- relative performance: {_fmt(perf)} "
+                  "(coarse proxy: additive timing model, no contention)",
+                  "- remap flush writebacks cost energy but zero cycles, so relative "
+                  "performance is optimistic for swl and xor",
+                  f"- energy saving: {_fmt(saving, '%')}",
+                  f"- MPKI increase: {_fmt(mpki_delta)}", ""]
+    write("report.csv", _csv_text(REPORT_COLUMNS, rows))
+    write("plot.csv", _csv_text(["metric", "policy", "workload", "value"], plot))
+    write("summary.md", "\n".join(lines))
 
 
 def write_run_report(report: ExperimentReport, out_dir):
-    """Emit report.csv, decisions.csv, mapping_audit.csv, plot.csv, summary.md."""
-    write_atomic(os.path.join(out_dir, "report.csv"),
-                 _csv_text(REPORT_COLUMNS, [_report_row(report)]))
-    write_atomic(os.path.join(out_dir, "decisions.csv"),
-                 _csv_text(DECISION_COLUMNS, _decision_rows(report)))
-    write_atomic(os.path.join(out_dir, "mapping_audit.csv"),
-                 _csv_text(AUDIT_COLUMNS, report.mapping_audit))
-    write_atomic(os.path.join(out_dir, "plot.csv"),
-                 _csv_text(PLOT_COLUMNS, _plot_rows(report)))
-    lines = ["# nvwear run summary", "",
-             f"generated: {datetime.now(timezone.utc).isoformat()}", "",
-             "## configuration", *_config_lines(report.config), "",
-             "## results", *_stats_table([report]), ""]
-    write_atomic(os.path.join(out_dir, "summary.md"), "\n".join(lines))
+    """Emit report.csv (ratio cells empty), decisions.csv, mapping_audit.csv,
+    plot.csv and summary.md."""
+    _write_reports(out_dir, [("", report, (None,) * len(_RATIOS))])
 
 
 def write_comparison_report(comparison: Comparison, out_dir):
+    """Emit the same files for both runs, with baseline_/technique_ decision
+    logs and mapping audits; the baseline row holds its ratios against itself."""
     base, tech = comparison.baseline, comparison.technique
-    s = base.stats
-    rows = [
-        # the baseline against itself: each identity value needs the
-        # baseline's own denominator, like the technique's ratios do
-        _report_row(base, rel_lifetime=1.0 if s.max_block_writes > 0 else None,
-                    rel_perf=1.0 if s.cycles > 0 else None,
-                    energy_delta_pct=0.0 if base.energy_j > 0 else None,
-                    mpki_delta=0.0 if base.mpki_value is not None else None),
-        _report_row(tech, rel_lifetime=comparison.relative_lifetime,
-                    rel_perf=comparison.relative_performance,
-                    energy_delta_pct=comparison.energy_saving_pct,
-                    mpki_delta=comparison.mpki_increase),
-    ]
-    write_atomic(os.path.join(out_dir, "report.csv"),
-                 _csv_text(REPORT_COLUMNS, rows))
-    for role, rep in (("baseline", base), ("technique", tech)):
-        write_atomic(os.path.join(out_dir, f"{role}_decisions.csv"),
-                     _csv_text(DECISION_COLUMNS, _decision_rows(rep)))
-        write_atomic(os.path.join(out_dir, f"{role}_mapping_audit.csv"),
-                     _csv_text(AUDIT_COLUMNS, rep.mapping_audit))
-    extra = [("relative_lifetime", comparison.relative_lifetime),
-             ("relative_performance", comparison.relative_performance),
-             ("energy_saving_pct", comparison.energy_saving_pct),
-             ("mpki_increase", comparison.mpki_increase)]
-    plot = _plot_rows(base) + _plot_rows(tech, extra=extra)
-    write_atomic(os.path.join(out_dir, "plot.csv"),
-                 _csv_text(PLOT_COLUMNS, plot))
-    lines = ["# nvwear comparison summary", "",
-             f"generated: {datetime.now(timezone.utc).isoformat()}", "",
-             "## baseline configuration", *_config_lines(base.config), "",
-             "## technique configuration", *_config_lines(tech.config), "",
-             "## results", *_stats_table([base, tech]), "",
-             "## comparison (technique vs baseline)",
-             f"- relative lifetime: {_fmt_opt(comparison.relative_lifetime)}",
-             f"- relative performance: {_fmt_opt(comparison.relative_performance)} "
-             "(coarse proxy: additive timing model, no contention)",
-             "- remap flush writebacks cost energy but zero cycles, so relative "
-             "performance is optimistic for swl and xor",
-             f"- energy saving: {_fmt_opt(comparison.energy_saving_pct, '%')}",
-             f"- MPKI increase: {_fmt_opt(comparison.mpki_increase)}", ""]
-    write_atomic(os.path.join(out_dir, "summary.md"), "\n".join(lines))
+    compared = tuple(getattr(comparison, name) for _, name in _RATIOS)
+    _write_reports(out_dir, [("baseline", base, _ratios(base, base)),
+                             ("technique", tech, compared)], compared)

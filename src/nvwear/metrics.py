@@ -79,14 +79,17 @@ def mpki(misses, instructions):
     return misses * 1000.0 / instructions
 
 
+def population_sd(rows):
+    """Population standard deviation of the values in a sequence of rows. It
+    walks the rows in place: flattening the cache's write-count matrix into one
+    list would copy every counter."""
+    n = sum(map(len, rows))
+    if n < 1:
+        raise ValueError("population SD needs at least one value")
+    mean = sum(map(sum, rows)) / n
+    return math.sqrt(math.fsum((v - mean) ** 2 for row in rows for v in row) / n)
+
+
 def block_write_sd(state):
     """Population SD of the write counters across every block in the cache."""
-    counts = state.write_counts
-    total = 0
-    n = 0
-    for row in counts:
-        total += sum(row)
-        n += len(row)
-    mean = total / n
-    var = math.fsum((v - mean) ** 2 for row in counts for v in row) / n
-    return math.sqrt(var)
+    return population_sd(state.write_counts)

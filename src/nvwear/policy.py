@@ -9,10 +9,10 @@ often than ``min_gap_cycles`` apart):
 * ``static``- identity mapping forever; the baseline.
 """
 
-import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .metrics import population_sd
 
 DEFAULT_BETA = 75.0
 DEFAULT_K_WRITES = 100_000
@@ -21,11 +21,7 @@ DEFAULT_MIN_GAP_CYCLES = 3_000_000
 
 def stddev_writes(values):
     """Population standard deviation of per-color write counts."""
-    n = len(values)
-    if n < 1:
-        raise ValueError("stddev_writes needs at least one value")
-    mean = sum(values) / n
-    return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / n)
+    return population_sd((values,))
 
 
 def default_swap_limit(num_colors):

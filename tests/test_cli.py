@@ -116,6 +116,39 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match=r"^override lam: "):
             build_config(None, {"lam": "many"})
 
+    def test_empty_file_value_names_file_section_and_key(self, tmp_path, capsys):
+        bad = write_config(tmp_path / "bad.ini", "[workload]\ntrace =\n")
+        assert main(["run", "--config", bad, "--out", str(tmp_path / "o")]) == 2
+        assert f"error: {bad}: [workload] trace: empty value" in capsys.readouterr().err
+
+    def test_empty_override_names_override_key(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--events", "100", "--out", ""]) == 2
+        assert "error: override out: empty value" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_override_key_rejected(self):
+        with pytest.raises(ConfigError, match="lamda"):
+            build_config(None, {"lamda": 2})
+
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("cache", "size_bytes", "3000", "positive power of two"),
+        ("workload", "write_fraction", "2", "write_fraction must lie in [0, 1]"),
+        ("policy", "beta", "-1", "beta must be >= 0"),
+    ])
+    def test_out_of_range_value_names_file(self, tmp_path, capsys, section, key,
+                                           value, message):
+        bad = write_config(tmp_path / "bad.ini", f"[{section}]\n{key} = {value}\n")
+        assert main(["run", "--config", bad, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and message in err
+        assert not (tmp_path / "o").exists()
+
+    def test_policy_parameters_checked_when_the_config_is_built(self):
+        with pytest.raises(ConfigError, match="^k_writes must be >= 1"):
+            build_config(None, {"k": 0})
+        assert build_config(None, {"policy": "static", "k": 0}).k_writes == 0
+
     def test_every_flag_is_a_setting_and_every_setting_a_run_flag(self):
         subparsers = next(a for a in _build_parser()._actions
                           if isinstance(a, argparse._SubParsersAction)).choices

@@ -43,6 +43,10 @@ class TestStddev:
     def test_single_element(self):
         assert stddev_writes([5]) == 0.0
 
+    def test_empty_vector_rejected(self):
+        with pytest.raises(ValueError):
+            stddev_writes([])
+
     def test_matches_pstdev_on_random_vectors(self):
         rng = seeded(31)
         for _ in range(300):
