@@ -38,13 +38,14 @@ class CacheConfig:
                      "page_size_bytes"):
             if not _is_pow2(getattr(self, name)):
                 raise ConfigError(
-                    f"{name} must be a positive power of two, got {getattr(self, name)}")
+                    f"must be a positive power of two, got {getattr(self, name)}", name)
         if not self.block_size_bytes <= self.page_size_bytes <= self.cache_size_bytes:
             raise ConfigError("need block_size_bytes <= page_size_bytes <= cache_size_bytes")
-        if self.hit_read_latency < 0 or self.hit_write_latency < 0 or self.miss_penalty < 0:
-            raise ConfigError("latencies must be non-negative")
+        for name in ("hit_read_latency", "hit_write_latency", "miss_penalty"):
+            if getattr(self, name) < 0:
+                raise ConfigError("must be non-negative", name)
         if self.core_frequency_hz <= 0:
-            raise ConfigError("core_frequency_hz must be positive")
+            raise ConfigError("must be positive", "core_frequency_hz")
         num_colors = self.cache_size_bytes // (self.page_size_bytes * self.associativity)
         if num_colors < 1:
             raise ConfigError(
@@ -93,10 +94,10 @@ class CacheState:
     selects whether installing a block on a miss programs its cells (the
     default) or only demand writes do; write hits always count.
 
-    Each set keeps one insertion-ordered ``tag -> way`` dict of its valid
-    blocks, least recently used first. Only ``flush_color`` invalidates, and
-    it empties whole sets, so the valid ways of a set are always
-    ``0 .. len(dict) - 1`` and the lowest-index invalid way is ``len(dict)``.
+    Each set lists its valid blocks' tags least recently used first and by
+    way, and keeps their dirty bits in one int. Only ``flush_color``
+    invalidates, and it empties whole sets, so the valid ways of a set are
+    always ``0 .. len(tags) - 1`` and the lowest invalid way is ``len(tags)``.
     """
 
     def __init__(self, cfg: CacheConfig, count_fills: bool = True):
@@ -104,8 +105,9 @@ class CacheState:
         self.count_fills = count_fills
         n, a = cfg.num_sets, cfg.associativity
         self._assoc = a
-        self._lru = [{} for _ in range(n)]
-        self._dirty = [[False] * a for _ in range(n)]
+        self._lru = [[] for _ in range(n)]
+        self._tags = [[] for _ in range(n)]
+        self._dirty = [0] * n
         self.write_counts = [[0] * a for _ in range(n)]
         self.n_fills = 0
         self.n_write_hits = 0
@@ -120,26 +122,30 @@ class CacheState:
     def access(self, set_index, tag, is_write) -> AccessOutcome:
         """One demand access. Hits promote to MRU; misses fill and may evict."""
         lru = self._lru[set_index]
-        way = lru.pop(tag, None)
-        if way is not None:
-            lru[tag] = way
+        if tag in lru:
+            if lru[-1] != tag:
+                lru.remove(tag)
+                lru.append(tag)
             if is_write:
-                self._dirty[set_index][way] = True
+                way = self._tags[set_index].index(tag)
+                self._dirty[set_index] |= 1 << way
                 self.write_counts[set_index][way] += 1
                 self.n_write_hits += 1
                 self.n_block_writes += 1
                 return self._write_hit
             return self._read_hit
 
+        tags = self._tags[set_index]
         dirty = self._dirty[set_index]
-        if len(lru) < self._assoc:
-            way = len(lru)
-            evicted_dirty = False
+        if len(tags) < self._assoc:
+            way = len(tags)
+            tags.append(tag)
         else:
-            way = lru.pop(next(iter(lru)))
-            evicted_dirty = dirty[way]
-        lru[tag] = way
-        dirty[way] = is_write
+            way = tags.index(lru.pop(0))
+            tags[way] = tag
+        lru.append(tag)
+        evicted_dirty = dirty >> way & 1  # an invalid way is never dirty
+        self._dirty[set_index] = dirty & ~(1 << way) | is_write << way
         if is_write or self.count_fills:
             self.write_counts[set_index][way] += 1
             self.n_block_writes += 1
@@ -159,9 +165,10 @@ class CacheState:
         writebacks = 0
         for s in range(color * spc, (color + 1) * spc):
             # invalid ways are never dirty, so every set bit is a valid block
-            writebacks += self._dirty[s].count(True)
-            self._dirty[s] = [False] * cfg.associativity
+            writebacks += self._dirty[s].bit_count()
+            self._dirty[s] = 0
             self._lru[s].clear()
+            self._tags[s].clear()
         return writebacks
 
     def max_block_writes(self):

@@ -110,11 +110,14 @@ def _cmd_run(args):
 def _cmd_compare(args):
     base_cfg = build_config(args.baseline_config, {"out": args.out})
     tech_cfg = build_config(args.technique_config, {"out": args.out})
+    if base_cfg.out_dir != tech_cfg.out_dir:
+        raise ConfigError(f"compare: {args.baseline_config} and {args.technique_config} "
+                          f"name different [output] dirs ({base_cfg.out_dir!r}, "
+                          f"{tech_cfg.out_dir!r}); give --out or make them agree")
     comparison = compare_experiments(base_cfg, tech_cfg)
-    out_dir = args.out or tech_cfg.out_dir
-    write_comparison_report(comparison, out_dir)
+    write_comparison_report(comparison, tech_cfg.out_dir)
     log.info("wrote comparison (%s vs %s) to %s", comparison.technique.policy,
-             comparison.baseline.policy, out_dir)
+             comparison.baseline.policy, tech_cfg.out_dir)
     return 0
 
 

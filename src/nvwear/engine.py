@@ -27,6 +27,10 @@ class Simulator:
     the color that absorbed them; the policy's remap decisions come back as
     color swaps, which flush through the mapping table and are charged as
     memory writebacks.
+
+    ``run`` may be called repeatedly: each call resumes where the last one
+    stopped, so a stream fed in pieces gives the same result as one call.
+    ``result()`` closes the run and summarises it.
     """
 
     def __init__(self, cfg, policy, count_fills=True):
@@ -34,26 +38,27 @@ class Simulator:
         self.policy = policy
         self.mapping = MappingTable(cfg.num_colors)
         self.cache = CacheState(cfg, count_fills=count_fills)
+        self.decisions = []
+        self.mapping_audit = [(0, region, color)
+                              for region, color in enumerate(self.mapping.color_of)]
+        self._counters = (0,) * 9  # the loop's counters, as run() unpacks them
 
-    def run(self, events) -> RunResult:
+    def run(self, events):
+        """Replay events, continuing from the previous call."""
         cfg = self.cfg
         cache = self.cache
         mapping = self.mapping
-        policy = self.policy
         sets_per_color = cfg.sets_per_color
         count_fills = cache.count_fills
-        # bound once per run, so instrumentation must patch them before run()
+        # bound once per call, so instrumentation must patch them before run()
         decompose = decompose_address
         access = cache.access
-        note_write = policy.note_write
-        poll = policy.poll
-        decisions = []
-        audit = [(0, region, color) for region, color in enumerate(mapping.color_of)]
-
-        cycles = 0
-        last_icount = 0
-        interval = 0
-        reads = writes = misses = writebacks = flush_writebacks = remap_runs = 0
+        note_write = self.policy.note_write
+        poll = self.policy.poll
+        decisions = self.decisions
+        audit = self.mapping_audit
+        (cycles, last_icount, interval, reads, writes, misses, writebacks,
+         flush_writebacks, remap_runs) = self._counters
         for is_write, addr, icount in events:
             delta = icount - last_icount
             last_icount = icount
@@ -94,7 +99,14 @@ class Simulator:
             decisions.append(decision)
             log.debug("interval %d @%d cycles: sdw=%.3f swaps=%s writebacks=%d",
                       interval, cycles, decision.sdw, decision.swaps, flushed)
+        self._counters = (cycles, last_icount, interval, reads, writes, misses,
+                          writebacks, flush_writebacks, remap_runs)
 
+    def result(self) -> RunResult:
+        """Statistics, decision log and mapping audit of everything run so far."""
+        cache = self.cache
+        (cycles, last_icount, _, reads, writes, misses, writebacks,
+         flush_writebacks, remap_runs) = self._counters
         stats = RunStats(
             reads=reads, writes=writes, misses=misses, fills=cache.n_fills,
             write_hits=cache.n_write_hits, block_write_events=cache.n_block_writes,
@@ -102,5 +114,5 @@ class Simulator:
             cycles=cycles, instructions=last_icount,
             max_block_writes=cache.max_block_writes(),
             block_write_sd=block_write_sd(cache), remap_runs=remap_runs)
-        return RunResult(stats=stats, decisions=decisions, mapping_audit=audit,
-                         mapping=mapping)
+        return RunResult(stats=stats, decisions=self.decisions,
+                         mapping_audit=self.mapping_audit, mapping=self.mapping)

@@ -2,7 +2,12 @@
 
 
 class ConfigError(ValueError):
-    """Invalid configuration: cache geometry, policy thresholds, or workload spec."""
+    """Invalid configuration: cache geometry, policy thresholds, or workload spec.
+    ``field``, if given, names the dataclass field at fault and leads the message."""
+
+    def __init__(self, reason, field=None):
+        super().__init__(f"{field} {reason}" if field else reason)
+        self.field, self.reason = field, reason
 
 
 class TraceFormatError(ValueError):

@@ -16,6 +16,7 @@ import re
 import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import islice
 from operator import attrgetter
 
 from .cache import CacheConfig
@@ -167,13 +168,15 @@ def build_config(path=None, overrides=None) -> ExperimentConfig:
     """Assemble an ExperimentConfig from an optional INI file plus overrides
     keyed by the settings' override keys (a value of None is not given). A
     setting given neither way keeps its dataclass default; an empty value or
-    an undeclared override key is an error."""
+    an undeclared override key is an error. An error about one setting's
+    value names the file key or the override key that gave it."""
     sections = _read_ini(path) if path else {}
     overrides = overrides or {}
     unknown = set(overrides) - {row[2] for row in _SETTINGS}
     if unknown:
         raise ConfigError(f"unknown override key(s): {', '.join(sorted(unknown))}")
     given = {CacheConfig: {}, GeneratorSpec: {}, ExperimentConfig: {}}
+    sources = {}  # field -> where its value came from
     for section, key, override_key, target, name, parse in _SETTINGS:
         value = overrides.get(override_key)
         source = f"override {override_key}"
@@ -182,6 +185,7 @@ def build_config(path=None, overrides=None) -> ExperimentConfig:
             source = f"{path}: [{section}] {key}"
         if value is None:
             continue
+        sources[name] = source
         if isinstance(value, str) and not value.strip():
             raise ConfigError(f"{source}: empty value")
         try:
@@ -200,12 +204,21 @@ def build_config(path=None, overrides=None) -> ExperimentConfig:
                 block_size_bytes=cache.block_size_bytes)
         return ExperimentConfig(cache=cache, **fields)
     except ConfigError as exc:
+        if exc.field in sources:
+            raise ConfigError(f"{sources[exc.field]} {exc.reason}") from None
         if path:
             raise ConfigError(f"{path}: {exc}") from None
         raise
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+# events handed to every simulator of a run or compare at a time: the stream
+# is produced once and never held whole
+CHUNK = 1024
+
+
+def _run_all(cfgs):
+    """Run each config on the stream of the first, fed to all in chunks."""
+    cfg = cfgs[0]
     if cfg.trace_path is not None:
         if not os.path.exists(cfg.trace_path):
             raise ConfigError(f"trace file not found: {cfg.trace_path}")
@@ -218,20 +231,23 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                         cfg.workload.page_count, cfg.cache.num_colors)
         events = generate(cfg.workload)
         label, seed = cfg.workload.label(), cfg.workload.seed
-    sim = Simulator(cfg.cache, cfg.make_policy(), count_fills=cfg.count_fills)
-    result = sim.run(events)
-    stats = result.stats
-    return ExperimentReport(
-        policy=cfg.policy_kind,
-        workload=label,
-        seed=seed,
-        stats=stats,
-        energy_j=energy_joules(stats, cfg.energy, cfg.cache.core_frequency_hz),
-        mpki_value=mpki(stats.misses, stats.instructions),
-        decisions=result.decisions,
-        mapping_audit=result.mapping_audit,
-        config=cfg,
-    )
+    sims = [Simulator(c.cache, c.make_policy(), count_fills=c.count_fills) for c in cfgs]
+    while chunk := list(islice(events, CHUNK)):
+        for sim in sims:
+            sim.run(chunk)
+    reports = []
+    for c, result in zip(cfgs, (sim.result() for sim in sims)):
+        s = result.stats
+        reports.append(ExperimentReport(
+            policy=c.policy_kind, workload=label, seed=seed, stats=s,
+            energy_j=energy_joules(s, c.energy, c.cache.core_frequency_hz),
+            mpki_value=mpki(s.misses, s.instructions), decisions=result.decisions,
+            mapping_audit=result.mapping_audit, config=c))
+    return reports
+
+
+def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+    return _run_all([cfg])[0]
 
 
 def check_comparable(baseline: ExperimentConfig, technique: ExperimentConfig):
@@ -262,9 +278,9 @@ def _ratios(baseline: ExperimentReport, technique: ExperimentReport):
 
 def compare_experiments(baseline_cfg: ExperimentConfig,
                         technique_cfg: ExperimentConfig) -> Comparison:
+    """Both runs replay one stream, produced (or parsed) once."""
     check_comparable(baseline_cfg, technique_cfg)
-    baseline = run_experiment(baseline_cfg)
-    technique = run_experiment(technique_cfg)
+    baseline, technique = _run_all([baseline_cfg, technique_cfg])
     return Comparison(baseline, technique, *_ratios(baseline, technique))
 
 

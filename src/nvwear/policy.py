@@ -77,18 +77,17 @@ class PolicyState:
         if self.swap_limit is None:
             self.swap_limit = default_swap_limit(n)
         if not 1 <= self.swap_limit <= n // 2:
-            raise ConfigError(
-                f"swap_limit must lie in [1, {n // 2}] for {n} colors, "
-                f"got {self.swap_limit}")
+            raise ConfigError(f"must lie in [1, {n // 2}] for {n} colors, "
+                              f"got {self.swap_limit}", "swap_limit")
         if self.beta < 0:
-            raise ConfigError("beta must be >= 0")
+            raise ConfigError("must be >= 0", "beta")
         if self.k_writes < 1:
-            raise ConfigError("k_writes must be >= 1")
+            raise ConfigError("must be >= 1", "k_writes")
         if self.min_gap_cycles < 0:
-            raise ConfigError("min_gap_cycles must be >= 0")
+            raise ConfigError("must be >= 0", "min_gap_cycles")
         if self.swap_limit_mode not in ("min", "max"):
-            raise ConfigError(f"swap_limit_mode must be 'min' or 'max', "
-                              f"got {self.swap_limit_mode!r}")
+            raise ConfigError(f"must be 'min' or 'max', got {self.swap_limit_mode!r}",
+                              "swap_limit_mode")
         self.n_write_global = [0] * n
         self.n_write_last_interval = [0] * n
 
@@ -221,4 +220,4 @@ def build_policy(kind, num_colors, **params):
         return SwapWearPolicy(num_colors, **params)
     if kind == "xor":
         return XorRemapPolicy(num_colors, **params)
-    raise ConfigError(f"unknown policy kind {kind!r} (expected one of {POLICY_KINDS})")
+    raise ConfigError(f"{kind!r} is not one of {POLICY_KINDS}", "policy_kind")

@@ -53,26 +53,25 @@ class GeneratorSpec:
 
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
-            raise ConfigError(f"unknown generator kind {self.kind!r} "
-                              f"(expected one of {GENERATOR_KINDS})")
+            raise ConfigError(f"{self.kind!r} is not one of {GENERATOR_KINDS}", "kind")
         if self.num_events < 0:
-            raise ConfigError("num_events must be >= 0")
+            raise ConfigError("must be >= 0", "num_events")
         if not 0.0 <= self.write_fraction <= 1.0:
-            raise ConfigError("write_fraction must lie in [0, 1]")
+            raise ConfigError("must lie in [0, 1]", "write_fraction")
         if self.zipf_exponent < 0:
-            raise ConfigError("zipf_exponent must be >= 0")
+            raise ConfigError("must be >= 0", "zipf_exponent")
         if not 0.0 < self.hotset_fraction <= 1.0:
-            raise ConfigError("hotset_fraction must lie in (0, 1]")
+            raise ConfigError("must lie in (0, 1]", "hotset_fraction")
         if not 0.0 <= self.hotset_probability <= 1.0:
-            raise ConfigError("hotset_probability must lie in [0, 1]")
+            raise ConfigError("must lie in [0, 1]", "hotset_probability")
         if self.page_count < 1:
-            raise ConfigError("page_count must be >= 1")
+            raise ConfigError("must be >= 1", "page_count")
         if self.instructions_per_access < 1:
-            raise ConfigError("instructions_per_access must be >= 1")
+            raise ConfigError("must be >= 1", "instructions_per_access")
         for name in ("page_size_bytes", "block_size_bytes"):
             v = getattr(self, name)
             if v < 1 or v & (v - 1):
-                raise ConfigError(f"{name} must be a positive power of two")
+                raise ConfigError("must be a positive power of two", name)
         if self.block_size_bytes > self.page_size_bytes:
             raise ConfigError("block_size_bytes must not exceed page_size_bytes")
         if self.page_count * self.page_size_bytes > MAX_ADDRESS:
@@ -143,6 +142,7 @@ def generate(spec: GeneratorSpec):
     block_size = spec.block_size_bytes
     write_fraction = spec.write_fraction
     step = spec.instructions_per_access
+    new = tuple.__new__  # builds a TraceEvent without its Python-level __new__
     icount = 0
     for i in range(spec.num_events):
         icount += step
@@ -155,7 +155,7 @@ def generate(spec: GeneratorSpec):
             block = getrandbits(k_block)
             while block >= blocks_per_page:
                 block = getrandbits(k_block)
-        yield TraceEvent(is_write, page * page_size + block * block_size, icount)
+        yield new(TraceEvent, (is_write, page * page_size + block * block_size, icount))
 
 
 def read_trace(path):
@@ -167,6 +167,7 @@ def read_trace(path):
     separators (``_``) and signs are rejected.
     """
     last_icount = 0
+    new = tuple.__new__  # as in generate
     # latin-1 decodes every byte, so a non-ASCII byte reaches the line check
     # below, which can name its line
     with open(path, "r", encoding="latin-1") as fh:
@@ -212,7 +213,7 @@ def read_trace(path):
                     f"{path}:{lineno}: '_' and signs are not allowed in "
                     f"numbers, got {stripped!r}")
             last_icount = icount
-            yield TraceEvent(kind == "W", addr, icount)
+            yield new(TraceEvent, (kind == "W", addr, icount))
 
 
 def write_trace(path, events):

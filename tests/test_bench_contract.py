@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from nvwear import ExperimentConfig, GeneratorSpec, run_experiment
+import dataclasses
+
+from nvwear import (ExperimentConfig, GeneratorSpec, compare_experiments,
+                    run_experiment)
 from nvwear import cache, coloring, engine, experiment, policy
 
 from helpers import small_cfg
@@ -45,3 +48,22 @@ def test_traced_run_tallies_accesses_and_restores_originals(kind):
     assert rec.tallies["cache.decompose"].calls == EVENTS
     assert rec.tallies["policy.plan"].calls >= 1
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_traced_compare_produces_the_stream_once_and_runs_in_chunks():
+    tracer = _tracer()
+    cfg = small_cfg(colors=4, sets_per_color=4, assoc=2)
+    workload = GeneratorSpec(kind="hotset", num_events=EVENTS, write_fraction=1.0,
+                             page_count=16, seed=3,
+                             page_size_bytes=cfg.page_size_bytes,
+                             block_size_bytes=cfg.block_size_bytes)
+    base = ExperimentConfig(cache=cfg, policy_kind="static", workload=workload,
+                            out_dir="unused")
+    tech = dataclasses.replace(base, policy_kind="swl", k_writes=200, min_gap_cycles=0)
+    rec = tracer.Recorder()
+    with tracer.instrumented(rec):
+        compare_experiments(base, tech)
+    assert rec.tallies["cache.access"].calls == 2 * EVENTS
+    assert rec.tallies["cache.decompose"].calls == 2 * EVENTS
+    assert rec.tallies["workload.generate"].calls == EVENTS
+    assert sum(sp["name"] == "engine.run" for sp in rec.spans) > 1

@@ -135,6 +135,13 @@ class TestBuildConfig:
         ("cache", "size_bytes", "3000", "positive power of two"),
         ("workload", "write_fraction", "2", "write_fraction must lie in [0, 1]"),
         ("policy", "beta", "-1", "beta must be >= 0"),
+        ("cache", "size_bytes", "3000",
+         "[cache] size_bytes must be a positive power of two, got 3000\n"),
+        ("workload", "events", "-5", "[workload] events must be >= 0\n"),
+        ("policy", "lambda", "0",
+         "[policy] lambda must lie in [1, 32] for 64 colors, got 0\n"),
+        ("cache", "read_hit_cycles", "-1",
+         "[cache] read_hit_cycles must be non-negative\n"),
     ])
     def test_out_of_range_value_names_file(self, tmp_path, capsys, section, key,
                                            value, message):
@@ -144,8 +151,23 @@ class TestBuildConfig:
         assert err.startswith(f"error: {bad}: ") and message in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--beta", "-1", "error: override beta must be >= 0"),
+        ("--events", "-5", "error: override events must be >= 0"),
+        ("--lambda", "99", "error: override lam must lie in [1, 2] for 4 colors"),
+    ])
+    def test_out_of_range_flag_names_the_flag_not_the_file(self, tmp_path, capsys,
+                                                           flag, value, message):
+        cfg = small_config(tmp_path)
+        assert main(["run", "--config", cfg, flag, value,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert cfg not in err
+        assert not (tmp_path / "o").exists()
+
     def test_policy_parameters_checked_when_the_config_is_built(self):
-        with pytest.raises(ConfigError, match="^k_writes must be >= 1"):
+        with pytest.raises(ConfigError, match="^override k must be >= 1"):
             build_config(None, {"k": 0})
         assert build_config(None, {"policy": "static", "k": 0}).k_writes == 0
 
@@ -351,6 +373,22 @@ class TestCompare:
         assert main(["compare", base, other, "--out",
                      str(tmp_path / "cmp")]) == 2
         assert "cache configurations differ" in capsys.readouterr().err
+
+
+    def test_differing_output_dirs_refused_without_out(self, tmp_path, capsys,
+                                                       monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        base = small_config(tmp_path, "b.ini", policy="static")
+        tech = small_config(tmp_path, "t.ini")
+        for path, out in ((base, "o_base"), (tech, "o_tech")):
+            with open(path, "a") as fh:
+                fh.write(f"\n[output]\ndir = {out}\n")
+        assert main(["compare", base, tech]) == 2
+        err = capsys.readouterr().err
+        assert base in err and tech in err and "--out" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.ini", "t.ini"]
+        assert main(["compare", base, tech, "--out", "both"]) == 0
+        assert (tmp_path / "both" / "report.csv").exists()
 
 
 class TestCompareEdges:

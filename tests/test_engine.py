@@ -1,14 +1,21 @@
-import pytest
+import dataclasses
 
-from nvwear import (GeneratorSpec, ReferenceSimulator, Simulator, TraceEvent,
-                    build_policy, generate)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nvwear import (ExperimentConfig, GeneratorSpec, ReferenceSimulator, Simulator,
+                    TraceEvent, TraceFormatError, build_policy, compare_experiments,
+                    generate, run_experiment, write_trace)
+from nvwear import experiment
 
 from helpers import small_cfg
 
 
 def run_sim(cfg, events, policy_kind="static", count_fills=True, **policy_kw):
     policy = build_policy(policy_kind, cfg.num_colors, **policy_kw)
-    return Simulator(cfg, policy, count_fills=count_fills).run(events)
+    sim = Simulator(cfg, policy, count_fills=count_fills)
+    sim.run(events)
+    return sim.result()
 
 
 class TestCycleAccounting:
@@ -221,7 +228,9 @@ class TestPolicyContract:
         policy = RecordingPolicy(build_policy("swl", cfg.num_colors, k_writes=50,
                                               min_gap_cycles=20_000, beta=0.0))
         events = self._events()
-        result = Simulator(cfg, policy, count_fills=count_fills).run(events)
+        sim = Simulator(cfg, policy, count_fills=count_fills)
+        sim.run(events)
+        result = sim.result()
         s = result.stats
         assert 0 < s.write_hits < s.writes < len(events)  # a mixed stream
         assert policy.notes == s.block_write_events
@@ -232,7 +241,9 @@ class TestPolicyContract:
     def test_static_run_never_polls(self):
         cfg = small_cfg()
         policy = RecordingPolicy(build_policy("static", cfg.num_colors))
-        result = Simulator(cfg, policy).run(self._events())
+        sim = Simulator(cfg, policy)
+        sim.run(self._events())
+        result = sim.result()
         assert policy.notes == result.stats.block_write_events > 0
         assert policy.polled_after == []
 
@@ -264,3 +275,128 @@ class TestDeterminismAndOracle:
         assert result.stats.misses == total - hits
         assert result.stats.writebacks == ref.writebacks
         assert result.stats.max_block_writes == ref.max_block_writes()
+
+
+def _run_split(cfg, events, splits, policy_kind, count_fills, **policy_kw):
+    """One simulator fed ``events`` in pieces cut at the ``splits`` indices."""
+    sim = Simulator(cfg, build_policy(policy_kind, cfg.num_colors, **policy_kw),
+                    count_fills=count_fills)
+    bounds = [0, *sorted(splits), len(events)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        sim.run(events[lo:hi])
+    return sim.result()
+
+
+def _assert_same_run(a, b):
+    assert a.stats == b.stats
+    # RemapDecision equality covers the engine's interval/cycle/writebacks stamps
+    assert a.decisions == b.decisions
+    assert a.mapping_audit == b.mapping_audit
+    assert a.mapping.color_of == b.mapping.color_of
+
+
+class TestResumableRun:
+    CFG = small_cfg(colors=4, sets_per_color=4, assoc=2)
+
+    def _events(self, n, seed, write_fraction=0.7):
+        spec = GeneratorSpec(kind="hotset", num_events=n, write_fraction=write_fraction,
+                             hotset_fraction=0.25, page_count=16, seed=seed,
+                             page_size_bytes=self.CFG.page_size_bytes,
+                             block_size_bytes=self.CFG.block_size_bytes)
+        return list(generate(spec))
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["static", "swl", "xor"]),
+           count_fills=st.booleans(),
+           min_gap=st.sampled_from([0, 3000]),
+           k_writes=st.integers(1, 60),
+           seed=st.integers(0, 1000),
+           n=st.integers(0, 1500),
+           data=st.data())
+    def test_any_split_gives_the_one_call_result(self, kind, count_fills, min_gap,
+                                                 k_writes, seed, n, data):
+        events = self._events(n, seed)
+        splits = data.draw(st.lists(st.integers(0, n), max_size=8))
+        kw = {} if kind == "static" else dict(k_writes=k_writes, min_gap_cycles=min_gap,
+                                              beta=0.0)
+        whole = _run_split(self.CFG, events, [], kind, count_fills, **kw)
+        pieces = _run_split(self.CFG, events, splits, kind, count_fills, **kw)
+        _assert_same_run(whole, pieces)
+
+    @pytest.mark.parametrize("kind", ["swl", "xor"])
+    @pytest.mark.parametrize("min_gap", [0, 3000])
+    @pytest.mark.parametrize("split", [[49], [50], [49, 50], [99]])
+    def test_split_at_the_k_th_write(self, kind, min_gap, split):
+        # all writes and fills not counted: event i is the (i + 1)-th counted
+        # write, so index 49 is the 50th and a split at 49 falls just before it
+        events = self._events(600, seed=4, write_fraction=1.0)
+        kw = dict(k_writes=50, min_gap_cycles=min_gap, beta=0.0)
+        whole = _run_split(self.CFG, events, [], kind, False, **kw)
+        pieces = _run_split(self.CFG, events, split, kind, False, **kw)
+        assert whole.decisions  # the policy acted, so the split was tested
+        _assert_same_run(whole, pieces)
+
+
+def _configs(tmp_path, n, source):
+    cfg = small_cfg(colors=4, sets_per_color=4, assoc=2)
+    spec = GeneratorSpec(kind="hotset", num_events=n, write_fraction=0.8,
+                         hotset_fraction=0.25, page_count=16, seed=7,
+                         page_size_bytes=cfg.page_size_bytes,
+                         block_size_bytes=cfg.block_size_bytes)
+    if source == "trace":
+        path = str(tmp_path / "t.trace")
+        write_trace(path, generate(spec))
+        stream = dict(trace_path=path)
+    else:
+        stream = dict(workload=spec)
+    base = ExperimentConfig(cache=cfg, policy_kind="static", out_dir="unused", **stream)
+    tech = dataclasses.replace(base, policy_kind="swl", k_writes=100,
+                               min_gap_cycles=0, beta=0.0)
+    return base, tech
+
+
+class TestOneStreamPerCompare:
+    @pytest.mark.parametrize("source", ["generator", "trace"])
+    @pytest.mark.parametrize("n", [0, 1, experiment.CHUNK - 1, experiment.CHUNK,
+                                   experiment.CHUNK + 1])
+    def test_compare_equals_two_runs(self, tmp_path, source, n):
+        base, tech = _configs(tmp_path, n, source)
+        comparison = compare_experiments(base, tech)
+        assert comparison.baseline == run_experiment(base)
+        assert comparison.technique == run_experiment(tech)
+        assert comparison.baseline.stats.reads + comparison.baseline.stats.writes == n
+        if n > experiment.CHUNK:
+            assert comparison.technique.decisions  # the policy acted
+
+    @pytest.mark.parametrize("source", ["generator", "trace"])
+    def test_stream_produced_once_per_compare(self, tmp_path, monkeypatch, source):
+        calls = {"generate": 0, "read_trace": 0}
+
+        def counting(name):
+            original = getattr(experiment, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(experiment, name, counting(name))
+        base, tech = _configs(tmp_path, 3 * experiment.CHUNK, source)
+        compare_experiments(base, tech)
+        used = "read_trace" if source == "trace" else "generate"
+        assert calls == {name: int(name == used) for name in calls}
+
+    def test_malformed_trace_fails_once_naming_its_line(self, tmp_path, monkeypatch):
+        base, tech = _configs(tmp_path, 2 * experiment.CHUNK, "trace")
+        path = base.trace_path
+        with open(path, "a") as fh:
+            fh.write("X 0x40 99999999\n")
+        lineno = 2 * experiment.CHUNK + 1
+        parsed = []
+        original = experiment.read_trace
+        monkeypatch.setattr(experiment, "read_trace",
+                            lambda p: parsed.append(p) or original(p))
+        with pytest.raises(TraceFormatError, match=rf"t\.trace:{lineno}: unknown kind"):
+            compare_experiments(base, tech)
+        assert parsed == [path]
