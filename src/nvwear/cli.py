@@ -28,7 +28,7 @@ def _add_policy_flags(parser):
                         help="writes per policy interval (K)")
     parser.add_argument("--beta", type=float,
                         help="minimum write-count SD that allows a remap")
-    parser.add_argument("--lambda", type=int, dest="lam",
+    parser.add_argument("--lambda", type=int,
                         help="swap-pair budget per interval (<= colors/2)")
     parser.add_argument("--swap-limit-mode", choices=("min", "max"),
                         dest="swap_limit_mode",

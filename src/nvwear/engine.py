@@ -3,7 +3,11 @@
 import logging
 from dataclasses import dataclass, field
 
-from .cache import CacheState, decompose_address
+from .cache import CacheState
+# run() splits addresses inline and no longer calls this, but
+# perfbench/tracer.py looks the name up in vars(engine) to tally it; keep the
+# binding until the tracer stops doing so
+from .cache import decompose_address  # noqa: F401
 from .coloring import MappingTable
 from .metrics import RunStats, block_write_sd
 
@@ -50,8 +54,16 @@ class Simulator:
         mapping = self.mapping
         sets_per_color = cfg.sets_per_color
         count_fills = cache.count_fills
+        # decompose_address with shifts and masks: every geometry field is a
+        # power of two. MappingTable.swap edits color_of in place, so it stays
+        # the live table for the whole call.
+        color_of = mapping.color_of
+        block_shift = cfg.block_size_bytes.bit_length() - 1
+        page_shift = cfg.page_size_bytes.bit_length() - 1
+        tag_shift = page_shift + cfg.num_colors.bit_length() - 1
+        color_mask = cfg.num_colors - 1
+        set_mask = sets_per_color - 1
         # bound once per call, so instrumentation must patch them before run()
-        decompose = decompose_address
         access = cache.access
         note_write = self.policy.note_write
         poll = self.policy.poll
@@ -64,8 +76,9 @@ class Simulator:
             last_icount = icount
             if delta > 0:
                 cycles += delta
-            set_index, tag = decompose(addr, cfg, mapping)
-            outcome = access(set_index, tag, is_write)
+            set_index = (color_of[addr >> page_shift & color_mask] * sets_per_color
+                         + (addr >> block_shift & set_mask))
+            outcome = access(set_index, addr >> tag_shift, is_write)
             cycles += outcome.latency
             if is_write:
                 writes += 1

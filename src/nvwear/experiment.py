@@ -122,7 +122,7 @@ _SETTINGS = (
     ("cache", "frequency_hz", None, CacheConfig, "core_frequency_hz", int),
     ("policy", "kind", "policy", ExperimentConfig, "policy_kind", str),
     ("policy", "beta", "beta", ExperimentConfig, "beta", float),
-    ("policy", "lambda", "lam", ExperimentConfig, "swap_limit", int),
+    ("policy", "lambda", "lambda", ExperimentConfig, "swap_limit", int),
     ("policy", "k_writes", "k", ExperimentConfig, "k_writes", int),
     ("policy", "min_gap_cycles", "min_gap_cycles", ExperimentConfig, "min_gap_cycles", int),
     ("policy", "swap_limit_mode", "swap_limit_mode", ExperimentConfig, "swap_limit_mode", str),

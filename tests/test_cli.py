@@ -85,7 +85,7 @@ class TestBuildConfig:
     def test_lambda_flag_maps_to_swap_limit(self, tmp_path):
         path = small_config(tmp_path, extra_policy="lambda = 2\n")
         assert build_config(path).swap_limit == 2
-        assert build_config(path, {"lam": 1}).swap_limit == 1
+        assert build_config(path, {"lambda": 1}).swap_limit == 1
 
     def test_unknown_section_and_key_rejected(self, tmp_path):
         bad = write_config(tmp_path / "bad.ini", "[tuning]\nx = 1\n")
@@ -113,8 +113,8 @@ class TestBuildConfig:
         assert f"{bad}: [{section}] {key}: " in capsys.readouterr().err
 
     def test_malformed_override_names_override_key(self):
-        with pytest.raises(ConfigError, match=r"^override lam: "):
-            build_config(None, {"lam": "many"})
+        with pytest.raises(ConfigError, match=r"^override lambda: "):
+            build_config(None, {"lambda": "many"})
 
     def test_empty_file_value_names_file_section_and_key(self, tmp_path, capsys):
         bad = write_config(tmp_path / "bad.ini", "[workload]\ntrace =\n")
@@ -154,7 +154,7 @@ class TestBuildConfig:
     @pytest.mark.parametrize("flag,value,message", [
         ("--beta", "-1", "error: override beta must be >= 0"),
         ("--events", "-5", "error: override events must be >= 0"),
-        ("--lambda", "99", "error: override lam must lie in [1, 2] for 4 colors"),
+        ("--lambda", "99", "error: override lambda must lie in [1, 2] for 4 colors"),
     ])
     def test_out_of_range_flag_names_the_flag_not_the_file(self, tmp_path, capsys,
                                                            flag, value, message):

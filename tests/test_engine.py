@@ -7,8 +7,9 @@ from nvwear import (ExperimentConfig, GeneratorSpec, ReferenceSimulator, Simulat
                     TraceEvent, TraceFormatError, build_policy, compare_experiments,
                     generate, run_experiment, write_trace)
 from nvwear import experiment
+from nvwear.workload import MAX_ADDRESS
 
-from helpers import small_cfg
+from helpers import seeded, small_cfg
 
 
 def run_sim(cfg, events, policy_kind="static", count_fills=True, **policy_kw):
@@ -275,6 +276,49 @@ class TestDeterminismAndOracle:
         assert result.stats.misses == total - hits
         assert result.stats.writebacks == ref.writebacks
         assert result.stats.max_block_writes == ref.max_block_writes()
+
+
+class TestInlineSplitAgainstReference:
+    """The engine splits addresses inline; replay each event on the reference
+    too, remapping it as the engine's decision log says, and compare."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["swl", "xor", "static"]), count_fills=st.booleans(),
+           colors=st.sampled_from([2, 4, 8]), k=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_event_runs_match_reference_through_remaps(self, kind, count_fills,
+                                                           colors, k, seed):
+        cfg = small_cfg(colors=colors, sets_per_color=4, assoc=2)
+        rng = seeded(seed)
+        page = cfg.page_size_bytes
+        sim = Simulator(cfg, build_policy(kind, colors, k_writes=k, beta=0,
+                                          min_gap_cycles=0), count_fills=count_fills)
+        ref = ReferenceSimulator(cfg, count_fills=count_fills)
+        misses = logged = 0
+        for i in range(1, 301):
+            # skewed toward page 0, any byte offset, some addresses near 2^48
+            if rng.random() < 0.5:
+                addr = rng.randrange(page)
+            elif rng.random() < 0.9:
+                addr = rng.randrange(4 * colors * page)
+            else:
+                addr = rng.randrange(MAX_ADDRESS + 1)
+            ev = TraceEvent(rng.random() < 0.7, addr, 3 * i)
+            sim.run([ev])
+            hit, _ = ref.access_addr(ev.addr, ev.is_write)
+            misses += not hit
+            for decision in sim.decisions[logged:]:
+                for c1, c2 in decision.swaps:
+                    ref.remap(c1, c2)
+            logged = len(sim.decisions)
+        stats = sim.result().stats
+        if kind == "xor":
+            assert any(d.swaps for d in sim.decisions)
+        assert stats.misses == misses
+        assert stats.writebacks == ref.writebacks
+        assert stats.flush_writebacks == ref.flush_writebacks
+        assert sim.mapping.color_of == ref.color_of
+        assert sim.cache.write_counts == ref.write_count_matrix()
 
 
 def _run_split(cfg, events, splits, policy_kind, count_fills, **policy_kw):

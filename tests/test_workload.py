@@ -4,11 +4,13 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nvwear import (ConfigError, GeneratorSpec, TraceEvent, TraceFormatError,
-                    generate, read_trace, write_trace)
-from nvwear.workload import _page_picker
+                    generate, read_trace, write_trace, workload)
+from nvwear.workload import MAX_ADDRESS, _page_picker
+
+from oracles import read_trace_per_line
 
 
 class TestReadTrace:
@@ -82,6 +84,97 @@ class TestReadTrace:
         with pytest.raises(TraceFormatError,
                            match=r"t\.trace:2: non-ASCII byte 0xe9"):
             list(read_trace(path))
+
+
+def _parse(reader, path):
+    """(events yielded, error text or None) of one read."""
+    events = []
+    try:
+        for ev in reader(path):
+            events.append(ev)
+    except TraceFormatError as exc:
+        return events, str(exc)
+    return events, None
+
+
+def _canonical_lines(rng, n, icount):
+    """n lines as write_trace writes them (some uppercase hex); returns them
+    and the last icount."""
+    lines = []
+    for _ in range(n):
+        icount += rng.randrange(4)
+        addr = rng.randrange(MAX_ADDRESS + 1) if rng.random() < 0.1 else rng.randrange(1 << 16)
+        hex_text = f"{addr:X}" if rng.random() < 0.05 else f"{addr:x}"
+        lines.append(f"{rng.choice('RW')} 0x{hex_text} {icount}\n".encode())
+    return lines, icount
+
+
+# one line each, formatted with the running icount; "decrease" goes below it
+_ODD_LINES = {
+    "comment": "# note {ic}\n", "blank": "\n", "spaces": "   \n",
+    "tabs": "W\t0x40\t{ic}\n", "crlf": "R 0x80 {ic}\r\n", "padded": "  R 0xc0  {ic} \n",
+    "upper": "W 0xABCDEF {ic}\n", "max": f"R 0x{MAX_ADDRESS:x} {{ic}}\n",
+    "above": f"R 0x{MAX_ADDRESS + 1:x} {{ic}}\n", "bad_kind": "X 0x0 {ic}\n",
+    "no_prefix": "R 40 {ic}\n", "separator": "R 0x1_0 {ic}\n", "sign": "R 0x10 +{ic}\n",
+    "fields": "R 0x10\n", "decrease": "W 0x40 {low}\n",
+}
+
+
+class TestBatchParserEquivalence:
+    """read_trace decodes canonical batches in bulk; it must agree, event for
+    event and error for error, with the per-line parser it replaced."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(segments=st.lists(st.one_of(
+               st.tuples(st.just("run"), st.integers(0, 1200)),
+               st.tuples(st.sampled_from(sorted(_ODD_LINES)), st.just(0)),
+               st.just(("nonascii", 0))), max_size=8),
+           seed=st.integers(0, 2**32 - 1), trailing_newline=st.booleans())
+    def test_same_events_and_errors_as_per_line_parser(self, tmp_path, segments,
+                                                       seed, trailing_newline):
+        rng = random.Random(seed)
+        lines, icount = [], 0
+        for name, n in segments:
+            if name == "run":
+                run, icount = _canonical_lines(rng, n, icount)
+                lines += run
+            elif name == "nonascii":
+                lines.append(b"R 0x40 1 caf\xe9\n")
+            else:
+                icount += 1
+                lines.append(_ODD_LINES[name].format(ic=icount, low=icount - 2).encode())
+        body = b"".join(lines)
+        if not trailing_newline:
+            body = body.rstrip(b"\n")
+        path = tmp_path / "t.trace"
+        path.write_bytes(body)
+        assert _parse(read_trace, path) == _parse(read_trace_per_line, path)
+
+    def _boundary_trace(self, tmp_path, edit_first_line_of_batch_two):
+        """A canonical trace of several batches, with the first line of the
+        second batch replaced; returns its path and that line's number."""
+        path = tmp_path / "t.trace"
+        lines = [f"W 0x{64 * i:x} {10 + i}\n" for i in range(1500)]
+        path.write_text("".join(lines))
+        with open(path, encoding="latin-1") as fh:
+            first_batch = len(fh.readlines(workload._BATCH_BYTES))
+        assert first_batch < len(lines) // 2
+        lines[first_batch] = edit_first_line_of_batch_two(first_batch)
+        path.write_text("".join(lines))
+        return path, first_batch + 1
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda i: "W 0x0 3\n", "instruction count decreased"),
+        (lambda i: f"R 0x{MAX_ADDRESS + 1:x} {10 + i}\n", "address above 2^48"),
+        (lambda i: f"R 0x0 {10 + i} junk\n", "expected 'R|W 0xADDR ICOUNT'"),
+    ], ids=["decrease", "above", "bad"])
+    def test_error_at_a_batch_boundary(self, tmp_path, edit, message):
+        path, lineno = self._boundary_trace(tmp_path, edit)
+        events, error = _parse(read_trace, path)
+        assert (events, error) == _parse(read_trace_per_line, path)
+        assert len(events) == lineno - 1
+        assert error.startswith(f"{path}:{lineno}: {message}")
 
 
 class TestRoundTrip:
