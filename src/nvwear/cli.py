@@ -12,46 +12,23 @@ import sys
 
 from .cache import CacheConfig
 from .errors import ConfigError
-from .experiment import (build_config, compare_experiments, run_experiment,
+from .experiment import (_SETTINGS, build_config, compare_experiments, run_experiment,
                          write_comparison_report, write_run_report)
-from .policy import POLICY_KINDS
 from .reference import replay_against_reference
-from .workload import GENERATOR_KINDS, generate, write_trace
+from .workload import GeneratorSpec, generate, write_trace
 
 log = logging.getLogger("nvwear.cli")
 
 
-def _add_policy_flags(parser):
-    parser.add_argument("--policy", choices=POLICY_KINDS,
-                        help="wear-leveling policy to simulate")
-    parser.add_argument("--k", type=int, dest="k",
-                        help="writes per policy interval (K)")
-    parser.add_argument("--beta", type=float,
-                        help="minimum write-count SD that allows a remap")
-    parser.add_argument("--lambda", type=int,
-                        help="swap-pair budget per interval (<= colors/2)")
-    parser.add_argument("--swap-limit-mode", choices=("min", "max"),
-                        dest="swap_limit_mode",
-                        help="combine rule for the swap budget")
-    parser.add_argument("--count-fills", choices=("on", "off"),
-                        dest="count_fills",
-                        help="whether miss fills count as block writes")
-    parser.add_argument("--min-gap-cycles", type=int, dest="min_gap_cycles",
-                        help="minimum cycles between policy executions")
-
-
-def _add_workload_flags(parser):
-    parser.add_argument("--kind", dest="workload_kind", choices=GENERATOR_KINDS,
-                        help="synthetic workload kind")
-    parser.add_argument("--events", type=int, help="number of accesses")
-    parser.add_argument("--write-fraction", type=float, dest="write_fraction")
-    parser.add_argument("--pages", type=int, help="distinct pages touched")
-    parser.add_argument("--zipf-s", type=float, dest="zipf_s")
-    parser.add_argument("--hotset-fraction", type=float, dest="hotset_fraction")
-    parser.add_argument("--hotset-probability", type=float,
-                        dest="hotset_probability")
-    parser.add_argument("--instructions-per-access", type=int,
-                        dest="instructions_per_access")
+def _add_setting_flags(parser, target=None):
+    """One flag per setting with an override key (of ``target``'s settings if
+    given): ``--<key>`` with dashes, except that workload_kind is ``--kind``.
+    The value is kept as text; build_config parses it as it parses the file's."""
+    for section, key, override_key, row_target, _, _ in _SETTINGS:
+        if override_key and target in (None, row_target):
+            flag = "kind" if override_key == "workload_kind" else override_key
+            parser.add_argument(f"--{flag.replace('_', '-')}", dest=override_key,
+                                help=f"overrides [{section}] {key}")
 
 
 def _build_parser():
@@ -63,12 +40,7 @@ def _build_parser():
 
     p_run = sub.add_parser("run", help="simulate one policy and write reports")
     p_run.add_argument("--config", help="INI config file")
-    p_run.add_argument("--seed", type=int, help="workload seed override")
-    p_run.add_argument("--out", help="output directory")
-    p_run.add_argument("--trace", help="replay this trace file instead of a "
-                                       "generated workload")
-    _add_policy_flags(p_run)
-    _add_workload_flags(p_run)
+    _add_setting_flags(p_run)
 
     p_cmp = sub.add_parser("compare",
                            help="run baseline and technique configs on the "
@@ -81,8 +53,7 @@ def _build_parser():
     p_gen = sub.add_parser("gen-trace", help="write a synthetic trace file")
     p_gen.add_argument("path", help="output trace path")
     p_gen.add_argument("--config", help="INI config file for the workload")
-    p_gen.add_argument("--seed", type=int)
-    _add_workload_flags(p_gen)
+    _add_setting_flags(p_gen, GeneratorSpec)
 
     p_self = sub.add_parser("selftest",
                             help="differential check of the cache model "

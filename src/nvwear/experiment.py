@@ -26,7 +26,7 @@ from .metrics import (EnergyConstants, RunStats, energy_joules, mpki,
                       relative_lifetime)
 from .policy import (DEFAULT_BETA, DEFAULT_K_WRITES, DEFAULT_MIN_GAP_CYCLES,
                      build_policy, default_swap_limit)
-from .workload import GeneratorSpec, generate, read_trace
+from .workload import GENERATOR_KINDS, GeneratorSpec, generate, read_trace
 
 log = logging.getLogger("nvwear.experiment")
 
@@ -108,9 +108,21 @@ def parse_bool(text):
         raise ConfigError(f"cannot parse boolean {text!r} (use on/off)") from None
 
 
-# One row per setting: INI section and key, override key (a CLI flag's dest;
-# None for file-only settings), the dataclass the value goes to and its field,
-# and the parser of the value. Defaults live only in the dataclasses.
+def _one_of(*words):
+    """A parser of a word setting that a run may ignore (swap_limit_mode under
+    static, the workload kind beside a trace), so its form is still checked."""
+    def parse(text):
+        if text not in words:
+            raise ConfigError(f"{text!r} is not one of {'|'.join(words)}")
+        return text
+    return parse
+
+
+# One row per setting: INI section and key, override key (the dest of the CLI
+# flag built from the row; None for file-only settings), the dataclass the
+# value goes to and its field, and the parser of the value, which checks its
+# form whenever it is given. Defaults and ranges live only in the dataclasses,
+# so a range is checked only when the run uses the value.
 _SETTINGS = (
     ("cache", "size_bytes", None, CacheConfig, "cache_size_bytes", parse_size),
     ("cache", "associativity", None, CacheConfig, "associativity", int),
@@ -125,9 +137,11 @@ _SETTINGS = (
     ("policy", "lambda", "lambda", ExperimentConfig, "swap_limit", int),
     ("policy", "k_writes", "k", ExperimentConfig, "k_writes", int),
     ("policy", "min_gap_cycles", "min_gap_cycles", ExperimentConfig, "min_gap_cycles", int),
-    ("policy", "swap_limit_mode", "swap_limit_mode", ExperimentConfig, "swap_limit_mode", str),
+    ("policy", "swap_limit_mode", "swap_limit_mode", ExperimentConfig, "swap_limit_mode",
+     _one_of("min", "max")),
     ("policy", "count_fills", "count_fills", ExperimentConfig, "count_fills", parse_bool),
-    ("workload", "kind", "workload_kind", GeneratorSpec, "kind", str),
+    ("workload", "kind", "workload_kind", GeneratorSpec, "kind",
+     _one_of(*GENERATOR_KINDS, "trace")),
     ("workload", "trace", "trace", ExperimentConfig, "trace_path", str),
     ("workload", "events", "events", GeneratorSpec, "num_events", int),
     ("workload", "write_fraction", "write_fraction", GeneratorSpec, "write_fraction", float),
@@ -144,7 +158,10 @@ _SETTINGS = (
 
 
 def _read_ini(path):
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are literal (no %-interpolation), and no section is a default
+    # one, so [DEFAULT] is an unknown section like any other
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None, default_section="")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh, source=path)
@@ -198,7 +215,7 @@ def build_config(path=None, overrides=None) -> ExperimentConfig:
         fields = given[ExperimentConfig]
         if fields.get("trace_path") is None:
             if given[GeneratorSpec].get("kind") == "trace":
-                raise ConfigError("workload kind 'trace' requires a trace path")
+                raise ConfigError("'trace' requires a trace path", "kind")
             fields["workload"] = GeneratorSpec(
                 **given[GeneratorSpec], page_size_bytes=cache.page_size_bytes,
                 block_size_bytes=cache.block_size_bytes)

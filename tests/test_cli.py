@@ -2,11 +2,12 @@ import argparse
 import csv
 import dataclasses
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from nvwear import ConfigError, build_config, read_trace
+from nvwear import ConfigError, GeneratorSpec, build_config, read_trace
 from nvwear.cli import _build_parser, main
 from nvwear.experiment import _SETTINGS, parse_bool, parse_size
 
@@ -182,9 +183,119 @@ class TestBuildConfig:
         assert dests["run"] == override_keys
 
 
+class TestSettingFlags:
+    """Setting flags are built from _SETTINGS and their values parsed like the
+    file's: the form always, the range only when the run uses the value."""
+
+    def test_malformed_flag_value_names_the_override_key(self, tmp_path, capsys):
+        assert main(["run", "--k", "abc", "--events", "10",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: override k: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_bool_flag_takes_the_file_words(self, tmp_path):
+        workload = "kind = uniform\nevents = 5000\npages = 64\n"
+        by_file = small_config(tmp_path, "yes.ini", extra_policy="count_fills = yes\n",
+                               workload=workload)
+        by_flag = small_config(tmp_path, "no.ini", extra_policy="count_fills = no\n",
+                               workload=workload)
+        for name, argv in (("file", ["--config", by_file]),
+                           ("flag", ["--config", by_flag, "--count-fills", "yes"]),
+                           ("no", ["--config", by_flag])):
+            assert main(["run", *argv, "--out", str(tmp_path / name)]) == 0
+        report = {name: (tmp_path / name / "report.csv").read_bytes()
+                  for name in ("file", "flag", "no")}
+        assert report["flag"] == report["file"] != report["no"]
+
+    def test_ignored_swap_limit_mode_is_still_checked(self, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        assert main(["run", "--policy", "static", "--swap-limit-mode", "bogus",
+                     "--events", "10", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: override swap_limit_mode: 'bogus' is not one of min|max")
+        cfg = write_config(tmp_path / "s.ini",
+                           "[policy]\nkind = static\nswap_limit_mode = bogus\n")
+        assert main(["run", "--config", cfg, "--events", "10", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {cfg}: [policy] swap_limit_mode: 'bogus' is not one of")
+        assert not (tmp_path / "o").exists()
+
+    def test_ignored_workload_kind_is_still_checked(self, tmp_path, capsys):
+        trace = tmp_path / "t.trace"
+        trace.write_text("W 0x40 5\n")
+        out = str(tmp_path / "o")
+        assert main(["run", "--trace", str(trace), "--kind", "bogus",
+                     "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: override workload_kind: 'bogus' is not one of ")
+        cfg = write_config(tmp_path / "w.ini",
+                           f"[workload]\nkind = bogus\ntrace = {trace}\n")
+        assert main(["run", "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {cfg}: [workload] kind: 'bogus' is not one of ")
+        assert not (tmp_path / "o").exists()
+        assert main(["run", "--kind", "trace", "--trace", str(trace),
+                     "--out", out]) == 0
+        assert read_csv(tmp_path / "o" / "report.csv")[1][2] == "trace:t.trace"
+
+    def test_trace_kind_without_a_trace_names_the_override_key(self, capsys):
+        assert main(["run", "--kind", "trace"]) == 2
+        assert capsys.readouterr().err == (
+            "error: override workload_kind 'trace' requires a trace path\n")
+
+    @pytest.mark.parametrize("command", ["run", "gen-trace"])
+    def test_help_names_the_key_each_flag_overrides(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # no help line is wrapped mid-word
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        subparser = next(a for a in _build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction)).choices[command]
+        helps = {a.dest: a.help for a in subparser._actions}
+        rows = [row for row in _SETTINGS if row[2]
+                and (command == "run" or row[3] is GeneratorSpec)]
+        for section, key, override_key, *_ in rows:
+            assert helps[override_key] == f"overrides [{section}] {key}"
+            assert helps[override_key] in text
+        assert text.count("overrides [") == len(rows)
+
+
+class TestIniLiterals:
+    def test_percent_signs_are_literal(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen-trace", "my%20file.trace", "--events", "50"]) == 0
+        cfg = write_config(tmp_path / "p.ini",
+                           "[workload]\ntrace = my%20file.trace\n"
+                           "[output]\ndir = out%x\n")
+        assert main(["run", "--config", cfg]) == 0
+        assert (tmp_path / "out%x" / "report.csv").exists()
+        twice = write_config(tmp_path / "q.ini", "[workload]\nevents = 10\n"
+                                                 "[output]\ndir = a%%b\n")
+        assert main(["run", "--config", twice]) == 0
+        assert (tmp_path / "a%%b" / "report.csv").exists()
+
+    @pytest.mark.parametrize("rest", ["", "[workload]\nkind = zipf\n",
+                                      "[policy]\nkind = static\n"])
+    def test_default_section_is_unknown(self, tmp_path, capsys, rest):
+        cfg = write_config(tmp_path / "d.ini", "[DEFAULT]\nevents = 5\n" + rest)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: unknown section [DEFAULT]\n"
+        assert not (tmp_path / "o").exists()
+
+
 class TestReadmeConfig:
     def _block(self):
         return re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+
+    def test_cli_block_commands_parse(self):
+        block = re.search(r"## CLI\n\n```sh\n(.*?)```", README.read_text(), re.S).group(1)
+        commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                    if line.strip()]
+        assert all(argv[0] == "nvwear" for argv in commands)
+        assert {argv[1] for argv in commands} == {"run", "compare", "gen-trace", "selftest"}
+        for argv in commands:
+            _build_parser().parse_args(argv[1:])
 
     def test_block_names_every_setting_once(self):
         named, section = [], None
