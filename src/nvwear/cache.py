@@ -92,9 +92,10 @@ class CacheState:
     LRU per set; misses allocate (write-allocate) into the lowest-index
     invalid way, else evict the least recently used block. ``count_fills``
     selects whether installing a block on a miss programs its cells (the
-    default) or only demand writes do; write hits always count.
+    default) or only demand writes do; write hits always count. The caller
+    counts hits, misses and programmed blocks from the returned outcomes.
 
-    Each set lists its valid blocks' tags least recently used first and by
+    Each set lists its valid blocks' tags most recently used first and by
     way, and keeps their dirty bits in one int. Only ``flush_color``
     invalidates, and it empties whole sets, so the valid ways of a set are
     always ``0 .. len(tags) - 1`` and the lowest invalid way is ``len(tags)``.
@@ -109,48 +110,45 @@ class CacheState:
         self._tags = [[] for _ in range(n)]
         self._dirty = [0] * n
         self.write_counts = [[0] * a for _ in range(n)]
-        self.n_fills = 0
-        self.n_write_hits = 0
-        self.n_block_writes = 0  # total write-counter increments
-        # shared by all accesses; a miss pays the round trip plus the fill write
+        # every access returns one of these, so a caller can tell them apart
+        # by identity: read hit, write hit, clean miss, dirty miss. A miss
+        # pays the round trip plus the fill write.
         miss = cfg.miss_penalty + cfg.hit_write_latency
-        self._read_hit = AccessOutcome(True, False, cfg.hit_read_latency)
-        self._write_hit = AccessOutcome(True, False, cfg.hit_write_latency)
-        self._clean_miss = AccessOutcome(False, False, miss)
-        self._dirty_miss = AccessOutcome(False, True, miss)
+        self.outcomes = (AccessOutcome(True, False, cfg.hit_read_latency),
+                         AccessOutcome(True, False, cfg.hit_write_latency),
+                         AccessOutcome(False, False, miss),
+                         AccessOutcome(False, True, miss))
 
     def access(self, set_index, tag, is_write) -> AccessOutcome:
         """One demand access. Hits promote to MRU; misses fill and may evict."""
         lru = self._lru[set_index]
         if tag in lru:
-            if lru[-1] != tag:
+            if lru[0] != tag:
                 lru.remove(tag)
-                lru.append(tag)
+                lru.insert(0, tag)
             if is_write:
                 way = self._tags[set_index].index(tag)
                 self._dirty[set_index] |= 1 << way
                 self.write_counts[set_index][way] += 1
-                self.n_write_hits += 1
-                self.n_block_writes += 1
-                return self._write_hit
-            return self._read_hit
+                return self.outcomes[1]
+            return self.outcomes[0]
 
         tags = self._tags[set_index]
-        dirty = self._dirty[set_index]
-        if len(tags) < self._assoc:
+        if len(tags) < self._assoc:  # fill the lowest invalid way
             way = len(tags)
             tags.append(tag)
-        else:
-            way = tags.index(lru.pop(0))
+            evicted_dirty = 0
+        else:  # evict the least recently used block
+            way = tags.index(lru.pop())
             tags[way] = tag
-        lru.append(tag)
-        evicted_dirty = dirty >> way & 1  # an invalid way is never dirty
-        self._dirty[set_index] = dirty & ~(1 << way) | is_write << way
+            evicted_dirty = self._dirty[set_index] >> way & 1
+            self._dirty[set_index] &= ~(1 << way)
+        lru.insert(0, tag)
+        if is_write:
+            self._dirty[set_index] |= 1 << way
         if is_write or self.count_fills:
             self.write_counts[set_index][way] += 1
-            self.n_block_writes += 1
-        self.n_fills += 1
-        return self._dirty_miss if evicted_dirty else self._clean_miss
+        return self.outcomes[2 + evicted_dirty]  # the clean or the dirty miss
 
     def flush_color(self, color):
         """Invalidate every block of one color; returns dirty blocks written back.
@@ -176,4 +174,4 @@ class CacheState:
 
     def lru_order(self, set_index):
         """Tags of the set's valid blocks, least recently used first."""
-        return list(self._lru[set_index])
+        return self._lru[set_index][::-1]

@@ -32,17 +32,20 @@ def _add_setting_flags(parser, target=None):
 
 
 def _build_parser():
+    # allow_abbrev=False, here and on each subcommand: a flag means exactly
+    # the key its --help names, so --k is never taken for --kind
     parser = argparse.ArgumentParser(
-        prog="nvwear",
+        prog="nvwear", allow_abbrev=False,
         description="Trace-driven wear-leveling simulator for non-volatile "
                     "set-associative caches")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="simulate one policy and write reports")
+    p_run = sub.add_parser("run", allow_abbrev=False,
+                           help="simulate one policy and write reports")
     p_run.add_argument("--config", help="INI config file")
     _add_setting_flags(p_run)
 
-    p_cmp = sub.add_parser("compare",
+    p_cmp = sub.add_parser("compare", allow_abbrev=False,
                            help="run baseline and technique configs on the "
                                 "same workload and report the four headline "
                                 "metrics")
@@ -50,12 +53,13 @@ def _build_parser():
     p_cmp.add_argument("technique_config", help="INI config of the technique")
     p_cmp.add_argument("--out", help="output directory")
 
-    p_gen = sub.add_parser("gen-trace", help="write a synthetic trace file")
+    p_gen = sub.add_parser("gen-trace", allow_abbrev=False,
+                           help="write a synthetic trace file")
     p_gen.add_argument("path", help="output trace path")
     p_gen.add_argument("--config", help="INI config file for the workload")
     _add_setting_flags(p_gen, GeneratorSpec)
 
-    p_self = sub.add_parser("selftest",
+    p_self = sub.add_parser("selftest", allow_abbrev=False,
                             help="differential check of the cache model "
                                  "against a naive reference simulator")
     p_self.add_argument("--cases", type=int, default=100)
@@ -93,7 +97,7 @@ def _cmd_compare(args):
 
 
 def _cmd_gen_trace(args):
-    cfg = build_config(args.config, _settings(args))
+    cfg = build_config(args.config, _settings(args), policy=False)
     if cfg.workload is None:
         raise ConfigError("gen-trace needs a generator workload, not a trace")
     directory = os.path.dirname(os.path.abspath(args.path))

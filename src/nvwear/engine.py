@@ -22,15 +22,24 @@ class RunResult:
     mapping: MappingTable | None = None
 
 
+def _cycles(gaps, read_hits, write_hits, misses, outcomes):
+    """The timing model: instruction gaps plus the latency of every access,
+    summed by outcome (``CacheState.outcomes`` order; both misses cost the
+    same)."""
+    read_hit, write_hit, miss = outcomes[:3]
+    return (gaps + read_hits * read_hit.latency + write_hits * write_hit.latency
+            + misses * miss.latency)
+
+
 class Simulator:
     """Replays one event stream against one cache and one wear policy.
 
     Timing model: 1 cycle per instruction between accesses plus the cache
     latency of each access (memory round trips included in the miss
-    latency). Cell-programming events feed the policy at the granularity of
-    the color that absorbed them; the policy's remap decisions come back as
-    color swaps, which flush through the mapping table and are charged as
-    memory writebacks.
+    latency). Cell-programming events feed the policy's write window at the
+    granularity of the color that absorbed them, and every K-th of them polls
+    the policy; its remap decisions come back as color swaps, which flush
+    through the mapping table and are charged as memory writebacks.
 
     ``run`` may be called repeatedly: each call resumes where the last one
     stopped, so a stream fed in pieces gives the same result as one call.
@@ -45,13 +54,14 @@ class Simulator:
         self.decisions = []
         self.mapping_audit = [(0, region, color)
                               for region, color in enumerate(self.mapping.color_of)]
-        self._counters = (0,) * 9  # the loop's counters, as run() unpacks them
+        self._counters = (0,) * 10  # the loop's counters, as run() unpacks them
 
     def run(self, events):
         """Replay events, continuing from the previous call."""
         cfg = self.cfg
         cache = self.cache
         mapping = self.mapping
+        policy = self.policy
         sets_per_color = cfg.sets_per_color
         count_fills = cache.count_fills
         # decompose_address with shifts and masks: every geometry field is a
@@ -65,37 +75,61 @@ class Simulator:
         set_mask = sets_per_color - 1
         # bound once per call, so instrumentation must patch them before run()
         access = cache.access
-        note_write = self.policy.note_write
-        poll = self.policy.poll
+        poll = policy.poll
+        outcomes = cache.outcomes
+        read_hit, write_hit, _, dirty_miss = outcomes
+        # The write window: each counted write goes to its color's window and
+        # lifetime count, as observe_write would, and the policy is polled only
+        # at the K-th. A policy without a window (static) is never counted or
+        # polled.
+        window = policy.n_write_last_interval
+        if window is not None:
+            lifetime = policy.n_write_global
+            k_writes = policy.k_writes
+            counted = policy.writes_since_check
         decisions = self.decisions
         audit = self.mapping_audit
-        (cycles, last_icount, interval, reads, writes, misses, writebacks,
-         flush_writebacks, remap_runs) = self._counters
+        # gaps sums the instructions between accesses; the access latencies
+        # are added from the outcome counts (_cycles) when a cycle is needed
+        (gaps, last_icount, interval, read_hits, write_hits, read_misses,
+         write_misses, writebacks, flush_writebacks, remap_runs) = self._counters
         for is_write, addr, icount in events:
             delta = icount - last_icount
             last_icount = icount
             if delta > 0:
-                cycles += delta
-            set_index = (color_of[addr >> page_shift & color_mask] * sets_per_color
-                         + (addr >> block_shift & set_mask))
-            outcome = access(set_index, addr >> tag_shift, is_write)
-            cycles += outcome.latency
-            if is_write:
-                writes += 1
+                gaps += delta
+            color = color_of[addr >> page_shift & color_mask]
+            outcome = access(color * sets_per_color + (addr >> block_shift & set_mask),
+                             addr >> tag_shift, is_write)
+            if outcome is read_hit:
+                read_hits += 1
+                continue
+            if outcome is write_hit:
+                write_hits += 1
             else:
-                reads += 1
-            if not outcome.hit:
-                misses += 1
-                if outcome.evicted_dirty:
+                if outcome is dirty_miss:
                     writebacks += 1
-                # a fill programs the block only when fills count
-                if not (is_write or count_fills):
-                    continue
-            elif not is_write:
+                if is_write:
+                    write_misses += 1
+                else:
+                    read_misses += 1
+                    # a fill programs the block only when fills count
+                    if not count_fills:
+                        continue
+            if window is None:
                 continue
-            if not note_write(set_index // sets_per_color):
+            window[color] += 1
+            lifetime[color] += 1
+            counted += 1
+            if counted < k_writes:
                 continue
+            policy.writes_since_check = counted
+            cycles = _cycles(gaps, read_hits, write_hits, read_misses + write_misses,
+                             outcomes)
             decision = poll(cycles)
+            # the poll restarts the count toward K, and a decision the window
+            counted = policy.writes_since_check
+            window = policy.n_write_last_interval
             if decision is None:
                 continue
             interval += 1
@@ -112,20 +146,27 @@ class Simulator:
             decisions.append(decision)
             log.debug("interval %d @%d cycles: sdw=%.3f swaps=%s writebacks=%d",
                       interval, cycles, decision.sdw, decision.swaps, flushed)
-        self._counters = (cycles, last_icount, interval, reads, writes, misses,
-                          writebacks, flush_writebacks, remap_runs)
+        if window is not None:
+            policy.writes_since_check = counted
+        self._counters = (gaps, last_icount, interval, read_hits, write_hits,
+                          read_misses, write_misses, writebacks, flush_writebacks,
+                          remap_runs)
 
     def result(self) -> RunResult:
         """Statistics, decision log and mapping audit of everything run so far."""
         cache = self.cache
-        (cycles, last_icount, _, reads, writes, misses, writebacks,
-         flush_writebacks, remap_runs) = self._counters
+        (gaps, last_icount, _, read_hits, write_hits, read_misses, write_misses,
+         writebacks, flush_writebacks, remap_runs) = self._counters
+        misses = read_misses + write_misses
+        # every miss fills; a read fill programs the block only when fills count
+        block_writes = write_hits + write_misses + read_misses * cache.count_fills
         stats = RunStats(
-            reads=reads, writes=writes, misses=misses, fills=cache.n_fills,
-            write_hits=cache.n_write_hits, block_write_events=cache.n_block_writes,
-            writebacks=writebacks, flush_writebacks=flush_writebacks,
-            cycles=cycles, instructions=last_icount,
-            max_block_writes=cache.max_block_writes(),
+            reads=read_hits + read_misses, writes=write_hits + write_misses,
+            misses=misses, fills=misses, write_hits=write_hits,
+            block_write_events=block_writes, writebacks=writebacks,
+            flush_writebacks=flush_writebacks,
+            cycles=_cycles(gaps, read_hits, write_hits, misses, cache.outcomes),
+            instructions=last_icount, max_block_writes=cache.max_block_writes(),
             block_write_sd=block_write_sd(cache), remap_runs=remap_runs)
         return RunResult(stats=stats, decisions=self.decisions,
                          mapping_audit=self.mapping_audit, mapping=self.mapping)

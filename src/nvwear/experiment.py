@@ -25,7 +25,7 @@ from .errors import ConfigError
 from .metrics import (EnergyConstants, RunStats, energy_joules, mpki,
                       relative_lifetime)
 from .policy import (DEFAULT_BETA, DEFAULT_K_WRITES, DEFAULT_MIN_GAP_CYCLES,
-                     build_policy, default_swap_limit)
+                     POLICY_KINDS, build_policy, default_swap_limit)
 from .workload import GENERATOR_KINDS, GeneratorSpec, generate, read_trace
 
 log = logging.getLogger("nvwear.experiment")
@@ -46,7 +46,6 @@ class ExperimentConfig:
     energy: EnergyConstants = field(default_factory=EnergyConstants)
 
     def __post_init__(self):
-        self.make_policy()
         if (self.workload is None) == (self.trace_path is None):
             raise ConfigError("exactly one of a generator workload or a trace "
                               "path must be configured")
@@ -109,8 +108,9 @@ def parse_bool(text):
 
 
 def _one_of(*words):
-    """A parser of a word setting that a run may ignore (swap_limit_mode under
-    static, the workload kind beside a trace), so its form is still checked."""
+    """A parser of a word setting that may be ignored (swap_limit_mode under
+    static, the workload kind beside a trace, the policy kind by gen-trace),
+    so its form is still checked."""
     def parse(text):
         if text not in words:
             raise ConfigError(f"{text!r} is not one of {'|'.join(words)}")
@@ -132,7 +132,7 @@ _SETTINGS = (
     ("cache", "write_hit_cycles", None, CacheConfig, "hit_write_latency", int),
     ("cache", "miss_penalty_cycles", None, CacheConfig, "miss_penalty", int),
     ("cache", "frequency_hz", None, CacheConfig, "core_frequency_hz", int),
-    ("policy", "kind", "policy", ExperimentConfig, "policy_kind", str),
+    ("policy", "kind", "policy", ExperimentConfig, "policy_kind", _one_of(*POLICY_KINDS)),
     ("policy", "beta", "beta", ExperimentConfig, "beta", float),
     ("policy", "lambda", "lambda", ExperimentConfig, "swap_limit", int),
     ("policy", "k_writes", "k", ExperimentConfig, "k_writes", int),
@@ -181,12 +181,14 @@ def _read_ini(path):
     return sections
 
 
-def build_config(path=None, overrides=None) -> ExperimentConfig:
+def build_config(path=None, overrides=None, policy=True) -> ExperimentConfig:
     """Assemble an ExperimentConfig from an optional INI file plus overrides
     keyed by the settings' override keys (a value of None is not given). A
     setting given neither way keeps its dataclass default; an empty value or
     an undeclared override key is an error. An error about one setting's
-    value names the file key or the override key that gave it."""
+    value names the file key or the override key that gave it. The policy
+    is built, which range-checks its settings, only if ``policy`` is true:
+    gen-trace runs none."""
     sections = _read_ini(path) if path else {}
     overrides = overrides or {}
     unknown = set(overrides) - {row[2] for row in _SETTINGS}
@@ -219,7 +221,10 @@ def build_config(path=None, overrides=None) -> ExperimentConfig:
             fields["workload"] = GeneratorSpec(
                 **given[GeneratorSpec], page_size_bytes=cache.page_size_bytes,
                 block_size_bytes=cache.block_size_bytes)
-        return ExperimentConfig(cache=cache, **fields)
+        cfg = ExperimentConfig(cache=cache, **fields)
+        if policy:
+            cfg.make_policy()
+        return cfg
     except ConfigError as exc:
         if exc.field in sources:
             raise ConfigError(f"{sources[exc.field]} {exc.reason}") from None

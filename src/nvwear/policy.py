@@ -53,9 +53,11 @@ class PolicyState:
     """Counters and thresholds driving the periodic remap decision.
 
     ``n_write_global`` accumulates over the whole run; ``n_write_last_interval``
-    restarts whenever the decision procedure executes. ``swap_limit`` is the
-    cap on swapped pairs per execution (defaults to a quarter of the colors)
-    and must stay within [1, N/2].
+    restarts whenever the decision procedure executes. The engine advances
+    both, and ``writes_since_check``, inline as ``observe_write`` would, and
+    calls ``poll`` only at the K-th counted write. ``swap_limit`` is the cap
+    on swapped pairs per execution (defaults to a quarter of the colors) and
+    must stay within [1, N/2].
     """
 
     num_colors: int
@@ -93,7 +95,7 @@ class PolicyState:
 
     def observe_write(self, color):
         """Count one write. True once K writes accumulated, when ``poll`` may
-        act; the engine polls only then, and ``poll`` re-checks the trigger."""
+        act; ``poll`` re-checks the trigger."""
         self.n_write_global[color] += 1
         self.n_write_last_interval[color] += 1
         self.writes_since_check += 1
@@ -158,9 +160,13 @@ class StaticPolicy:
     """Baseline: identity mapping forever, no remaps, no flushes."""
 
     name = "static"
+    # no write window, so the engine never counts writes for it or polls it
+    n_write_last_interval = None
 
+    # The engine never calls note_write; the three policies keep it only
+    # because perfbench/tracer.py looks it up in each class's namespace.
     def note_write(self, color):
-        """Returns None, so the engine never polls this policy."""
+        """Returns None: there is nothing to poll."""
 
     def poll(self, now_cycle):
         return None
@@ -170,7 +176,7 @@ class SwapWearPolicy(PolicyState):
     """Periodic pairwise swapping of hot colors toward the least-worn ones."""
 
     name = "swl"
-    note_write = PolicyState.observe_write
+    note_write = PolicyState.observe_write  # for perfbench/tracer.py, as StaticPolicy's
 
     def poll(self, now_cycle):
         if self.check_trigger(now_cycle):
@@ -188,7 +194,7 @@ class XorRemapPolicy(PolicyState):
     """
 
     name = "xor"
-    note_write = PolicyState.observe_write
+    note_write = PolicyState.observe_write  # for perfbench/tracer.py, as StaticPolicy's
 
     def __post_init__(self):
         super().__post_init__()

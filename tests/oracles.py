@@ -3,13 +3,16 @@
 These duplicate, through deliberately different code (selection sort,
 statistics.pstdev, straight-line control flow), the decision procedure the
 production policy module implements. They must stay independent of the
-package internals they check. ``read_trace_per_line`` is the text-trace parser
-as it was before batch decoding, against which ``read_trace`` is checked.
+package internals they check. ``reference_run`` transcribes a whole
+simulation run on top of the naive ``ReferenceSimulator``.
+``read_trace_per_line`` is the text-trace parser as it was before batch
+decoding, against which ``read_trace`` is checked.
 """
 
 import statistics
 
 from nvwear import TraceEvent, TraceFormatError
+from nvwear.reference import ReferenceSimulator
 from nvwear.workload import MAX_ADDRESS
 
 
@@ -53,6 +56,110 @@ def plan_remap_oracle(last_interval, cumulative, beta, swap_limit, mode):
     for k in range(1, n_swap + 1):
         swaps.append((l1[k - 1], l2[k - 1]))
     return True, swaps, sdw, n_higher
+
+
+def reference_run(cfg, policy_kind, params, events, count_fills):
+    """One whole run, written out straight: the naive cache, cycles summed
+    event by event, the paper's trigger, ``plan_remap_oracle`` for swl and the
+    xor register stepped longhand.
+
+    ``params`` names every policy setting (beta, swap_limit, k_writes,
+    min_gap_cycles, swap_limit_mode); static ignores them. Returns ``(stats,
+    decisions, audit)``: ``stats`` maps each ``RunStats`` field to its value,
+    ``decisions`` holds one ``(interval, cycle, ran, swaps, sdw, n_higher,
+    writebacks)`` per policy execution and ``audit`` the ``(interval, region,
+    color)`` rows of the initial mapping and of each mapping a remap left.
+    """
+    ref = ReferenceSimulator(cfg, count_fills=count_fills)
+    n = ref.n_colors
+    window = [0] * n     # counted writes per color since the last execution
+    lifetime = [0] * n   # counted writes per color over the whole run
+    counted = 0          # counted writes since the trigger last looked
+    last_execution = 0   # cycle of the last execution
+    register = 0         # xor: region r sits in color r ^ register
+    cycles = previous_icount = 0
+    reads = writes = misses = write_hits = block_writes = remap_runs = 0
+    decisions = []
+    audit = [(0, region, region) for region in range(n)]
+    for is_write, addr, icount in events:
+        if icount > previous_icount:
+            cycles += icount - previous_icount
+        previous_icount = icount
+        set_index, _ = ref.locate(addr)
+        color = set_index // ref.sets_per_color
+        hit, _ = ref.access_addr(addr, is_write)
+        if is_write:
+            writes += 1
+        else:
+            reads += 1
+        if hit and is_write:
+            cycles += ref.write_hit_latency
+            write_hits += 1
+            programmed = True
+        elif hit:
+            cycles += ref.read_hit_latency
+            programmed = False
+        else:
+            cycles += ref.miss_latency
+            misses += 1
+            programmed = is_write or count_fills
+        if not programmed:
+            continue
+        block_writes += 1
+        if policy_kind == "static":
+            continue
+        window[color] += 1
+        lifetime[color] += 1
+        counted += 1
+        if counted < params["k_writes"]:
+            continue
+        # K writes: look, and start counting to K again whatever happens
+        counted = 0
+        if cycles - last_execution < params["min_gap_cycles"]:
+            continue  # too soon: deferred, and the window keeps growing
+        last_execution = cycles
+        interval = len(decisions) + 1
+        if policy_kind == "swl":
+            ran, swaps, sdw, n_higher = plan_remap_oracle(
+                window, lifetime, params["beta"], params["swap_limit"],
+                params["swap_limit_mode"])
+        else:
+            sdw = statistics.pstdev(window)
+            n_higher = 0
+            for v in window:
+                if v * n > sum(window):
+                    n_higher += 1
+            old = register
+            register = register + 1
+            if register == n:
+                register = 1
+            # color c holds region c ^ old and must come to hold c ^ register,
+            # which color c ^ old ^ register holds now: swap the two
+            ran, swaps = True, []
+            for c in range(n):
+                partner = c ^ old ^ register
+                if c < partner:
+                    swaps.append((c, partner))
+        window = [0] * n
+        flushed = 0
+        for c1, c2 in swaps:
+            flushed += ref.remap(c1, c2)
+        if policy_kind == "xor":
+            assert ref.color_of == [region ^ register for region in range(n)]
+        if ran:
+            remap_runs += 1
+            if swaps:
+                audit.extend((interval, region, color)
+                             for region, color in enumerate(ref.color_of))
+        decisions.append((interval, cycles, ran, swaps, sdw, n_higher, flushed))
+    counts = [v for row in ref.write_count_matrix() for v in row]
+    stats = {"reads": reads, "writes": writes, "misses": misses, "fills": misses,
+             "write_hits": write_hits, "block_write_events": block_writes,
+             "writebacks": ref.writebacks, "flush_writebacks": ref.flush_writebacks,
+             "cycles": cycles, "instructions": previous_icount,
+             "max_block_writes": max(counts),
+             "block_write_sd": statistics.pstdev(counts), "remap_runs": remap_runs}
+    return stats, decisions, audit
 
 
 # The text-trace parser as it was before the batch path, one line at a time,

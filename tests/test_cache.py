@@ -164,19 +164,20 @@ class TestAccess:
             cfg = small_cfg()
             cache = CacheState(cfg, count_fills=count_fills)
             mapping = MappingTable(cfg.num_colors)
-            write_miss_fills = 0
+            fills = write_miss_fills = write_hits = 0
             for addr, is_write in random_trace(rng, 5000, 16, cfg.page_size_bytes,
                                                cfg.block_size_bytes):
                 s, t = decompose_address(addr, cfg, mapping)
                 out = cache.access(s, t, is_write)
-                if is_write and not out.hit:
-                    write_miss_fills += 1
+                fills += not out.hit
+                write_miss_fills += is_write and not out.hit
+                write_hits += is_write and out.hit
             total = sum(sum(row) for row in cache.write_counts)
+            assert 0 < write_miss_fills < fills and write_hits > 0
             if count_fills:
-                assert total == cache.n_fills + cache.n_write_hits
+                assert total == fills + write_hits
             else:
-                assert total == write_miss_fills + cache.n_write_hits
-            assert total == cache.n_block_writes
+                assert total == write_miss_fills + write_hits
 
 
 class TestFlush:
@@ -244,13 +245,17 @@ class TestMaxBlockWrites:
                              block_size_bytes=cfg.block_size_bytes)
         cache = CacheState(cfg)
         mapping = MappingTable(4)
+        fills = write_hits = 0
         for ev in generate(spec):
             s, t = decompose_address(ev.addr, cfg, mapping)
-            cache.access(s, t, ev.is_write)
+            out = cache.access(s, t, ev.is_write)
+            fills += not out.hit
+            write_hits += out.hit and ev.is_write
         touched = [c for row in cache.write_counts for c in row if c > 0]
         assert len(touched) == 16 and set(touched) == {2}
         assert cache.max_block_writes() == 2
-        assert sum(touched) == cache.n_fills + cache.n_write_hits
+        assert fills == write_hits == 16
+        assert sum(touched) == fills + write_hits
 
 
 class TestDifferentialSmall:

@@ -343,6 +343,41 @@ class TestGenTrace:
         assert a.read_bytes() == b.read_bytes()
 
 
+    @pytest.mark.parametrize("text", ["[policy]\nlambda = 99\n",
+                                      "[cache]\nsize_bytes = 64K\n"])  # one color
+    def test_policy_settings_are_not_range_checked(self, tmp_path, text):
+        plain, out = tmp_path / "plain.trace", tmp_path / "out.trace"
+        assert main(["gen-trace", str(plain), "--events", "300"]) == 0
+        cfg = write_config(tmp_path / "p.ini", text)
+        assert main(["gen-trace", str(out), "--config", cfg, "--events", "300"]) == 0
+        assert out.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("text, message", [
+        ("[policy]\nlambda = abc\n", "[policy] lambda: invalid literal"),
+        ("[policy]\nkind = bogus\n", "[policy] kind: 'bogus' is not one of swl|static|xor"),
+    ])
+    def test_policy_settings_are_still_parsed(self, tmp_path, capsys, text, message):
+        cfg = write_config(tmp_path / "p.ini", text)
+        out = tmp_path / "out.trace"
+        assert main(["gen-trace", str(out), "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: {message}")
+        assert not out.exists()
+
+
+class TestFlagsAreNotAbbreviated:
+    @pytest.mark.parametrize("argv", [["gen-trace", "t", "--k", "0"],
+                                      ["run", "--lam", "4"],
+                                      ["run", "--write-frac", "0.5"],
+                                      ["selftest", "--case", "3"]])
+    def test_a_flag_prefix_is_refused(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestRun:
     def test_run_writes_reports(self, tmp_path):
         cfg = small_config(tmp_path)

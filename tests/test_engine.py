@@ -10,6 +10,7 @@ from nvwear import experiment
 from nvwear.workload import MAX_ADDRESS
 
 from helpers import seeded, small_cfg
+from oracles import reference_run
 
 
 def run_sim(cfg, events, policy_kind="static", count_fills=True, **policy_kw):
@@ -194,28 +195,25 @@ class TestPolicyIntegration:
         assert all(b - a >= gap for a, b in zip(cycles, cycles[1:]))
 
 
-class RecordingPolicy:
-    """Passes the engine's calls through to a real policy and records them."""
+def _recording(policy, log):
+    """Make the engine's calls to ``policy`` append to ``log``: the number of
+    writes counted so far at each ``poll``, and ``note_write`` for each
+    ``note_write`` call."""
+    poll = policy.poll
 
-    def __init__(self, inner):
-        self.inner = inner
-        self.notes = self.true_notes = 0
-        self.last_note = None
-        self.polled_after = []  # what note_write returned just before each poll
+    def recorded_poll(now_cycle):
+        log.append(sum(policy.n_write_global))
+        return poll(now_cycle)
 
-    def note_write(self, color):
-        self.notes += 1
-        self.last_note = self.inner.note_write(color)
-        self.true_notes += bool(self.last_note)
-        return self.last_note
-
-    def poll(self, now_cycle):
-        self.polled_after.append(self.last_note)
-        self.last_note = None
-        return self.inner.poll(now_cycle)
+    policy.poll = recorded_poll
+    policy.note_write = lambda color: log.append("note_write")
+    return policy
 
 
 class TestPolicyContract:
+    """The engine keeps the write window: it adds each counted write to the
+    policy's counts itself and polls only at the K-th."""
+
     def _events(self):
         spec = GeneratorSpec(kind="uniform", num_events=6000, write_fraction=0.4,
                              page_count=32, seed=4, page_size_bytes=256,
@@ -223,30 +221,58 @@ class TestPolicyContract:
         return list(generate(spec))
 
     @pytest.mark.parametrize("count_fills", [True, False])
-    def test_note_write_once_per_block_write_and_poll_only_after_true(
-            self, count_fills):
+    def test_poll_runs_exactly_at_each_k_th_counted_write(self, count_fills):
         cfg = small_cfg()
-        policy = RecordingPolicy(build_policy("swl", cfg.num_colors, k_writes=50,
-                                              min_gap_cycles=20_000, beta=0.0))
+        polled_at = []
+        policy = _recording(build_policy("swl", cfg.num_colors, k_writes=50,
+                                         min_gap_cycles=20_000, beta=0.0), polled_at)
         events = self._events()
         sim = Simulator(cfg, policy, count_fills=count_fills)
         sim.run(events)
         result = sim.result()
         s = result.stats
         assert 0 < s.write_hits < s.writes < len(events)  # a mixed stream
-        assert policy.notes == s.block_write_events
-        assert policy.polled_after and all(policy.polled_after)
-        assert len(policy.polled_after) == policy.true_notes
-        assert 0 < len(result.decisions) < policy.true_notes  # the gap defers some
+        assert s.block_write_events == (s.fills + s.write_hits if count_fills
+                                        else s.writes)
+        assert polled_at == list(range(50, s.block_write_events + 1, 50))
+        assert 0 < len(result.decisions) < len(polled_at)  # the gap defers some
 
     def test_static_run_never_polls(self):
         cfg = small_cfg()
-        policy = RecordingPolicy(build_policy("static", cfg.num_colors))
+        calls = []
+        policy = build_policy("static", cfg.num_colors)
+        policy.poll = lambda now_cycle: calls.append("poll")
+        policy.note_write = lambda color: calls.append("note_write")
         sim = Simulator(cfg, policy)
         sim.run(self._events())
+        assert sim.result().stats.block_write_events > 0
+        assert calls == []
+
+    @pytest.mark.parametrize("count_fills", [True, False])
+    @pytest.mark.parametrize("min_gap", [0, 10**15], ids=["polls-run", "polls-defer"])
+    def test_counts_equal_an_observe_write_replay(self, count_fills, min_gap):
+        cfg = small_cfg()
+        # beta is never reached, so no decision remaps and colors stay put
+        kw = dict(k_writes=37, min_gap_cycles=min_gap, beta=1e9)
+        events = self._events()
+        policy = build_policy("swl", cfg.num_colors, **kw)
+        sim = Simulator(cfg, policy, count_fills=count_fills)
+        for lo in range(0, len(events), 1000):  # the count resumes across calls
+            sim.run(events[lo:lo + 1000])
         result = sim.result()
-        assert policy.notes == result.stats.block_write_events > 0
-        assert policy.polled_after == []
+        assert bool(result.decisions) == (min_gap == 0)
+        assert not any(d.ran for d in result.decisions)
+        replay = build_policy("swl", cfg.num_colors, **kw)
+        ref = ReferenceSimulator(cfg, count_fills=count_fills)
+        for ev in events:
+            set_index, _ = ref.locate(ev.addr)
+            hit, _ = ref.access_addr(ev.addr, ev.is_write)
+            programmed = ev.is_write or (count_fills and not hit)
+            if programmed and replay.observe_write(set_index // cfg.sets_per_color):
+                replay.poll(0)
+        assert sum(replay.n_write_global) == result.stats.block_write_events
+        for name in ("n_write_last_interval", "n_write_global", "writes_since_check"):
+            assert getattr(policy, name) == getattr(replay, name)
 
 
 class TestDeterminismAndOracle:
@@ -276,6 +302,46 @@ class TestDeterminismAndOracle:
         assert result.stats.misses == total - hits
         assert result.stats.writebacks == ref.writebacks
         assert result.stats.max_block_writes == ref.max_block_writes()
+
+
+class TestWholeRunAgainstReference:
+    """Simulator.run against reference_run: statistics, decision log and
+    mapping audit of whole runs through every policy."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(["swl", "xor", "static"]), count_fills=st.booleans(),
+           colors=st.sampled_from([2, 4, 8]), sets_per_color=st.sampled_from([2, 4]),
+           assoc=st.sampled_from([1, 2, 4]), k=st.integers(1, 40),
+           min_gap=st.sampled_from([0, 1, 300, 2000]),
+           beta=st.sampled_from([0.0, 0.5, 2.0, 6.0]),
+           mode=st.sampled_from(["min", "max"]), n_events=st.integers(0, 400),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_run_matches_reference_run(self, kind, count_fills, colors, sets_per_color,
+                                       assoc, k, min_gap, beta, mode, n_events, seed,
+                                       data):
+        cfg = small_cfg(colors=colors, sets_per_color=sets_per_color, assoc=assoc)
+        params = dict(beta=beta, swap_limit=data.draw(st.integers(1, colors // 2)),
+                      k_writes=k, min_gap_cycles=min_gap, swap_limit_mode=mode)
+        rng = seeded(seed)
+        page, pages = cfg.page_size_bytes, 3 * colors
+        icount, events = 0, []
+        for _ in range(n_events):
+            icount += rng.choice((0, 1, 1, 2, 7))  # repeats and gaps
+            # a few hot pages, so colors wear unevenly and sets fill up
+            page_no = rng.randrange(2) if rng.random() < 0.6 else rng.randrange(pages)
+            events.append(TraceEvent(rng.random() < 0.6,
+                                     page_no * page + rng.randrange(page), icount))
+        sim = Simulator(cfg, build_policy(kind, colors, **params), count_fills=count_fills)
+        sim.run(events)
+        result = sim.result()
+        stats, decisions, audit = reference_run(cfg, kind, params, events, count_fills)
+        assert dataclasses.asdict(result.stats) == {
+            **stats, "block_write_sd": pytest.approx(stats["block_write_sd"])}
+        assert [(d.interval, d.cycle, d.ran, d.swaps, d.sdw, d.n_higher, d.writebacks)
+                for d in result.decisions] == [
+            (*head, pytest.approx(sdw), n_higher, writebacks)
+            for *head, sdw, n_higher, writebacks in decisions]
+        assert result.mapping_audit == audit
 
 
 class TestInlineSplitAgainstReference:

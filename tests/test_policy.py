@@ -227,7 +227,7 @@ class TestPlanRemap:
 class TestXorPolicy:
     def _run_policy(self, policy, writes, cycle):
         for _ in range(writes):
-            policy.note_write(0)
+            policy.observe_write(0)
         return policy.poll(cycle)
 
     def test_register_starts_at_identity(self):
@@ -279,8 +279,8 @@ class TestXorPolicy:
 class TestStaticPolicy:
     def test_never_remaps(self):
         policy = StaticPolicy()
+        assert policy.n_write_last_interval is None  # no window to count into
         for _ in range(10_000):
-            policy.note_write(0)
             assert policy.poll(10**9) is None
 
 
