@@ -22,12 +22,13 @@ class RunResult:
     mapping: MappingTable | None = None
 
 
-def _cycles(gaps, read_hits, write_hits, misses, outcomes):
-    """The timing model: instruction gaps plus the latency of every access,
-    summed by outcome (``CacheState.outcomes`` order; both misses cost the
-    same)."""
+def _cycles(icount, read_hits, write_hits, misses, outcomes):
+    """The timing model: the instructions executed so far (icounts never
+    decrease, so the gaps between accesses sum to the latest icount) plus the
+    latency of every access, summed by outcome (``CacheState.outcomes`` order;
+    both misses cost the same)."""
     read_hit, write_hit, miss = outcomes[:3]
-    return (gaps + read_hits * read_hit.latency + write_hits * write_hit.latency
+    return (icount + read_hits * read_hit.latency + write_hits * write_hit.latency
             + misses * miss.latency)
 
 
@@ -36,10 +37,12 @@ class Simulator:
 
     Timing model: 1 cycle per instruction between accesses plus the cache
     latency of each access (memory round trips included in the miss
-    latency). Cell-programming events feed the policy's write window at the
-    granularity of the color that absorbed them, and every K-th of them polls
-    the policy; its remap decisions come back as color swaps, which flush
-    through the mapping table and are charged as memory writebacks.
+    latency). Icounts must never decrease: ``run`` raises ValueError on one
+    that does, and a run that raised cannot be resumed. Cell-programming
+    events feed the policy's write window at the granularity of the color
+    that absorbed them, and every K-th of them polls the policy; its remap
+    decisions come back as color swaps, which flush through the mapping table
+    and are charged as memory writebacks.
 
     ``run`` may be called repeatedly: each call resumes where the last one
     stopped, so a stream fed in pieces gives the same result as one call.
@@ -54,7 +57,7 @@ class Simulator:
         self.decisions = []
         self.mapping_audit = [(0, region, color)
                               for region, color in enumerate(self.mapping.color_of)]
-        self._counters = (0,) * 10  # the loop's counters, as run() unpacks them
+        self._counters = (0,) * 9  # the loop's counters, as run() unpacks them
 
     def run(self, events):
         """Replay events, continuing from the previous call."""
@@ -89,15 +92,15 @@ class Simulator:
             counted = policy.writes_since_check
         decisions = self.decisions
         audit = self.mapping_audit
-        # gaps sums the instructions between accesses; the access latencies
-        # are added from the outcome counts (_cycles) when a cycle is needed
-        (gaps, last_icount, interval, read_hits, write_hits, read_misses,
-         write_misses, writebacks, flush_writebacks, remap_runs) = self._counters
+        # the access latencies are added to the icount from the outcome counts
+        # (_cycles) when a cycle is needed
+        (last_icount, interval, read_hits, write_hits, read_misses, write_misses,
+         writebacks, flush_writebacks, remap_runs) = self._counters
         for is_write, addr, icount in events:
-            delta = icount - last_icount
+            if icount < last_icount:
+                raise ValueError(f"instruction count decreased "
+                                 f"({last_icount} -> {icount})")
             last_icount = icount
-            if delta > 0:
-                gaps += delta
             color = color_of[addr >> page_shift & color_mask]
             outcome = access(color * sets_per_color + (addr >> block_shift & set_mask),
                              addr >> tag_shift, is_write)
@@ -124,7 +127,7 @@ class Simulator:
             if counted < k_writes:
                 continue
             policy.writes_since_check = counted
-            cycles = _cycles(gaps, read_hits, write_hits, read_misses + write_misses,
+            cycles = _cycles(icount, read_hits, write_hits, read_misses + write_misses,
                              outcomes)
             decision = poll(cycles)
             # the poll restarts the count toward K, and a decision the window
@@ -148,14 +151,13 @@ class Simulator:
                       interval, cycles, decision.sdw, decision.swaps, flushed)
         if window is not None:
             policy.writes_since_check = counted
-        self._counters = (gaps, last_icount, interval, read_hits, write_hits,
-                          read_misses, write_misses, writebacks, flush_writebacks,
-                          remap_runs)
+        self._counters = (last_icount, interval, read_hits, write_hits, read_misses,
+                          write_misses, writebacks, flush_writebacks, remap_runs)
 
     def result(self) -> RunResult:
         """Statistics, decision log and mapping audit of everything run so far."""
         cache = self.cache
-        (gaps, last_icount, _, read_hits, write_hits, read_misses, write_misses,
+        (last_icount, _, read_hits, write_hits, read_misses, write_misses,
          writebacks, flush_writebacks, remap_runs) = self._counters
         misses = read_misses + write_misses
         # every miss fills; a read fill programs the block only when fills count
@@ -165,7 +167,7 @@ class Simulator:
             misses=misses, fills=misses, write_hits=write_hits,
             block_write_events=block_writes, writebacks=writebacks,
             flush_writebacks=flush_writebacks,
-            cycles=_cycles(gaps, read_hits, write_hits, misses, cache.outcomes),
+            cycles=_cycles(last_icount, read_hits, write_hits, misses, cache.outcomes),
             instructions=last_icount, max_block_writes=cache.max_block_writes(),
             block_write_sd=block_write_sd(cache), remap_runs=remap_runs)
         return RunResult(stats=stats, decisions=self.decisions,

@@ -162,9 +162,16 @@ def _read_ini(path):
     # one, so [DEFAULT] is an unknown section like any other
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                        interpolation=None, default_section="")
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh, source=path)
+        text = data.decode("utf-8-sig")  # a leading byte-order mark is dropped
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(
+            f"{path}:{line}: not UTF-8: byte 0x{data[exc.start]:02x}") from None
+    try:
+        parser.read_string(text, source=path)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
     known = {(section, key) for section, key, *_ in _SETTINGS}

@@ -1,7 +1,9 @@
 """Lifetime, energy, and MPKI accounting over finished runs."""
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .errors import ConfigError
 
@@ -80,14 +82,20 @@ def mpki(misses, instructions):
 
 
 def population_sd(rows):
-    """Population standard deviation of the values in a sequence of rows. It
-    walks the rows in place: flattening the cache's write-count matrix into one
-    list would copy every counter."""
+    """Population standard deviation of the values in a sequence of rows.
+
+    It walks the rows in place (flattening the cache's write-count matrix
+    would copy every counter) and squares each distinct value's deviation
+    once: ``fsum`` is correctly rounded, so repeating a term as many times as
+    its value occurs gives the same result as summing one term per value.
+    """
     n = sum(map(len, rows))
     if n < 1:
         raise ValueError("population SD needs at least one value")
     mean = sum(map(sum, rows)) / n
-    return math.sqrt(math.fsum((v - mean) ** 2 for row in rows for v in row) / n)
+    counts = Counter(chain.from_iterable(rows))
+    return math.sqrt(math.fsum(chain.from_iterable(
+        repeat((v - mean) ** 2, c) for v, c in counts.items())) / n)
 
 
 def block_write_sd(state):

@@ -159,7 +159,6 @@ class PolicyState:
 class StaticPolicy:
     """Baseline: identity mapping forever, no remaps, no flushes."""
 
-    name = "static"
     # no write window, so the engine never counts writes for it or polls it
     n_write_last_interval = None
 
@@ -175,7 +174,6 @@ class StaticPolicy:
 class SwapWearPolicy(PolicyState):
     """Periodic pairwise swapping of hot colors toward the least-worn ones."""
 
-    name = "swl"
     note_write = PolicyState.observe_write  # for perfbench/tracer.py, as StaticPolicy's
 
     def poll(self, now_cycle):
@@ -193,7 +191,6 @@ class XorRemapPolicy(PolicyState):
     matches the mapping-table path.
     """
 
-    name = "xor"
     note_write = PolicyState.observe_write  # for perfbench/tracer.py, as StaticPolicy's
 
     def __post_init__(self):

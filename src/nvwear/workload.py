@@ -90,18 +90,22 @@ class GeneratorSpec:
         return " ".join(parts)
 
 
+def _zipf_cdf(spec):
+    """Cumulative zipf probabilities of the pages, the last exactly 1.0: a
+    draw is ``bisect_right(cdf, random())``."""
+    s = spec.zipf_exponent
+    weights = [1.0 / (rank ** s) for rank in range(1, spec.page_count + 1)]
+    total = sum(weights)
+    cdf = [acc / total for acc in accumulate(weights)]
+    cdf[-1] = 1.0
+    return cdf
+
+
 def _page_picker(spec, rng):
-    """Page draw of one event. Uniform and hotset draws inline ``randrange(n)``:
+    """Page draw of one uniform or hotset event. Both inline ``randrange(n)``:
     ``getrandbits(n.bit_length())`` until below n; same stream, no arg checks."""
     p = spec.page_count
     random_, getrandbits = rng.random, rng.getrandbits
-    if spec.kind == "zipf":
-        s = spec.zipf_exponent
-        weights = [1.0 / (rank ** s) for rank in range(1, p + 1)]
-        total = sum(weights)
-        cum = [acc / total for acc in accumulate(weights)]
-        cum[-1] = 1.0
-        return lambda: bisect_right(cum, random_())
     if spec.kind == "hotset":
         hot = max(1, round(spec.hotset_fraction * p))
         if hot < p:
@@ -138,24 +142,31 @@ def generate(spec: GeneratorSpec):
     random_, getrandbits = rng.random, rng.getrandbits
     blocks_per_page = spec.page_size_bytes // spec.block_size_bytes
     k_block = blocks_per_page.bit_length()
-    pick_page = None if spec.kind == "roundrobin" else _page_picker(spec, rng)
+    # uniform and hotset call a picker; zipf draws inline, with no call frame
+    pick_page = (_page_picker(spec, rng) if spec.kind in ("uniform", "hotset")
+                 else None)
+    zipf_cdf = _zipf_cdf(spec) if spec.kind == "zipf" else None
+    page_count = spec.page_count
     page_size = spec.page_size_bytes
     block_size = spec.block_size_bytes
     write_fraction = spec.write_fraction
     step = spec.instructions_per_access
     new = tuple.__new__  # builds a TraceEvent without its Python-level __new__
-    icount = 0
-    for i in range(spec.num_events):
-        icount += step
+    for icount in range(step, step * spec.num_events + 1, step):
         is_write = random_() < write_fraction
-        if pick_page is None:
-            page = i % spec.page_count
-            block = (i // spec.page_count) % blocks_per_page
-        else:
+        if pick_page is not None:
             page = pick_page()
+        elif zipf_cdf is not None:
+            page = bisect_right(zipf_cdf, random_())
+        else:  # roundrobin: pages cycle fastest, no block draw
+            i = icount // step - 1
+            page, block = i % page_count, i // page_count % blocks_per_page
+            yield new(TraceEvent, (is_write, page * page_size + block * block_size,
+                                   icount))
+            continue
+        block = getrandbits(k_block)
+        while block >= blocks_per_page:
             block = getrandbits(k_block)
-            while block >= blocks_per_page:
-                block = getrandbits(k_block)
         yield new(TraceEvent, (is_write, page * page_size + block * block_size, icount))
 
 

@@ -284,6 +284,37 @@ class TestIniLiterals:
         assert not (tmp_path / "o").exists()
 
 
+class TestIniEncoding:
+    # past the first 8 KiB, so a line counted within one decoder chunk would differ
+    PADDING = "# padding\n" * 1000
+
+    def _latin1_config(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes((SMALL_CACHE + self.PADDING + "# café\n").encode("latin-1"))
+        return str(path), SMALL_CACHE.count("\n") + 1001
+
+    def test_run_names_the_file_line_and_byte(self, tmp_path, capsys):
+        cfg, line = self._latin1_config(tmp_path, "latin.ini")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:{line}: not UTF-8: byte 0xe9\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_compare_names_the_bad_technique_file(self, tmp_path, capsys):
+        base = small_config(tmp_path, "base.ini", policy="static")
+        tech, line = self._latin1_config(tmp_path, "tech.ini")
+        assert main(["compare", base, tech, "--out", str(tmp_path / "cmp")]) == 2
+        assert capsys.readouterr().err == f"error: {tech}:{line}: not UTF-8: byte 0xe9\n"
+
+    def test_leading_byte_order_mark_is_accepted(self, tmp_path):
+        plain = small_config(tmp_path, "plain.ini")
+        bom = tmp_path / "bom.ini"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(plain).read_bytes())
+        for cfg, out in ((plain, "a"), (str(bom), "b")):
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / out)]) == 0
+        assert ((tmp_path / "a" / "report.csv").read_bytes()
+                == (tmp_path / "b" / "report.csv").read_bytes())
+
+
 class TestReadmeConfig:
     def _block(self):
         return re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)

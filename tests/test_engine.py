@@ -48,6 +48,23 @@ class TestCycleAccounting:
                               TraceEvent(False, 0, 10)]).stats.cycles
         assert total - baseline == 7
 
+    @pytest.mark.parametrize("kind", ["static", "swl"])
+    def test_decreasing_icount_within_one_run_raises(self, kind):
+        events = [TraceEvent(True, 0, 5), TraceEvent(False, 64, 9),
+                  TraceEvent(True, 0, 8)]
+        with pytest.raises(ValueError, match=r"instruction count decreased \(9 -> 8\)"):
+            run_sim(small_cfg(), events, kind, k_writes=1, min_gap_cycles=0)
+
+    def test_decreasing_icount_across_run_calls_raises(self):
+        sim = Simulator(small_cfg(), build_policy("static", 4))
+        sim.run([TraceEvent(True, 0, 5), TraceEvent(True, 0, 12)])
+        with pytest.raises(ValueError, match=r"instruction count decreased \(12 -> 11\)"):
+            sim.run([TraceEvent(False, 0, 11)])
+
+    def test_negative_first_icount_raises(self):
+        with pytest.raises(ValueError, match=r"instruction count decreased \(0 -> -1\)"):
+            run_sim(small_cfg(), [TraceEvent(True, 0, -1)])
+
 
 class TestStatsBookkeeping:
     def _events(self, n=5000, seed=3):

@@ -3,9 +3,11 @@ import statistics
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nvwear import (CacheState, ConfigError, EnergyConstants, RunStats,
                     block_write_sd, energy_joules, mpki, relative_lifetime)
+from nvwear.metrics import population_sd
 
 from helpers import seeded, small_cfg
 
@@ -112,3 +114,36 @@ class TestBlockWriteSD:
         assert block_write_sd(cache) == pytest.approx(statistics.pstdev(flat),
                                                       rel=1e-12)
 
+
+
+def _sd_one_term_per_value(rows):
+    """population_sd as it was written before it grouped equal values: one
+    squared deviation per counter, summed by fsum."""
+    n = sum(map(len, rows))
+    mean = sum(map(sum, rows)) / n
+    return math.sqrt(math.fsum((v - mean) ** 2 for row in rows for v in row) / n)
+
+
+# small counts repeat, so grouping merges terms; large ones test rounding
+COUNTS = st.one_of(st.integers(0, 40), st.integers(2**20, 2**62))
+
+
+class TestPopulationSD:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.lists(COUNTS, min_size=1, max_size=16), min_size=1,
+                         max_size=24))
+    def test_grouped_sum_equals_one_term_per_value(self, rows):
+        assert population_sd(rows).hex() == _sd_one_term_per_value(rows).hex()
+
+    @pytest.mark.parametrize("value", [0, 7, 2**20 + 1, 2**61 + 3])
+    def test_single_value_has_zero_spread(self, value):
+        assert population_sd([[value]]) == 0.0 == _sd_one_term_per_value([[value]])
+
+    def test_a_value_repeated_over_2_to_the_20_times(self):
+        # one value fills 2^20 + 1024 counters, so its term repeats that often
+        rows = [[3] * 1024] * 1025 + [[2**21, 5, 3]]
+        assert population_sd(rows).hex() == _sd_one_term_per_value(rows).hex()
+
+    def test_no_values_rejected(self):
+        with pytest.raises(ValueError):
+            population_sd([[], []])

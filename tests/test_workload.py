@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -175,6 +176,45 @@ class TestBatchParserEquivalence:
         assert (events, error) == _parse(read_trace_per_line, path)
         assert len(events) == lineno - 1
         assert error.startswith(f"{path}:{lineno}: {message}")
+
+
+# bytes a trace is made of, plus whitespace, line breaks and bytes that the
+# parsers treat specially: \x0b and \x1c split fields but not lines, \x85
+# and \xff are not ASCII, and int() would take '_', '+' and '-'
+TRACE_ALPHABET = "RW0x19afAF #\n\r\t\x0b\x1c\x85\xff_+-"
+# a line of fields: a well-formed event, most often, so that events are
+# yielded before an error and some icounts fall
+_TRACE_LINE = st.one_of(
+    st.builds("{} 0x{:x} {}\n".format, st.sampled_from("RW"), st.integers(0, 1 << 16),
+              st.integers(0, 30)),
+    st.tuples(
+        st.sampled_from(["R", "W", "X", "", "#"]),
+        st.sampled_from([" ", "  ", "\t", "\x0b", "\x1c", "_"]),
+        st.sampled_from(["0x40", "0xFf", f"0x{MAX_ADDRESS:x}", f"0x{MAX_ADDRESS + 1:x}",
+                         "0x1_0", "40", "0x", "-0x1", "0x\xff"]),
+        st.sampled_from([" ", "\t", "\x85"]),
+        st.one_of(st.integers(0, 30).map(str), st.sampled_from(["+5", "1_0", "-1", ""])),
+        st.sampled_from(["\n", "\r\n", "\r", " \n", " # c\n", "\x1c\n"]),
+    ).map("".join))
+_TRACE_BYTES = st.one_of(
+    st.binary(max_size=120),
+    st.text(TRACE_ALPHABET, max_size=120).map(lambda text: text.encode("latin-1")),
+    st.lists(_TRACE_LINE, max_size=8).map(
+        lambda lines: "".join(lines).encode("latin-1")))
+
+
+class TestReadTraceFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(body=_TRACE_BYTES)
+    def test_any_bytes_parse_like_the_per_line_parser(self, tmp_path, body):
+        path = tmp_path / "t.trace"
+        path.write_bytes(body)
+        # _parse catches TraceFormatError only, so any other exception fails here
+        events, error = _parse(read_trace, path)
+        assert (events, error) == _parse(read_trace_per_line, path)
+        if error is not None:
+            assert re.match(rf"{re.escape(str(path))}:[1-9][0-9]*: ", error)
 
 
 class TestRoundTrip:
