@@ -8,8 +8,8 @@ from .engine import Simulator
 from .errors import ConfigError, TraceFormatError
 from .experiment import (ExperimentConfig, build_config, compare_experiments,
                          run_experiment)
-from .metrics import (EnergyConstants, RunStats, block_write_sd, energy_joules,
-                      mpki, relative_lifetime)
+from .metrics import (RunStats, block_write_sd, energy_joules, mpki,
+                      relative_lifetime)
 from .policy import (PolicyState, StaticPolicy, SwapWearPolicy, XorRemapPolicy,
                      build_policy, stddev_writes)
 from .reference import ReferenceSimulator
@@ -20,11 +20,11 @@ __version__ = "0.1.0"
 # what callers construct or call; result types (RunResult, Comparison, ...)
 # stay reachable from their own modules
 __all__ = [
-    "CacheConfig", "CacheState", "ConfigError", "EnergyConstants",
-    "ExperimentConfig", "GeneratorSpec", "MappingTable", "PolicyState",
-    "ReferenceSimulator", "RunStats", "Simulator", "StaticPolicy",
-    "SwapWearPolicy", "TraceEvent", "TraceFormatError", "XorRemapPolicy",
-    "block_write_sd", "build_config", "build_policy", "compare_experiments",
-    "decompose_address", "energy_joules", "generate", "mpki", "read_trace",
-    "relative_lifetime", "run_experiment", "stddev_writes", "write_trace",
+    "CacheConfig", "CacheState", "ConfigError", "ExperimentConfig",
+    "GeneratorSpec", "MappingTable", "PolicyState", "ReferenceSimulator",
+    "RunStats", "Simulator", "StaticPolicy", "SwapWearPolicy", "TraceEvent",
+    "TraceFormatError", "XorRemapPolicy", "block_write_sd", "build_config",
+    "build_policy", "compare_experiments", "decompose_address", "energy_joules",
+    "generate", "mpki", "read_trace", "relative_lifetime", "run_experiment",
+    "stddev_writes", "write_trace",
 ]

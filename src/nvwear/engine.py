@@ -57,7 +57,7 @@ class Simulator:
         self.decisions = []
         self.mapping_audit = [(0, region, color)
                               for region, color in enumerate(self.mapping.color_of)]
-        self._counters = (0,) * 9  # the loop's counters, as run() unpacks them
+        self._counters = (0,) * 6  # the loop's counters, as run() unpacks them
 
     def run(self, events):
         """Replay events, continuing from the previous call."""
@@ -83,8 +83,8 @@ class Simulator:
         read_hit, write_hit, _, dirty_miss = outcomes
         # The write window: each counted write goes to its color's window and
         # lifetime count, as observe_write would, and the policy is polled only
-        # at the K-th. A policy without a window (static) is never counted or
-        # polled.
+        # at the K-th; close_window empties the same list. A policy without a
+        # window (static) is never counted or polled.
         window = policy.n_write_last_interval
         if window is not None:
             lifetime = policy.n_write_global
@@ -94,8 +94,8 @@ class Simulator:
         audit = self.mapping_audit
         # the access latencies are added to the icount from the outcome counts
         # (_cycles) when a cycle is needed
-        (last_icount, interval, read_hits, write_hits, read_misses, write_misses,
-         writebacks, flush_writebacks, remap_runs) = self._counters
+        (last_icount, read_hits, write_hits, read_misses, write_misses,
+         writebacks) = self._counters
         for is_write, addr, icount in events:
             if icount < last_icount:
                 raise ValueError(f"instruction count decreased "
@@ -130,35 +130,29 @@ class Simulator:
             cycles = _cycles(icount, read_hits, write_hits, read_misses + write_misses,
                              outcomes)
             decision = poll(cycles)
-            # the poll restarts the count toward K, and a decision the window
-            counted = policy.writes_since_check
-            window = policy.n_write_last_interval
+            counted = policy.writes_since_check  # the poll restarts the count
             if decision is None:
                 continue
-            interval += 1
-            flushed = mapping.apply_remap(cache, decision.swaps)
-            flush_writebacks += flushed
-            if decision.ran:
-                remap_runs += 1
-                if decision.swaps:
-                    audit.extend((interval, region, color)
-                                 for region, color in enumerate(mapping.color_of))
-            decision.interval = interval
+            decision.interval = len(decisions) + 1
             decision.cycle = cycles
-            decision.writebacks = flushed
+            decision.writebacks = mapping.apply_remap(cache, decision.swaps)
+            if decision.swaps:  # a decision with swaps has run
+                audit.extend((decision.interval, region, color)
+                             for region, color in enumerate(mapping.color_of))
             decisions.append(decision)
             log.debug("interval %d @%d cycles: sdw=%.3f swaps=%s writebacks=%d",
-                      interval, cycles, decision.sdw, decision.swaps, flushed)
+                      decision.interval, cycles, decision.sdw, decision.swaps,
+                      decision.writebacks)
         if window is not None:
             policy.writes_since_check = counted
-        self._counters = (last_icount, interval, read_hits, write_hits, read_misses,
-                          write_misses, writebacks, flush_writebacks, remap_runs)
+        self._counters = (last_icount, read_hits, write_hits, read_misses,
+                          write_misses, writebacks)
 
     def result(self) -> RunResult:
         """Statistics, decision log and mapping audit of everything run so far."""
         cache = self.cache
-        (last_icount, _, read_hits, write_hits, read_misses, write_misses,
-         writebacks, flush_writebacks, remap_runs) = self._counters
+        (last_icount, read_hits, write_hits, read_misses, write_misses,
+         writebacks) = self._counters
         misses = read_misses + write_misses
         # every miss fills; a read fill programs the block only when fills count
         block_writes = write_hits + write_misses + read_misses * cache.count_fills
@@ -166,9 +160,10 @@ class Simulator:
             reads=read_hits + read_misses, writes=write_hits + write_misses,
             misses=misses, fills=misses, write_hits=write_hits,
             block_write_events=block_writes, writebacks=writebacks,
-            flush_writebacks=flush_writebacks,
+            flush_writebacks=sum(d.writebacks for d in self.decisions),
             cycles=_cycles(last_icount, read_hits, write_hits, misses, cache.outcomes),
             instructions=last_icount, max_block_writes=cache.max_block_writes(),
-            block_write_sd=block_write_sd(cache), remap_runs=remap_runs)
+            block_write_sd=block_write_sd(cache),
+            remap_runs=sum(d.ran for d in self.decisions))
         return RunResult(stats=stats, decisions=self.decisions,
                          mapping_audit=self.mapping_audit, mapping=self.mapping)

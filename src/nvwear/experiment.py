@@ -22,8 +22,7 @@ from operator import attrgetter
 from .cache import CacheConfig
 from .engine import Simulator
 from .errors import ConfigError
-from .metrics import (EnergyConstants, RunStats, energy_joules, mpki,
-                      relative_lifetime)
+from .metrics import RunStats, energy_joules, mpki, relative_lifetime
 from .policy import (DEFAULT_BETA, DEFAULT_K_WRITES, DEFAULT_MIN_GAP_CYCLES,
                      POLICY_KINDS, build_policy, default_swap_limit)
 from .workload import GENERATOR_KINDS, GeneratorSpec, generate, read_trace
@@ -43,7 +42,6 @@ class ExperimentConfig:
     workload: GeneratorSpec | None = None
     trace_path: str | None = None
     out_dir: str = "out"
-    energy: EnergyConstants = field(default_factory=EnergyConstants)
 
     def __post_init__(self):
         if (self.workload is None) == (self.trace_path is None):
@@ -269,7 +267,7 @@ def _run_all(cfgs):
         s = result.stats
         reports.append(ExperimentReport(
             policy=c.policy_kind, workload=label, seed=seed, stats=s,
-            energy_j=energy_joules(s, c.energy, c.cache.core_frequency_hz),
+            energy_j=energy_joules(s, c.cache.core_frequency_hz),
             mpki_value=mpki(s.misses, s.instructions), decisions=result.decisions,
             mapping_audit=result.mapping_audit, config=c))
     return reports

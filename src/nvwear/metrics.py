@@ -8,21 +8,12 @@ from itertools import chain, repeat
 from .errors import ConfigError
 
 
-@dataclass(frozen=True)
-class EnergyConstants:
-    """Per-event and leakage energy of the cache and main memory (joules/watts)."""
-
-    read_energy_j: float = 1.015e-9
-    write_energy_j: float = 1.036e-9
-    cache_leakage_w: float = 2.235
-    mem_access_energy_j: float = 70e-9
-    mem_leakage_w: float = 0.18
-
-    def __post_init__(self):
-        for name in ("read_energy_j", "write_energy_j", "cache_leakage_w",
-                     "mem_access_energy_j", "mem_leakage_w"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be strictly positive")
+# Per-event and leakage energy of the cache and main memory (joules, watts).
+READ_ENERGY_J = 1.015e-9
+WRITE_ENERGY_J = 1.036e-9
+CACHE_LEAKAGE_W = 2.235
+MEM_ACCESS_ENERGY_J = 70e-9
+MEM_LEAKAGE_W = 0.18
 
 
 @dataclass
@@ -60,18 +51,17 @@ def relative_lifetime(baseline: RunStats, technique: RunStats):
     return baseline.max_block_writes / technique.max_block_writes
 
 
-def energy_joules(stats: RunStats, consts: EnergyConstants = EnergyConstants(),
-                  frequency_hz: float = 2_000_000_000.0):
+def energy_joules(stats: RunStats, frequency_hz):
     """Total cache + memory energy: per-event dynamic terms plus leakage
     integrated over the run's wall time (cycles / frequency)."""
     if frequency_hz <= 0:
         raise ConfigError("frequency_hz must be positive")
     seconds = stats.cycles / frequency_hz
     mem_accesses = stats.misses + stats.writebacks + stats.flush_writebacks
-    return (stats.reads * consts.read_energy_j
-            + stats.block_write_events * consts.write_energy_j
-            + mem_accesses * consts.mem_access_energy_j
-            + (consts.cache_leakage_w + consts.mem_leakage_w) * seconds)
+    return (stats.reads * READ_ENERGY_J
+            + stats.block_write_events * WRITE_ENERGY_J
+            + mem_accesses * MEM_ACCESS_ENERGY_J
+            + (CACHE_LEAKAGE_W + MEM_LEAKAGE_W) * seconds)
 
 
 def mpki(misses, instructions):

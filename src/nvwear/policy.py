@@ -81,7 +81,7 @@ class PolicyState:
         if not 1 <= self.swap_limit <= n // 2:
             raise ConfigError(f"must lie in [1, {n // 2}] for {n} colors, "
                               f"got {self.swap_limit}", "swap_limit")
-        if self.beta < 0:
+        if not self.beta >= 0:  # NaN too, which would open the gate every time
             raise ConfigError("must be >= 0", "beta")
         if self.k_writes < 1:
             raise ConfigError("must be >= 1", "k_writes")
@@ -119,13 +119,13 @@ class PolicyState:
         return True
 
     def close_window(self):
-        """End the current write window and start an empty one.
+        """End the current write window and start an empty one in its list.
 
-        Returns the closed window's per-color counts, their population SD
-        (sdw) and how many colors were written above the window's mean.
+        Returns a copy of the closed window's per-color counts, their population
+        SD (sdw) and how many colors were written above the window's mean.
         """
-        last = self.n_write_last_interval
-        self.n_write_last_interval = [0] * self.num_colors
+        last = self.n_write_last_interval[:]
+        self.n_write_last_interval[:] = [0] * self.num_colors
         avg = sum(last) / self.num_colors
         return last, stddev_writes(last), sum(1 for v in last if v > avg)
 

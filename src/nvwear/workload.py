@@ -59,14 +59,19 @@ class GeneratorSpec:
             raise ConfigError("must be >= 0", "num_events")
         if not 0.0 <= self.write_fraction <= 1.0:
             raise ConfigError("must lie in [0, 1]", "write_fraction")
-        if self.zipf_exponent < 0:
-            raise ConfigError("must be >= 0", "zipf_exponent")
         if not 0.0 < self.hotset_fraction <= 1.0:
             raise ConfigError("must lie in (0, 1]", "hotset_fraction")
         if not 0.0 <= self.hotset_probability <= 1.0:
             raise ConfigError("must lie in [0, 1]", "hotset_probability")
         if self.page_count < 1:
             raise ConfigError("must be >= 1", "page_count")
+        if not self.zipf_exponent >= 0:  # NaN too
+            raise ConfigError("must be >= 0", "zipf_exponent")
+        try:  # of the zipf weights, the largest rank's overflows first
+            self.page_count ** self.zipf_exponent
+        except OverflowError:
+            raise ConfigError(f"is too large for {self.page_count} pages: "
+                              "their zipf weights overflow", "zipf_exponent") from None
         if self.instructions_per_access < 1:
             raise ConfigError("must be >= 1", "instructions_per_access")
         for name in ("page_size_bytes", "block_size_bytes"):

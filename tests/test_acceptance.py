@@ -6,7 +6,7 @@ import csv
 import pytest
 
 from nvwear import (CacheConfig, CacheState, MappingTable, PolicyState,
-                    GeneratorSpec, RunStats, energy_joules, run_experiment,
+                    GeneratorSpec, RunStats, compare_experiments, energy_joules,
                     ExperimentConfig)
 from nvwear.cli import main
 
@@ -27,6 +27,14 @@ def _desk_cache():
 def _experiment(cache, policy, workload, **policy_kw):
     return ExperimentConfig(cache=cache, policy_kind=policy,
                             workload=workload, out_dir="unused", **policy_kw)
+
+
+def _static_and_swl(cache, workload):
+    """The static and swl (K=10k) reports of one replay of the workload."""
+    comparison = compare_experiments(_experiment(cache, "static", workload),
+                                     _experiment(cache, "swl", workload,
+                                                 k_writes=10_000))
+    return comparison.baseline, comparison.technique
 
 
 def test_c01_oracle_equivalence_on_randomized_traces():
@@ -96,8 +104,7 @@ def test_c04_uniform_roundrobin_is_a_noop_for_swl():
                              write_fraction=1.0, page_count=64, seed=4,
                              page_size_bytes=cache.page_size_bytes,
                              block_size_bytes=cache.block_size_bytes)
-    static = run_experiment(_experiment(cache, "static", workload))
-    swl = run_experiment(_experiment(cache, "swl", workload, k_writes=10_000))
+    static, swl = _static_and_swl(cache, workload)
     assert swl.decisions, "expected the policy to execute at least once"
     assert all(d.n_color_to_swap == 0 for d in swl.decisions)
     assert swl.stats.remap_runs == 0
@@ -114,8 +121,7 @@ def test_c05_hotset_skew_gives_lifetime_benefit():
                              hotset_probability=0.9, page_count=16, seed=7,
                              page_size_bytes=cache.page_size_bytes,
                              block_size_bytes=cache.block_size_bytes)
-    static = run_experiment(_experiment(cache, "static", workload))
-    swl = run_experiment(_experiment(cache, "swl", workload, k_writes=10_000))
+    static, swl = _static_and_swl(cache, workload)
     assert swl.stats.max_block_writes < static.stats.max_block_writes
     ratio = static.stats.max_block_writes / swl.stats.max_block_writes
     assert ratio >= 1.5
@@ -133,9 +139,7 @@ def test_c06_skew_trend_mirrors_write_variation():
                                  page_count=64, seed=11,
                                  page_size_bytes=cache.page_size_bytes,
                                  block_size_bytes=cache.block_size_bytes)
-        static = run_experiment(_experiment(cache, "static", workload))
-        swl = run_experiment(_experiment(cache, "swl", workload,
-                                         k_writes=10_000))
+        static, swl = _static_and_swl(cache, workload)
         sds.append(static.stats.block_write_sd)
         lifetimes.append(static.stats.max_block_writes
                          / swl.stats.max_block_writes)

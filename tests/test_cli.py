@@ -136,6 +136,10 @@ class TestBuildConfig:
         ("cache", "size_bytes", "3000", "positive power of two"),
         ("workload", "write_fraction", "2", "write_fraction must lie in [0, 1]"),
         ("policy", "beta", "-1", "beta must be >= 0"),
+        ("policy", "beta", "nan", "[policy] beta must be >= 0\n"),
+        ("workload", "zipf_s", "nan", "[workload] zipf_s must be >= 0\n"),
+        ("workload", "zipf_s", "400", "[workload] zipf_s is too large for 256 pages: "
+                                      "their zipf weights overflow\n"),
         ("cache", "size_bytes", "3000",
          "[cache] size_bytes must be a positive power of two, got 3000\n"),
         ("workload", "events", "-5", "[workload] events must be >= 0\n"),
@@ -154,6 +158,9 @@ class TestBuildConfig:
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--beta", "-1", "error: override beta must be >= 0"),
+        ("--beta", "nan", "error: override beta must be >= 0\n"),
+        ("--zipf-s", "nan", "error: override zipf_s must be >= 0\n"),
+        ("--zipf-s", "600", "error: override zipf_s is too large for 4 pages"),
         ("--events", "-5", "error: override events must be >= 0"),
         ("--lambda", "99", "error: override lambda must lie in [1, 2] for 4 colors"),
     ])

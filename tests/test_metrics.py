@@ -5,8 +5,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nvwear import (CacheState, ConfigError, EnergyConstants, RunStats,
-                    block_write_sd, energy_joules, mpki, relative_lifetime)
+from nvwear import (CacheState, ConfigError, RunStats, block_write_sd,
+                    energy_joules, mpki, relative_lifetime)
 from nvwear.metrics import population_sd
 
 from helpers import seeded, small_cfg
@@ -49,8 +49,6 @@ class TestEnergy:
             assert energy_joules(bumped, frequency_hz=FREQ) >= e0
 
     def test_constants_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            EnergyConstants(read_energy_j=0.0)
         with pytest.raises(ConfigError):
             energy_joules(RunStats(), frequency_hz=0)
 

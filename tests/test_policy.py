@@ -302,6 +302,8 @@ class TestValidation:
         with pytest.raises(ConfigError):
             PolicyState(4, beta=-1)
         with pytest.raises(ConfigError):
+            PolicyState(4, beta=float("nan"))
+        with pytest.raises(ConfigError):
             PolicyState(4, k_writes=0)
 
     def test_build_policy_kinds(self):
@@ -310,3 +312,8 @@ class TestValidation:
         assert isinstance(build_policy("xor", 4), XorRemapPolicy)
         with pytest.raises(ConfigError):
             build_policy("rotate", 4)
+
+    def test_xor_needs_a_power_of_two_color_count(self):
+        with pytest.raises(ConfigError, match="power-of-two"):
+            build_policy("xor", 6)
+        assert isinstance(build_policy("swl", 6), SwapWearPolicy)

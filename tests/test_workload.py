@@ -391,6 +391,8 @@ class TestSpecValidation:
         dict(page_size_bytes=1000),
         dict(block_size_bytes=8192, page_size_bytes=4096),
         dict(page_count=1 << 40),
+        dict(zipf_exponent=float("nan")),
+        dict(zipf_exponent=400.0),  # 256 ** 400 overflows a float
     ])
     def test_rejects_bad_specs(self, kwargs):
         with pytest.raises(ConfigError):
