@@ -11,13 +11,13 @@ from .experiment import (ExperimentConfig, build_config, compare_experiments,
 from .metrics import (RunStats, block_write_sd, energy_joules, mpki,
                       relative_lifetime)
 from .policy import (PolicyState, StaticPolicy, SwapWearPolicy, XorRemapPolicy,
-                     build_policy, stddev_writes)
+                     build_policy)
 from .reference import ReferenceSimulator
 from .workload import GeneratorSpec, TraceEvent, generate, read_trace, write_trace
 
 __version__ = "0.1.0"
 
-# what callers construct or call; result types (RunResult, Comparison, ...)
+# what callers construct or call; result types (Comparison, ...)
 # stay reachable from their own modules
 __all__ = [
     "CacheConfig", "CacheState", "ConfigError", "ExperimentConfig",
@@ -26,5 +26,5 @@ __all__ = [
     "TraceFormatError", "XorRemapPolicy", "block_write_sd", "build_config",
     "build_policy", "compare_experiments", "decompose_address", "energy_joules",
     "generate", "mpki", "read_trace", "relative_lifetime", "run_experiment",
-    "stddev_writes", "write_trace",
+    "write_trace",
 ]

@@ -60,11 +60,11 @@ class CacheConfig:
         assert self.num_sets == self.num_colors * self.sets_per_color
 
 
-@dataclass(frozen=True, slots=True)
+# eq=False: callers tell the shared outcomes apart by identity, and two hold equal values
+@dataclass(frozen=True, slots=True, eq=False)
 class AccessOutcome:
     hit: bool
     evicted_dirty: bool
-    latency: int
 
 
 def decompose_address(addr, cfg, mapping):
@@ -110,14 +110,9 @@ class CacheState:
         self._tags = [[] for _ in range(n)]
         self._dirty = [0] * n
         self.write_counts = [[0] * a for _ in range(n)]
-        # every access returns one of these, so a caller can tell them apart
-        # by identity: read hit, write hit, clean miss, dirty miss. A miss
-        # pays the round trip plus the fill write.
-        miss = cfg.miss_penalty + cfg.hit_write_latency
-        self.outcomes = (AccessOutcome(True, False, cfg.hit_read_latency),
-                         AccessOutcome(True, False, cfg.hit_write_latency),
-                         AccessOutcome(False, False, miss),
-                         AccessOutcome(False, True, miss))
+        # every access returns one of these: read hit, write hit, clean, dirty miss
+        self.outcomes = (AccessOutcome(True, False), AccessOutcome(True, False),
+                         AccessOutcome(False, False), AccessOutcome(False, True))
 
     def access(self, set_index, tag, is_write) -> AccessOutcome:
         """One demand access. Hits promote to MRU; misses fill and may evict."""

@@ -1,7 +1,8 @@
 """Command-line front end: run, compare, gen-trace, and selftest.
 
 Diagnostics go to stderr at the level named by the NVWEAR_LOG environment
-variable; ``run`` and ``compare`` put their reports in files only.
+variable (debug, info, warning, error or critical, in any case; warning when
+unset); ``run`` and ``compare`` put their reports in files only.
 """
 
 import argparse
@@ -137,6 +138,9 @@ def _selftest_case(rng, case_index, ops):
 
 
 def _cmd_selftest(args):
+    for flag, value in (("--cases", args.cases), ("--ops", args.ops)):
+        if value < 1:
+            raise ConfigError(f"selftest {flag} must be >= 1, got {value}")
     rng = random.Random(args.seed)
     for case_index in range(args.cases):
         failure = _selftest_case(rng, case_index, args.ops)
@@ -148,15 +152,20 @@ def _cmd_selftest(args):
     return 0
 
 
+_LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
+
+
 def main(argv=None):
-    level_name = os.environ.get("NVWEAR_LOG", "WARNING").upper()
-    logging.basicConfig(stream=sys.stderr,
-                        level=getattr(logging, level_name, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
     handlers = {"run": _cmd_run, "compare": _cmd_compare,
                 "gen-trace": _cmd_gen_trace, "selftest": _cmd_selftest}
     try:
+        level = os.environ.get("NVWEAR_LOG", "warning")
+        if level.lower() not in _LOG_LEVELS:
+            raise ConfigError(f"NVWEAR_LOG: {level!r} is not one of "
+                              f"{'|'.join(_LOG_LEVELS)}")
+        logging.basicConfig(stream=sys.stderr, level=level.upper(),
+                            format="%(levelname)s %(name)s: %(message)s")
         return handlers[args.command](args)
     # ConfigError and TraceFormatError are ValueErrors
     except (ValueError, OSError) as exc:

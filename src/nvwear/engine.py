@@ -1,7 +1,6 @@
 """Simulation loop tying workload, cache, mapping, and policy together."""
 
 import logging
-from dataclasses import dataclass, field
 
 from .cache import CacheState
 # run() splits addresses inline and no longer calls this, but
@@ -14,22 +13,13 @@ from .metrics import RunStats, block_write_sd
 log = logging.getLogger("nvwear.engine")
 
 
-@dataclass
-class RunResult:
-    stats: RunStats
-    decisions: list = field(default_factory=list)  # policy.RemapDecision
-    mapping_audit: list = field(default_factory=list)  # (interval, region, color)
-    mapping: MappingTable | None = None
-
-
-def _cycles(icount, read_hits, write_hits, misses, outcomes):
+def _cycles(icount, read_hits, write_hits, misses, cfg):
     """The timing model: the instructions executed so far (icounts never
     decrease, so the gaps between accesses sum to the latest icount) plus the
-    latency of every access, summed by outcome (``CacheState.outcomes`` order;
-    both misses cost the same)."""
-    read_hit, write_hit, miss = outcomes[:3]
-    return (icount + read_hits * read_hit.latency + write_hits * write_hit.latency
-            + misses * miss.latency)
+    latency of every access. A miss pays the memory round trip plus the fill
+    write."""
+    return (icount + read_hits * cfg.hit_read_latency + write_hits * cfg.hit_write_latency
+            + misses * (cfg.miss_penalty + cfg.hit_write_latency))
 
 
 class Simulator:
@@ -46,7 +36,8 @@ class Simulator:
 
     ``run`` may be called repeatedly: each call resumes where the last one
     stopped, so a stream fed in pieces gives the same result as one call.
-    ``result()`` closes the run and summarises it.
+    ``result()`` closes the run and returns its statistics; its decision log
+    and mapping audit are ``decisions`` and ``mapping_audit``.
     """
 
     def __init__(self, cfg, policy, count_fills=True):
@@ -79,8 +70,7 @@ class Simulator:
         # bound once per call, so instrumentation must patch them before run()
         access = cache.access
         poll = policy.poll
-        outcomes = cache.outcomes
-        read_hit, write_hit, _, dirty_miss = outcomes
+        read_hit, write_hit, _, dirty_miss = cache.outcomes
         # The write window: each counted write goes to its color's window and
         # lifetime count, as observe_write would, and the policy is polled only
         # at the K-th; close_window empties the same list. A policy without a
@@ -128,7 +118,7 @@ class Simulator:
                 continue
             policy.writes_since_check = counted
             cycles = _cycles(icount, read_hits, write_hits, read_misses + write_misses,
-                             outcomes)
+                             cfg)
             decision = poll(cycles)
             counted = policy.writes_since_check  # the poll restarts the count
             if decision is None:
@@ -148,22 +138,20 @@ class Simulator:
         self._counters = (last_icount, read_hits, write_hits, read_misses,
                           write_misses, writebacks)
 
-    def result(self) -> RunResult:
-        """Statistics, decision log and mapping audit of everything run so far."""
+    def result(self) -> RunStats:
+        """Statistics of everything run so far."""
         cache = self.cache
         (last_icount, read_hits, write_hits, read_misses, write_misses,
          writebacks) = self._counters
         misses = read_misses + write_misses
         # every miss fills; a read fill programs the block only when fills count
         block_writes = write_hits + write_misses + read_misses * cache.count_fills
-        stats = RunStats(
+        return RunStats(
             reads=read_hits + read_misses, writes=write_hits + write_misses,
             misses=misses, fills=misses, write_hits=write_hits,
             block_write_events=block_writes, writebacks=writebacks,
             flush_writebacks=sum(d.writebacks for d in self.decisions),
-            cycles=_cycles(last_icount, read_hits, write_hits, misses, cache.outcomes),
+            cycles=_cycles(last_icount, read_hits, write_hits, misses, self.cfg),
             instructions=last_icount, max_block_writes=cache.max_block_writes(),
             block_write_sd=block_write_sd(cache),
             remap_runs=sum(d.ran for d in self.decisions))
-        return RunResult(stats=stats, decisions=self.decisions,
-                         mapping_audit=self.mapping_audit, mapping=self.mapping)

@@ -188,12 +188,13 @@ def _read_ini(path):
 
 def build_config(path=None, overrides=None, policy=True) -> ExperimentConfig:
     """Assemble an ExperimentConfig from an optional INI file plus overrides
-    keyed by the settings' override keys (a value of None is not given). A
-    setting given neither way keeps its dataclass default; an empty value or
-    an undeclared override key is an error. An error about one setting's
-    value names the file key or the override key that gave it. The policy
-    is built, which range-checks its settings, only if ``policy`` is true:
-    gen-trace runs none."""
+    keyed by the settings' override keys (a value of None is not given; any
+    other value is parsed from its ``str``, as file text is). A setting given
+    neither way keeps its dataclass default; an empty value or an undeclared
+    override key is an error. An error about one setting's value names the
+    file key or the override key that gave it. The policy is built, which
+    range-checks its settings, only if ``policy`` is true: gen-trace runs
+    none."""
     sections = _read_ini(path) if path else {}
     overrides = overrides or {}
     unknown = set(overrides) - {row[2] for row in _SETTINGS}
@@ -210,7 +211,8 @@ def build_config(path=None, overrides=None, policy=True) -> ExperimentConfig:
         if value is None:
             continue
         sources[name] = source
-        if isinstance(value, str) and not value.strip():
+        value = str(value)
+        if not value.strip():
             raise ConfigError(f"{source}: empty value")
         try:
             given[target][name] = parse(value)
@@ -263,13 +265,13 @@ def _run_all(cfgs):
         for sim in sims:
             sim.run(chunk)
     reports = []
-    for c, result in zip(cfgs, (sim.result() for sim in sims)):
-        s = result.stats
+    for c, sim in zip(cfgs, sims):
+        s = sim.result()
         reports.append(ExperimentReport(
             policy=c.policy_kind, workload=label, seed=seed, stats=s,
             energy_j=energy_joules(s, c.cache.core_frequency_hz),
-            mpki_value=mpki(s.misses, s.instructions), decisions=result.decisions,
-            mapping_audit=result.mapping_audit, config=c))
+            mpki_value=mpki(s.misses, s.instructions), decisions=sim.decisions,
+            mapping_audit=sim.mapping_audit, config=c))
     return reports
 
 

@@ -19,11 +19,6 @@ DEFAULT_K_WRITES = 100_000
 DEFAULT_MIN_GAP_CYCLES = 3_000_000
 
 
-def stddev_writes(values):
-    """Population standard deviation of per-color write counts."""
-    return population_sd((values,))
-
-
 def default_swap_limit(num_colors):
     """The pair budget when none is configured: a quarter of the colors, >= 1."""
     return max(1, num_colors // 4)
@@ -127,7 +122,7 @@ class PolicyState:
         last = self.n_write_last_interval[:]
         self.n_write_last_interval[:] = [0] * self.num_colors
         avg = sum(last) / self.num_colors
-        return last, stddev_writes(last), sum(1 for v in last if v > avg)
+        return last, population_sd((last,)), sum(1 for v in last if v > avg)
 
     def plan_remap(self) -> RemapDecision:
         """Decide which color pairs to swap for this interval.

@@ -98,15 +98,15 @@ class TestAccess:
         assert cache.write_counts[3][0] == 2  # fill + write hit
 
     def test_latencies(self):
-        cfg = small_cfg()
-        cache = CacheState(cfg)
-        miss = cache.access(0, 1, False)
-        read_hit = cache.access(0, 1, False)
-        write_hit = cache.access(0, 1, True)
-        assert miss.latency == cfg.miss_penalty + cfg.hit_write_latency
-        assert read_hit.latency == cfg.hit_read_latency
-        assert write_hit.latency == cfg.hit_write_latency
-        assert write_hit.latency - read_hit.latency == 10
+        # the engine prices each access by which shared outcome it returns;
+        # TestCycleAccounting in test_engine.py checks the latency values
+        cache = CacheState(small_cfg(assoc=1))
+        read_hit, write_hit, clean_miss, dirty_miss = cache.outcomes
+        assert cache.access(0, 1, False) is clean_miss
+        assert cache.access(0, 1, False) is read_hit
+        assert cache.access(0, 1, True) is write_hit
+        assert cache.access(0, 2, False) is dirty_miss
+        assert read_hit is not write_hit
 
     def test_outcomes_are_immutable(self):
         cache = CacheState(small_cfg(assoc=1))

@@ -128,6 +128,14 @@ class TestBuildConfig:
         assert "error: override out: empty value" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("key,value", [("events", 1.5), ("k", 2.9), ("pages", True),
+                                           ("seed", 3.7)])
+    def test_override_value_is_parsed_from_its_text(self, key, value):
+        # int(1.5) would be 1; the text "1.5" is not an int
+        with pytest.raises(ConfigError,
+                           match=rf"^override {key}: invalid literal for int\(\)"):
+            build_config(None, {key: value})
+
     def test_unknown_override_key_rejected(self):
         with pytest.raises(ConfigError, match="lamda"):
             build_config(None, {"lamda": 2})
@@ -623,3 +631,26 @@ class TestSelftest:
         assert main(["selftest", "--cases", "10", "--ops", "200",
                      "--seed", "1"]) == 0
         assert "selftest passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag,value", [("--cases", "-1"), ("--cases", "0"),
+                                            ("--ops", "0")])
+    def test_compares_at_least_one_op_of_one_case(self, capsys, flag, value):
+        assert main(["selftest", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: selftest {flag} must be >= 1, got {value}\n"
+        assert captured.out == ""
+
+
+class TestLogLevel:
+    @pytest.mark.parametrize("value", ["debug", "Info", "WARNING", "cRiTiCaL"])
+    def test_level_words_in_any_case(self, monkeypatch, value):
+        monkeypatch.setenv("NVWEAR_LOG", value)
+        assert main(["selftest", "--cases", "1", "--ops", "1"]) == 0
+
+    @pytest.mark.parametrize("value", ["debgu", "BASIC_FORMAT"])
+    def test_any_other_value_exits_2(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("NVWEAR_LOG", value)
+        assert main(["selftest", "--cases", "1", "--ops", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: NVWEAR_LOG: {value!r} is not one of "
+            "debug|info|warning|error|critical\n")

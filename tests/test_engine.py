@@ -17,35 +17,35 @@ def run_sim(cfg, events, policy_kind="static", count_fills=True, **policy_kw):
     policy = build_policy(policy_kind, cfg.num_colors, **policy_kw)
     sim = Simulator(cfg, policy, count_fills=count_fills)
     sim.run(events)
-    return sim.result()
+    return sim, sim.result()
 
 
 class TestCycleAccounting:
     def test_no_events_no_cycles(self):
-        result = run_sim(small_cfg(), [])
-        assert result.stats.cycles == 0
-        assert result.stats.instructions == 0
+        _, stats = run_sim(small_cfg(), [])
+        assert stats.cycles == 0
+        assert stats.instructions == 0
 
     def test_hand_summed_trace(self):
         # W a @5: 5 instr + (160 + 12); R a @10: 5 instr + 2 read hit
         cfg = small_cfg()
         events = [TraceEvent(True, 0, 5), TraceEvent(False, 0, 10)]
-        result = run_sim(cfg, events)
-        assert result.stats.cycles == 5 + 172 + 5 + 2 == 184
-        assert result.stats.instructions == 10
+        _, stats = run_sim(cfg, events)
+        assert stats.cycles == 5 + 172 + 5 + 2 == 184
+        assert stats.instructions == 10
 
     def test_write_hit_costs_ten_more_than_read_hit(self):
         cfg = small_cfg()
         warm = [TraceEvent(True, 0, 5)]
-        read = run_sim(cfg, warm + [TraceEvent(False, 0, 10)])
-        write = run_sim(cfg, warm + [TraceEvent(True, 0, 10)])
-        assert write.stats.cycles - read.stats.cycles == 10
+        _, read = run_sim(cfg, warm + [TraceEvent(False, 0, 10)])
+        _, write = run_sim(cfg, warm + [TraceEvent(True, 0, 10)])
+        assert write.cycles - read.cycles == 10
 
     def test_read_hit_plus_gap_is_seven_cycles(self):
         cfg = small_cfg()
-        baseline = run_sim(cfg, [TraceEvent(True, 0, 5)]).stats.cycles
+        baseline = run_sim(cfg, [TraceEvent(True, 0, 5)])[1].cycles
         total = run_sim(cfg, [TraceEvent(True, 0, 5),
-                              TraceEvent(False, 0, 10)]).stats.cycles
+                              TraceEvent(False, 0, 10)])[1].cycles
         assert total - baseline == 7
 
     @pytest.mark.parametrize("kind", ["static", "swl"])
@@ -75,8 +75,7 @@ class TestStatsBookkeeping:
     def test_demand_counts_split(self):
         cfg = small_cfg()
         events = self._events()
-        result = run_sim(cfg, events)
-        s = result.stats
+        _, s = run_sim(cfg, events)
         assert s.reads + s.writes == len(events)
         assert s.misses == s.fills
         assert s.misses <= s.reads + s.writes
@@ -86,26 +85,26 @@ class TestStatsBookkeeping:
         cfg = small_cfg(colors=4, sets_per_color=4, assoc=2)
         events = self._events(8000)
         kw = dict(k_writes=500, min_gap_cycles=0)
-        static = run_sim(cfg, events).stats
-        swl = run_sim(cfg, events, "swl", beta=0.0, **kw).stats
-        xor = run_sim(cfg, events, "xor", **kw).stats
+        _, static = run_sim(cfg, events)
+        _, swl = run_sim(cfg, events, "swl", beta=0.0, **kw)
+        _, xor = run_sim(cfg, events, "xor", **kw)
         assert static.reads == swl.reads == xor.reads
         assert static.writes == swl.writes == xor.writes
         assert swl.flush_writebacks > 0 or swl.remap_runs == 0
 
     def test_static_never_flushes_or_remaps(self):
         cfg = small_cfg()
-        result = run_sim(cfg, self._events())
-        assert result.stats.flush_writebacks == 0
-        assert result.stats.remap_runs == 0
-        assert result.decisions == []
-        assert result.mapping.color_of == list(range(cfg.num_colors))
+        sim, stats = run_sim(cfg, self._events())
+        assert stats.flush_writebacks == 0
+        assert stats.remap_runs == 0
+        assert sim.decisions == []
+        assert sim.mapping.color_of == list(range(cfg.num_colors))
 
     def test_count_fills_off_shrinks_write_counts(self):
         cfg = small_cfg()
         events = self._events()
-        on = run_sim(cfg, events, count_fills=True).stats
-        off = run_sim(cfg, events, count_fills=False).stats
+        _, on = run_sim(cfg, events, count_fills=True)
+        _, off = run_sim(cfg, events, count_fills=False)
         assert off.block_write_events < on.block_write_events
         assert off.max_block_writes <= on.max_block_writes
 
@@ -117,12 +116,12 @@ class TestPolicyIntegration:
                              write_fraction=1.0, page_count=8,
                              page_size_bytes=cfg.page_size_bytes,
                              block_size_bytes=cfg.block_size_bytes)
-        result = run_sim(cfg, generate(spec), "swl", k_writes=400,
-                         min_gap_cycles=0)
-        assert len(result.decisions) > 10
-        assert all(d.n_color_to_swap == 0 for d in result.decisions)
-        assert all(d.sdw == 0.0 for d in result.decisions)
-        assert result.stats.remap_runs == 0
+        sim, stats = run_sim(cfg, generate(spec), "swl", k_writes=400,
+                             min_gap_cycles=0)
+        assert len(sim.decisions) > 10
+        assert all(d.n_color_to_swap == 0 for d in sim.decisions)
+        assert all(d.sdw == 0.0 for d in sim.decisions)
+        assert stats.remap_runs == 0
 
     def test_hotset_swl_beats_static(self):
         cfg = small_cfg(colors=4, sets_per_color=4, assoc=2)
@@ -131,9 +130,9 @@ class TestPolicyIntegration:
                              hotset_probability=0.9, page_count=4, seed=6,
                              page_size_bytes=cfg.page_size_bytes,
                              block_size_bytes=cfg.block_size_bytes)
-        static = run_sim(cfg, generate(spec)).stats
-        swl = run_sim(cfg, generate(spec), "swl", k_writes=1000,
-                      min_gap_cycles=1000, swap_limit=1).stats
+        _, static = run_sim(cfg, generate(spec))
+        _, swl = run_sim(cfg, generate(spec), "swl", k_writes=1000,
+                         min_gap_cycles=1000, swap_limit=1)
         assert swl.remap_runs > 0
         assert swl.max_block_writes < static.max_block_writes
 
@@ -172,17 +171,17 @@ class TestPolicyIntegration:
                              page_count=4, seed=2,
                              page_size_bytes=cfg.page_size_bytes,
                              block_size_bytes=cfg.block_size_bytes)
-        result = run_sim(cfg, generate(spec), "swl", k_writes=1000,
+        sim, _ = run_sim(cfg, generate(spec), "swl", k_writes=1000,
                          min_gap_cycles=0, swap_limit=1)
-        remap_intervals = {d.interval for d in result.decisions
+        remap_intervals = {d.interval for d in sim.decisions
                            if d.n_color_to_swap > 0 and
                            any(c1 != c2 for c1, c2 in d.swaps)}
-        audit_intervals = {row[0] for row in result.mapping_audit} - {0}
+        audit_intervals = {row[0] for row in sim.mapping_audit} - {0}
         assert audit_intervals.issuperset(remap_intervals)
         # audit rows for interval 0 describe the identity mapping
-        initial = [(r, c) for i, r, c in result.mapping_audit if i == 0]
+        initial = [(r, c) for i, r, c in sim.mapping_audit if i == 0]
         assert initial == [(r, r) for r in range(cfg.num_colors)]
-        assert result.mapping.is_consistent()
+        assert sim.mapping.is_consistent()
 
     def test_xor_policy_flushes_whole_cache(self):
         cfg = small_cfg(colors=4, sets_per_color=4, assoc=2)
@@ -190,12 +189,12 @@ class TestPolicyIntegration:
                              write_fraction=1.0, page_count=8, seed=5,
                              page_size_bytes=cfg.page_size_bytes,
                              block_size_bytes=cfg.block_size_bytes)
-        result = run_sim(cfg, generate(spec), "xor", k_writes=2000,
-                         min_gap_cycles=0)
-        assert result.stats.remap_runs == len(result.decisions) > 0
-        assert result.stats.flush_writebacks > 0
+        sim, stats = run_sim(cfg, generate(spec), "xor", k_writes=2000,
+                             min_gap_cycles=0)
+        assert stats.remap_runs == len(sim.decisions) > 0
+        assert stats.flush_writebacks > 0
         assert all(d.n_color_to_swap == cfg.num_colors // 2
-                   for d in result.decisions)
+                   for d in sim.decisions)
 
     def test_trigger_respects_cycle_gap(self):
         cfg = small_cfg(colors=4, sets_per_color=4, assoc=2)
@@ -205,9 +204,9 @@ class TestPolicyIntegration:
                              page_size_bytes=cfg.page_size_bytes,
                              block_size_bytes=cfg.block_size_bytes)
         gap = 50_000
-        result = run_sim(cfg, generate(spec), "swl", k_writes=100,
+        sim, _ = run_sim(cfg, generate(spec), "swl", k_writes=100,
                          min_gap_cycles=gap)
-        cycles = [d.cycle for d in result.decisions]
+        cycles = [d.cycle for d in sim.decisions]
         assert len(cycles) >= 2
         assert all(b - a >= gap for a, b in zip(cycles, cycles[1:]))
 
@@ -246,13 +245,12 @@ class TestPolicyContract:
         events = self._events()
         sim = Simulator(cfg, policy, count_fills=count_fills)
         sim.run(events)
-        result = sim.result()
-        s = result.stats
+        s = sim.result()
         assert 0 < s.write_hits < s.writes < len(events)  # a mixed stream
         assert s.block_write_events == (s.fills + s.write_hits if count_fills
                                         else s.writes)
         assert polled_at == list(range(50, s.block_write_events + 1, 50))
-        assert 0 < len(result.decisions) < len(polled_at)  # the gap defers some
+        assert 0 < len(sim.decisions) < len(polled_at)  # the gap defers some
 
     def test_static_run_never_polls(self):
         cfg = small_cfg()
@@ -262,7 +260,7 @@ class TestPolicyContract:
         policy.note_write = lambda color: calls.append("note_write")
         sim = Simulator(cfg, policy)
         sim.run(self._events())
-        assert sim.result().stats.block_write_events > 0
+        assert sim.result().block_write_events > 0
         assert calls == []
 
     @pytest.mark.parametrize("count_fills", [True, False])
@@ -276,9 +274,9 @@ class TestPolicyContract:
         sim = Simulator(cfg, policy, count_fills=count_fills)
         for lo in range(0, len(events), 1000):  # the count resumes across calls
             sim.run(events[lo:lo + 1000])
-        result = sim.result()
-        assert bool(result.decisions) == (min_gap == 0)
-        assert not any(d.ran for d in result.decisions)
+        stats = sim.result()
+        assert bool(sim.decisions) == (min_gap == 0)
+        assert not any(d.ran for d in sim.decisions)
         replay = build_policy("swl", cfg.num_colors, **kw)
         ref = ReferenceSimulator(cfg, count_fills=count_fills)
         for ev in events:
@@ -287,7 +285,7 @@ class TestPolicyContract:
             programmed = ev.is_write or (count_fills and not hit)
             if programmed and replay.observe_write(set_index // cfg.sets_per_color):
                 replay.poll(0)
-        assert sum(replay.n_write_global) == result.stats.block_write_events
+        assert sum(replay.n_write_global) == stats.block_write_events
         for name in ("n_write_last_interval", "n_write_global", "writes_since_check"):
             assert getattr(policy, name) == getattr(replay, name)
 
@@ -298,9 +296,9 @@ class TestDeterminismAndOracle:
         spec = GeneratorSpec(kind="zipf", num_events=15_000, page_count=16,
                              seed=12, page_size_bytes=cfg.page_size_bytes,
                              block_size_bytes=cfg.block_size_bytes)
-        a = run_sim(cfg, generate(spec), "swl", k_writes=500, min_gap_cycles=0)
-        b = run_sim(cfg, generate(spec), "swl", k_writes=500, min_gap_cycles=0)
-        assert a.stats == b.stats
+        a, a_stats = run_sim(cfg, generate(spec), "swl", k_writes=500, min_gap_cycles=0)
+        b, b_stats = run_sim(cfg, generate(spec), "swl", k_writes=500, min_gap_cycles=0)
+        assert a_stats == b_stats
         assert a.decisions == b.decisions
         assert a.mapping.color_of == b.mapping.color_of
 
@@ -309,16 +307,16 @@ class TestDeterminismAndOracle:
         spec = GeneratorSpec(kind="uniform", num_events=10_000, page_count=16,
                              seed=21, page_size_bytes=cfg.page_size_bytes,
                              block_size_bytes=cfg.block_size_bytes)
-        result = run_sim(cfg, generate(spec))
+        _, stats = run_sim(cfg, generate(spec))
         ref = ReferenceSimulator(cfg)
         hits = 0
         for ev in generate(spec):
             hit, _ = ref.access_addr(ev.addr, ev.is_write)
             hits += hit
         total = spec.num_events
-        assert result.stats.misses == total - hits
-        assert result.stats.writebacks == ref.writebacks
-        assert result.stats.max_block_writes == ref.max_block_writes()
+        assert stats.misses == total - hits
+        assert stats.writebacks == ref.writebacks
+        assert stats.max_block_writes == ref.max_block_writes()
 
 
 class TestWholeRunAgainstReference:
@@ -350,15 +348,15 @@ class TestWholeRunAgainstReference:
                                      page_no * page + rng.randrange(page), icount))
         sim = Simulator(cfg, build_policy(kind, colors, **params), count_fills=count_fills)
         sim.run(events)
-        result = sim.result()
+        got = sim.result()
         stats, decisions, audit = reference_run(cfg, kind, params, events, count_fills)
-        assert dataclasses.asdict(result.stats) == {
+        assert dataclasses.asdict(got) == {
             **stats, "block_write_sd": pytest.approx(stats["block_write_sd"])}
         assert [(d.interval, d.cycle, d.ran, d.swaps, d.sdw, d.n_higher, d.writebacks)
-                for d in result.decisions] == [
+                for d in sim.decisions] == [
             (*head, pytest.approx(sdw), n_higher, writebacks)
             for *head, sdw, n_higher, writebacks in decisions]
-        assert result.mapping_audit == audit
+        assert sim.mapping_audit == audit
 
 
 class TestInlineSplitAgainstReference:
@@ -394,7 +392,7 @@ class TestInlineSplitAgainstReference:
                 for c1, c2 in decision.swaps:
                     ref.remap(c1, c2)
             logged = len(sim.decisions)
-        stats = sim.result().stats
+        stats = sim.result()
         if kind == "xor":
             assert any(d.swaps for d in sim.decisions)
         assert stats.misses == misses
@@ -411,11 +409,11 @@ def _run_split(cfg, events, splits, policy_kind, count_fills, **policy_kw):
     bounds = [0, *sorted(splits), len(events)]
     for lo, hi in zip(bounds, bounds[1:]):
         sim.run(events[lo:hi])
-    return sim.result()
+    return sim
 
 
 def _assert_same_run(a, b):
-    assert a.stats == b.stats
+    assert a.result() == b.result()
     # RemapDecision equality covers the engine's interval/cycle/writebacks stamps
     assert a.decisions == b.decisions
     assert a.mapping_audit == b.mapping_audit
