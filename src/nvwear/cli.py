@@ -164,8 +164,11 @@ def main(argv=None):
         if level.lower() not in _LOG_LEVELS:
             raise ConfigError(f"NVWEAR_LOG: {level!r} is not one of "
                               f"{'|'.join(_LOG_LEVELS)}")
-        logging.basicConfig(stream=sys.stderr, level=level.upper(),
+        # basicConfig is a no-op once the root logger has a handler, so the
+        # level is set on the package's logger, on every call
+        logging.basicConfig(stream=sys.stderr,
                             format="%(levelname)s %(name)s: %(message)s")
+        logging.getLogger("nvwear").setLevel(level.upper())
         return handlers[args.command](args)
     # ConfigError and TraceFormatError are ValueErrors
     except (ValueError, OSError) as exc:

@@ -4,7 +4,7 @@ import random
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from typing import NamedTuple
 
 from .errors import ConfigError, TraceFormatError
@@ -106,52 +106,26 @@ def _zipf_cdf(spec):
     return cdf
 
 
-def _page_picker(spec, rng):
-    """Page draw of one uniform or hotset event. Both inline ``randrange(n)``:
-    ``getrandbits(n.bit_length())`` until below n; same stream, no arg checks."""
-    p = spec.page_count
-    random_, getrandbits = rng.random, rng.getrandbits
-    if spec.kind == "hotset":
-        hot = max(1, round(spec.hotset_fraction * p))
-        if hot < p:
-            prob = spec.hotset_probability
-            cold = p - hot
-            k_hot, k_cold = hot.bit_length(), cold.bit_length()
-
-            def pick_hotset():
-                if random_() < prob:
-                    r = getrandbits(k_hot)
-                    while r >= hot:
-                        r = getrandbits(k_hot)
-                    return r
-                r = getrandbits(k_cold)
-                while r >= cold:
-                    r = getrandbits(k_cold)
-                return hot + r
-
-            return pick_hotset
-    k = p.bit_length()
-
-    def pick_uniform():
-        r = getrandbits(k)
-        while r >= p:
-            r = getrandbits(k)
-        return r
-
-    return pick_uniform
-
-
 def generate(spec: GeneratorSpec):
-    """Yield the deterministic event stream described by ``spec``."""
+    """Yield the deterministic event stream described by ``spec``.
+
+    Page and block draws inline ``randrange(n)``: ``getrandbits(n.bit_length())``
+    until below n; the same stream, without argument checks or a call frame.
+    """
     rng = random.Random(spec.seed)
     random_, getrandbits = rng.random, rng.getrandbits
     blocks_per_page = spec.page_size_bytes // spec.block_size_bytes
     k_block = blocks_per_page.bit_length()
-    # uniform and hotset call a picker; zipf draws inline, with no call frame
-    pick_page = (_page_picker(spec, rng) if spec.kind in ("uniform", "hotset")
-                 else None)
     zipf_cdf = _zipf_cdf(spec) if spec.kind == "zipf" else None
     page_count = spec.page_count
+    hot = cold = 0  # pages drawn flat, and the rest; zipf and roundrobin draw neither
+    if spec.kind == "uniform":
+        hot = page_count
+    elif spec.kind == "hotset":
+        hot = max(1, round(spec.hotset_fraction * page_count))
+        cold = page_count - hot  # 0 when the hot set covers every page: uniform
+    k_hot, k_cold = hot.bit_length(), cold.bit_length()
+    hot_probability = spec.hotset_probability
     page_size = spec.page_size_bytes
     block_size = spec.block_size_bytes
     write_fraction = spec.write_fraction
@@ -159,10 +133,18 @@ def generate(spec: GeneratorSpec):
     new = tuple.__new__  # builds a TraceEvent without its Python-level __new__
     for icount in range(step, step * spec.num_events + 1, step):
         is_write = random_() < write_fraction
-        if pick_page is not None:
-            page = pick_page()
-        elif zipf_cdf is not None:
+        if zipf_cdf is not None:
             page = bisect_right(zipf_cdf, random_())
+        elif hot:
+            if not cold or random_() < hot_probability:
+                page = getrandbits(k_hot)
+                while page >= hot:
+                    page = getrandbits(k_hot)
+            else:
+                page = getrandbits(k_cold)
+                while page >= cold:
+                    page = getrandbits(k_cold)
+                page += hot
         else:  # roundrobin: pages cycle fastest, no block draw
             i = icount // step - 1
             page, block = i % page_count, i // page_count % blocks_per_page
@@ -268,7 +250,12 @@ def _parse_lines(path, lines, lineno, last_icount):
 
 
 def write_trace(path, events):
-    """Write events in the text format ``read_trace`` accepts (LF endings)."""
+    """Write ``(is_write, addr, icount)`` events in the text format
+    ``read_trace`` accepts (LF endings), 1024 lines per write; if ``events``
+    raises, the file holds the lines of the batches already written."""
+    events = iter(events)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for ev in events:
-            fh.write(f"{'W' if ev.is_write else 'R'} 0x{ev.addr:x} {ev.icount}\n")
+        # hex(addr) is f"0x{addr:x}" for every addr >= 0
+        while text := "".join([f"{'W' if is_write else 'R'} {hex(addr)} {icount}\n"
+                               for is_write, addr, icount in islice(events, 1024)]):
+            fh.write(text)

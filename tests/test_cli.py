@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import logging
 import re
 import shlex
 from pathlib import Path
@@ -642,6 +643,14 @@ class TestSelftest:
 
 
 class TestLogLevel:
+    @pytest.fixture(autouse=True)
+    def restore_level(self):
+        """main sets the nvwear logger's level; put it back for later tests."""
+        logger = logging.getLogger("nvwear")
+        saved = logger.level
+        yield
+        logger.setLevel(saved)
+
     @pytest.mark.parametrize("value", ["debug", "Info", "WARNING", "cRiTiCaL"])
     def test_level_words_in_any_case(self, monkeypatch, value):
         monkeypatch.setenv("NVWEAR_LOG", value)
@@ -654,3 +663,9 @@ class TestLogLevel:
         assert capsys.readouterr().err == (
             f"error: NVWEAR_LOG: {value!r} is not one of "
             "debug|info|warning|error|critical\n")
+
+    def test_each_call_sets_the_level(self, monkeypatch):
+        for value, info in (("warning", False), ("info", True), ("warning", False)):
+            monkeypatch.setenv("NVWEAR_LOG", value)
+            assert main(["selftest", "--cases", "1", "--ops", "1"]) == 0
+            assert logging.getLogger("nvwear").isEnabledFor(logging.INFO) is info

@@ -3,13 +3,15 @@ import math
 import random
 import re
 from collections import Counter
+from itertools import cycle, islice
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nvwear import (ConfigError, GeneratorSpec, TraceEvent, TraceFormatError,
                     generate, read_trace, write_trace, workload)
-from nvwear.workload import MAX_ADDRESS, _page_picker
+from nvwear.cli import main
+from nvwear.workload import MAX_ADDRESS
 
 from oracles import read_trace_per_line
 
@@ -237,6 +239,47 @@ class TestRoundTrip:
         write_trace(path, [TraceEvent(True, 0x1F40, 100)])
         assert path.read_text() == "W 0x1f40 100\n"
 
+    # lengths around the writer's 1024-line batches; each event is drawn from
+    # a short pattern, cycled, with the icount stepping by the pattern's step
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.sampled_from([0, 1, 1023, 1024, 1025, 2049]),
+           pattern=st.lists(st.tuples(st.sampled_from([True, False, 0, 1]),
+                                      st.integers(0, MAX_ADDRESS), st.integers(0, 3)),
+                            min_size=1, max_size=8))
+    def test_batches_write_one_line_per_event(self, tmp_path, n, pattern):
+        events, icount = [], 0
+        for is_write, addr, step in islice(cycle(pattern), n):
+            icount += step
+            events.append((is_write, addr, icount))
+        expected = "".join(f"{'W' if is_write else 'R'} 0x{addr:x} {icount}\n"
+                           for is_write, addr, icount in events).encode()
+        path = tmp_path / "t.trace"
+        write_trace(path, events)
+        assert path.read_bytes() == expected
+        assert list(read_trace(path)) == [TraceEvent(bool(w), a, i) for w, a, i in events]
+        write_trace(path, (TraceEvent(*ev) for ev in events))
+        assert path.read_bytes() == expected
+
+    def test_stream_that_raises_leaves_the_written_batches(self, tmp_path):
+        def events():
+            for i in range(1500):
+                yield True, 64 * i, i
+            raise RuntimeError("stream failed")
+
+        path = tmp_path / "t.trace"
+        with pytest.raises(RuntimeError, match="stream failed"):
+            write_trace(path, events())
+        assert path.read_text().splitlines() == [f"W 0x{64 * i:x} {i}" for i in range(1024)]
+
+    def test_gen_trace_bytes_are_pinned(self, tmp_path):
+        # digest of the file as the one-write-per-line writer made it
+        path = tmp_path / "u.trace"
+        assert main(["gen-trace", str(path), "--kind", "uniform", "--events", "5000",
+                     "--seed", "5"]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "d37b408597d88cdded1b7b9a947a6ea7a286813d78facd6a17236b35af008873")
+
 
 class TestGenerate:
     def test_same_seed_same_stream(self):
@@ -359,13 +402,6 @@ class TestStreamPinning:
         for ev in generate(spec):
             digest.update(f"{int(ev.is_write)} {ev.addr} {ev.icount}\n".encode())
         assert digest.hexdigest() == PINNED_STREAMS[name, seed]
-
-    @given(n=SIZES, seed=SEEDS)
-    def test_uniform_draws_equal_randrange(self, n, seed):
-        pick = _page_picker(GeneratorSpec(kind="uniform", page_count=n),
-                            random.Random(seed))
-        ref = random.Random(seed)
-        assert [pick() for _ in range(20)] == [ref.randrange(n) for _ in range(20)]
 
     @given(kind=st.sampled_from(["uniform", "hotset"]), n=SIZES, seed=SEEDS,
            block_shift=st.integers(0, 6),
