@@ -5,10 +5,6 @@ from dataclasses import dataclass, field
 from .errors import ConfigError
 
 
-def _is_pow2(v):
-    return v > 0 and (v & (v - 1)) == 0
-
-
 @dataclass(frozen=True)
 class CacheConfig:
     """Geometry and timing of the simulated last-level cache.
@@ -36,9 +32,9 @@ class CacheConfig:
     def __post_init__(self):
         for name in ("cache_size_bytes", "associativity", "block_size_bytes",
                      "page_size_bytes"):
-            if not _is_pow2(getattr(self, name)):
-                raise ConfigError(
-                    f"must be a positive power of two, got {getattr(self, name)}", name)
+            v = getattr(self, name)
+            if v < 1 or v & (v - 1):
+                raise ConfigError(f"must be a positive power of two, got {v}", name)
         if not self.block_size_bytes <= self.page_size_bytes <= self.cache_size_bytes:
             raise ConfigError("need block_size_bytes <= page_size_bytes <= cache_size_bytes")
         for name in ("hit_read_latency", "hit_write_latency", "miss_penalty"):
@@ -105,7 +101,6 @@ class CacheState:
         self.cfg = cfg
         self.count_fills = count_fills
         n, a = cfg.num_sets, cfg.associativity
-        self._assoc = a
         self._lru = [[] for _ in range(n)]
         self._tags = [[] for _ in range(n)]
         self._dirty = [0] * n
@@ -129,7 +124,7 @@ class CacheState:
             return self.outcomes[0]
 
         tags = self._tags[set_index]
-        if len(tags) < self._assoc:  # fill the lowest invalid way
+        if len(tags) < self.cfg.associativity:  # fill the lowest invalid way
             way = len(tags)
             tags.append(tag)
             evicted_dirty = 0

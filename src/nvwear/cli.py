@@ -100,7 +100,9 @@ def _cmd_compare(args):
 def _cmd_gen_trace(args):
     cfg = build_config(args.config, _settings(args), policy=False)
     if cfg.workload is None:
-        raise ConfigError("gen-trace needs a generator workload, not a trace")
+        # gen-trace has no --trace flag, so the trace came from the file
+        raise ConfigError(f"{args.config}: [workload] trace is set, but gen-trace "
+                          "needs a generator workload")
     directory = os.path.dirname(os.path.abspath(args.path))
     os.makedirs(directory, exist_ok=True)
     write_trace(args.path, generate(cfg.workload))

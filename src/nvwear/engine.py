@@ -53,24 +53,21 @@ class Simulator:
     def run(self, events):
         """Replay events, continuing from the previous call."""
         cfg = self.cfg
-        cache = self.cache
-        mapping = self.mapping
         policy = self.policy
         sets_per_color = cfg.sets_per_color
-        count_fills = cache.count_fills
+        count_fills = self.cache.count_fills
         # decompose_address with shifts and masks: every geometry field is a
         # power of two. MappingTable.swap edits color_of in place, so it stays
         # the live table for the whole call.
-        color_of = mapping.color_of
+        color_of = self.mapping.color_of
         block_shift = cfg.block_size_bytes.bit_length() - 1
         page_shift = cfg.page_size_bytes.bit_length() - 1
         tag_shift = page_shift + cfg.num_colors.bit_length() - 1
         color_mask = cfg.num_colors - 1
         set_mask = sets_per_color - 1
-        # bound once per call, so instrumentation must patch them before run()
-        access = cache.access
-        poll = policy.poll
-        read_hit, write_hit, _, dirty_miss = cache.outcomes
+        # bound once per call, so instrumentation must patch it before run()
+        access = self.cache.access
+        read_hit, write_hit, _, dirty_miss = self.cache.outcomes
         # The write window: each counted write goes to its color's window and
         # lifetime count, as observe_write would, and the policy is polled only
         # at the K-th; close_window empties the same list. A policy without a
@@ -80,8 +77,6 @@ class Simulator:
             lifetime = policy.n_write_global
             k_writes = policy.k_writes
             counted = policy.writes_since_check
-        decisions = self.decisions
-        audit = self.mapping_audit
         # the access latencies are added to the icount from the outcome counts
         # (_cycles) when a cycle is needed
         (last_icount, read_hits, write_hits, read_misses, write_misses,
@@ -119,17 +114,17 @@ class Simulator:
             policy.writes_since_check = counted
             cycles = _cycles(icount, read_hits, write_hits, read_misses + write_misses,
                              cfg)
-            decision = poll(cycles)
+            decision = policy.poll(cycles)
             counted = policy.writes_since_check  # the poll restarts the count
             if decision is None:
                 continue
-            decision.interval = len(decisions) + 1
+            decision.interval = len(self.decisions) + 1
             decision.cycle = cycles
-            decision.writebacks = mapping.apply_remap(cache, decision.swaps)
+            decision.writebacks = self.mapping.apply_remap(self.cache, decision.swaps)
             if decision.swaps:  # a decision with swaps has run
-                audit.extend((decision.interval, region, color)
-                             for region, color in enumerate(mapping.color_of))
-            decisions.append(decision)
+                self.mapping_audit.extend((decision.interval, region, color)
+                                          for region, color in enumerate(color_of))
+            self.decisions.append(decision)
             log.debug("interval %d @%d cycles: sdw=%.3f swaps=%s writebacks=%d",
                       decision.interval, cycles, decision.sdw, decision.swaps,
                       decision.writebacks)
@@ -140,18 +135,17 @@ class Simulator:
 
     def result(self) -> RunStats:
         """Statistics of everything run so far."""
-        cache = self.cache
         (last_icount, read_hits, write_hits, read_misses, write_misses,
          writebacks) = self._counters
         misses = read_misses + write_misses
         # every miss fills; a read fill programs the block only when fills count
-        block_writes = write_hits + write_misses + read_misses * cache.count_fills
+        block_writes = write_hits + write_misses + read_misses * self.cache.count_fills
         return RunStats(
             reads=read_hits + read_misses, writes=write_hits + write_misses,
             misses=misses, fills=misses, write_hits=write_hits,
             block_write_events=block_writes, writebacks=writebacks,
             flush_writebacks=sum(d.writebacks for d in self.decisions),
             cycles=_cycles(last_icount, read_hits, write_hits, misses, self.cfg),
-            instructions=last_icount, max_block_writes=cache.max_block_writes(),
-            block_write_sd=block_write_sd(cache),
+            instructions=last_icount, max_block_writes=self.cache.max_block_writes(),
+            block_write_sd=block_write_sd(self.cache),
             remap_runs=sum(d.ran for d in self.decisions))

@@ -249,8 +249,6 @@ def _run_all(cfgs):
     """Run each config on the stream of the first, fed to all in chunks."""
     cfg = cfgs[0]
     if cfg.trace_path is not None:
-        if not os.path.exists(cfg.trace_path):
-            raise ConfigError(f"trace file not found: {cfg.trace_path}")
         events = read_trace(cfg.trace_path)
         label, seed = f"trace:{os.path.basename(cfg.trace_path)}", None
     else:
@@ -279,19 +277,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     return _run_all([cfg])[0]
 
 
-def check_comparable(baseline: ExperimentConfig, technique: ExperimentConfig):
-    """Refuse comparisons whose numbers would not be commensurable."""
-    if baseline.cache != technique.cache:
-        raise ConfigError("compare: cache configurations differ")
-    if baseline.workload != technique.workload or \
-            baseline.trace_path != technique.trace_path:
-        raise ConfigError("compare: workloads differ (same generator spec, "
-                          "seed, and trace are required)")
-    if baseline.count_fills != technique.count_fills:
-        raise ConfigError("compare: count_fills differs, write counts would "
-                          "not be comparable")
-
-
 def _ratios(baseline: ExperimentReport, technique: ExperimentReport):
     """Technique over baseline, in _RATIOS order: relative lifetime, relative
     performance, energy saving (%) and MPKI increase. Each is None where its
@@ -307,8 +292,17 @@ def _ratios(baseline: ExperimentReport, technique: ExperimentReport):
 
 def compare_experiments(baseline_cfg: ExperimentConfig,
                         technique_cfg: ExperimentConfig) -> Comparison:
-    """Both runs replay one stream, produced (or parsed) once."""
-    check_comparable(baseline_cfg, technique_cfg)
+    """Both runs replay one stream, produced (or parsed) once. Configs whose
+    numbers would not be commensurable are refused."""
+    b, t = baseline_cfg, technique_cfg
+    if b.cache != t.cache:
+        raise ConfigError("compare: cache configurations differ")
+    if b.workload != t.workload or b.trace_path != t.trace_path:
+        raise ConfigError("compare: workloads differ (same generator spec, "
+                          "seed, and trace are required)")
+    if b.count_fills != t.count_fills:
+        raise ConfigError("compare: count_fills differs, write counts would "
+                          "not be comparable")
     baseline, technique = _run_all([baseline_cfg, technique_cfg])
     return Comparison(baseline, technique, *_ratios(baseline, technique))
 

@@ -1,9 +1,8 @@
 """Lifetime, energy, and MPKI accounting over finished runs."""
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 
 from .errors import ConfigError
 
@@ -72,20 +71,13 @@ def mpki(misses, instructions):
 
 
 def population_sd(rows):
-    """Population standard deviation of the values in a sequence of rows.
-
-    It walks the rows in place (flattening the cache's write-count matrix
-    would copy every counter) and squares each distinct value's deviation
-    once: ``fsum`` is correctly rounded, so repeating a term as many times as
-    its value occurs gives the same result as summing one term per value.
-    """
+    """Population standard deviation of the values in a sequence of rows,
+    walked in place (flattening the write-count matrix would copy it)."""
     n = sum(map(len, rows))
     if n < 1:
         raise ValueError("population SD needs at least one value")
     mean = sum(map(sum, rows)) / n
-    counts = Counter(chain.from_iterable(rows))
-    return math.sqrt(math.fsum(chain.from_iterable(
-        repeat((v - mean) ** 2, c) for v, c in counts.items())) / n)
+    return math.sqrt(math.fsum((v - mean) ** 2 for v in chain.from_iterable(rows)) / n)
 
 
 def block_write_sd(state):

@@ -5,6 +5,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ConfigError, TraceFormatError
@@ -188,8 +189,7 @@ def read_trace(path):
                 fields = text.split()
                 addrs = list(map(int, fields[1::3], repeat(16)))
                 icounts = list(map(int, fields[2::3]))
-                if (max(addrs) <= MAX_ADDRESS and icounts[0] >= last_icount
-                        and icounts == sorted(icounts)):
+                if _in_order(addrs, icounts, last_icount):
                     last_icount = icounts[-1]
                     lineno += len(lines)
                     yield from map(new, repeat(TraceEvent),
@@ -199,10 +199,15 @@ def read_trace(path):
             lineno += len(lines)
 
 
+def _in_order(addrs, icounts, last_icount):
+    """True when no address is above 2^48 and no icount is below the one before."""
+    return (max(addrs) <= MAX_ADDRESS and icounts[0] >= last_icount
+            and icounts == sorted(icounts))
+
+
 def _parse_lines(path, lines, lineno, last_icount):
     """Yield the events of ``lines``, which follow line ``lineno`` of the
     trace, one line at a time; returns the last icount."""
-    new = tuple.__new__
     for lineno, line in enumerate(lines, start=lineno + 1):
         if not line.isascii():
             byte = next(ch for ch in line if not ch.isascii())
@@ -245,17 +250,34 @@ def _parse_lines(path, lines, lineno, last_icount):
                 f"{path}:{lineno}: '_' and signs are not allowed in "
                 f"numbers, got {stripped!r}")
         last_icount = icount
-        yield new(TraceEvent, (kind == "W", addr, icount))
+        yield TraceEvent(kind == "W", addr, icount)
     return last_icount
 
 
 def write_trace(path, events):
     """Write ``(is_write, addr, icount)`` events in the text format
-    ``read_trace`` accepts (LF endings), 1024 lines per write; if ``events``
-    raises, the file holds the lines of the batches already written."""
+    ``read_trace`` accepts (LF endings), 1024 lines per write. Each batch is
+    checked first: for an event ``read_trace`` would refuse, or whose address
+    or icount is not an int, the reader's TraceFormatError is raised, with the
+    event's 1-based position as the line. The file then holds the batches
+    before it, as it does when ``events`` raises."""
     events = iter(events)
+    written = last_icount = 0
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        # hex(addr) is f"0x{addr:x}" for every addr >= 0
-        while text := "".join([f"{'W' if is_write else 'R'} {hex(addr)} {icount}\n"
-                               for is_write, addr, icount in islice(events, 1024)]):
+        while batch := list(islice(events, 1024)):
+            try:  # hex() takes ints only; hex(addr) is f"0x{addr:x}" for every addr >= 0
+                text = "".join([f"{'W' if is_write else 'R'} {hex(addr)} {icount}\n"
+                                for is_write, addr, icount in batch])
+            except TypeError:
+                text = None
+            icounts = [*map(itemgetter(2), batch)]
+            # only a negative number puts a "-" in the text
+            if (text is None or "-" in text or {*map(type, icounts)} != {int}
+                    or not _in_order(map(itemgetter(1), batch), icounts, last_icount)):
+                # the reader raises at the first line it refuses, a non-int's repr too
+                list(_parse_lines(path, [f"W {hex(a) if isinstance(a, int) else repr(a)} "
+                                         f"{i if type(i) is int else repr(i)}\n"
+                                         for _, a, i in batch], written, last_icount))
             fh.write(text)
+            written += len(batch)
+            last_icount = icounts[-1]

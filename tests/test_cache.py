@@ -3,6 +3,7 @@ import pytest
 from nvwear import (CacheConfig, CacheState, ConfigError, MappingTable,
                     decompose_address)
 
+from nvwear.cache import AccessOutcome
 from nvwear.reference import replay_against_reference
 
 from helpers import random_trace, replay_both, seeded, small_cfg
@@ -293,3 +294,43 @@ class TestDifferentialSmall:
         failure, outcomes, _, ref = replay_against_reference(cfg, schedule())
         assert failure is None
         assert ref.flush_writebacks > 0 and len(outcomes) > 3800
+
+
+class TestDifferentialHarnessFails:
+    """replay_against_reference must report a divergence when production
+    misbehaves; production is patched, the reference never is."""
+
+    SCHEDULE = [("access", 0, True), ("access", 64, False), ("flush", 0),
+                ("access", 0, False)]
+
+    def test_names_the_first_differing_access(self, monkeypatch):
+        real_access, calls = CacheState.access, []
+
+        def flip_second_hit(self, set_index, tag, is_write):
+            out = real_access(self, set_index, tag, is_write)
+            calls.append(out)
+            return AccessOutcome(not out.hit, out.evicted_dirty) if len(calls) == 2 else out
+
+        monkeypatch.setattr(CacheState, "access", flip_second_hit)
+        failure, outcomes, _, _ = replay_against_reference(small_cfg(), self.SCHEDULE)
+        assert failure == "op 1: access(64, False) gave (True, False), reference (False, False)"
+        assert len(outcomes) == 2
+
+    def test_names_a_differing_flush(self, monkeypatch):
+        real_flush = CacheState.flush_color
+        monkeypatch.setattr(CacheState, "flush_color",
+                            lambda self, color: real_flush(self, color) + 1)
+        failure, _, _, _ = replay_against_reference(small_cfg(), self.SCHEDULE)
+        assert failure == "op 2: flush(0,) gave 2, reference 1"
+
+    def test_reports_differing_write_counts(self, monkeypatch):
+        real_access = CacheState.access
+
+        def count_one_more(self, set_index, tag, is_write):
+            self.write_counts[set_index][0] += 1
+            return real_access(self, set_index, tag, is_write)
+
+        monkeypatch.setattr(CacheState, "access", count_one_more)
+        failure, outcomes, _, _ = replay_against_reference(small_cfg(), self.SCHEDULE)
+        assert failure == "write count matrices differ"
+        assert len(outcomes) == 3

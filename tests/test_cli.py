@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from nvwear import ConfigError, GeneratorSpec, build_config, read_trace
+from nvwear import (CacheState, ConfigError, ExperimentConfig, GeneratorSpec, build_config,
+                    read_trace, run_experiment)
+from nvwear.cache import AccessOutcome
 from nvwear.cli import _build_parser, main
-from nvwear.experiment import _SETTINGS, parse_bool, parse_size
+from nvwear.experiment import _SETTINGS, parse_bool, parse_size, write_atomic
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -101,6 +103,14 @@ class TestBuildConfig:
         bad = write_config(tmp_path / "t.ini", "[workload]\nkind = trace\n")
         with pytest.raises(ConfigError):
             build_config(bad)
+
+    @pytest.mark.parametrize("sources", [{}, {"workload": GeneratorSpec(),
+                                              "trace_path": "t.trace"}],
+                             ids=["neither", "both"])
+    def test_experiment_config_needs_exactly_one_source(self, sources):
+        with pytest.raises(ConfigError, match="exactly one of a generator workload "
+                                              "or a trace path"):
+            ExperimentConfig(**sources)
 
     @pytest.mark.parametrize("section,key,value", [
         ("cache", "associativity", "abc"),        # int
@@ -207,6 +217,12 @@ class TestSettingFlags:
         assert main(["run", "--k", "abc", "--events", "10",
                      "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: override k: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_out_of_range_flag_value_names_the_override_key(self, tmp_path, capsys):
+        assert main(["run", "--min-gap-cycles", "-1", "--events", "10",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: override min_gap_cycles must be >= 0\n"
         assert not (tmp_path / "o").exists()
 
     def test_bool_flag_takes_the_file_words(self, tmp_path):
@@ -390,6 +406,15 @@ class TestGenTrace:
         assert a.read_bytes() == b.read_bytes()
 
 
+    def test_trace_workload_names_the_file_and_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "t.ini", "[workload]\ntrace = some.trace\n")
+        out = tmp_path / "out.trace"
+        assert main(["gen-trace", str(out), "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: [workload] trace is set, but gen-trace needs a generator "
+            "workload\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["[policy]\nlambda = 99\n",
                                       "[cache]\nsize_bytes = 64K\n"])  # one color
     def test_policy_settings_are_not_range_checked(self, tmp_path, text):
@@ -437,6 +462,13 @@ class TestRun:
         assert rows[0][:3] == ["policy", "seed", "workload"]
         assert rows[1][0] == "swl"
         assert rows[1][1] == "5"
+
+    def test_fewer_pages_than_colors_warns(self, tmp_path, caplog):
+        cfg = small_config(tmp_path, workload="kind = uniform\nevents = 100\npages = 2\n")
+        with caplog.at_level(logging.WARNING, logger="nvwear"):
+            run_experiment(build_config(cfg))
+        assert caplog.messages == ["workload touches 2 pages but the cache has 4 colors; "
+                                   "some colors will never see traffic"]
 
     def test_run_on_trace_file(self, tmp_path):
         trace = tmp_path / "t.trace"
@@ -568,6 +600,16 @@ class TestCompare:
         assert "cache configurations differ" in capsys.readouterr().err
 
 
+    def test_mismatched_count_fills_refused(self, tmp_path, capsys):
+        base = small_config(tmp_path, "b.ini", policy="static")
+        tech = small_config(tmp_path, "t.ini", policy="static",
+                            extra_policy="count_fills = off\n")
+        out = tmp_path / "cmp"
+        assert main(["compare", base, tech, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: compare: count_fills differs, write "
+                                           "counts would not be comparable\n")
+        assert not out.exists()
+
     def test_differing_output_dirs_refused_without_out(self, tmp_path, capsys,
                                                        monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -627,6 +669,16 @@ class TestCompareEdges:
         assert "at least 2 colors" in capsys.readouterr().err
 
 
+class TestWriteAtomic:
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_atomic(path, "a\ud800")  # a lone surrogate has no UTF-8 form
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+        assert path.read_text() == "old\n"
+
+
 class TestSelftest:
     def test_passes(self, capsys):
         assert main(["selftest", "--cases", "10", "--ops", "200",
@@ -639,6 +691,19 @@ class TestSelftest:
         assert main(["selftest", flag, value]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: selftest {flag} must be >= 1, got {value}\n"
+        assert captured.out == ""
+
+    def test_a_divergence_fails_naming_the_case(self, capsys, monkeypatch):
+        real_access = CacheState.access
+
+        def flip_hit(self, set_index, tag, is_write):
+            out = real_access(self, set_index, tag, is_write)
+            return AccessOutcome(not out.hit, out.evicted_dirty)
+
+        monkeypatch.setattr(CacheState, "access", flip_hit)
+        assert main(["selftest", "--cases", "5", "--ops", "50"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("selftest FAILED: case 0: op 0: access(")
         assert captured.out == ""
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from nvwear import CacheConfig, CacheState, MappingTable, decompose_address
+from nvwear import CacheConfig, CacheState, ConfigError, MappingTable, decompose_address
 
 from helpers import seeded, small_cfg
 
@@ -41,6 +41,19 @@ class TestSwap:
         mapping.swap(0, 3)
         assert mapping.color_of == [0, 1, 2, 3]
         assert mapping.is_consistent()
+
+    def test_needs_at_least_one_color(self):
+        with pytest.raises(ConfigError, match="at least one color"):
+            MappingTable(0)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda m: m.color_of.__setitem__(0, 1),    # not a permutation
+        lambda m: m.region_of.reverse(),           # not the inverse
+    ], ids=["color_of", "region_of"])
+    def test_corrupted_table_is_inconsistent(self, corrupt):
+        mapping = MappingTable(4)
+        corrupt(mapping)
+        assert not mapping.is_consistent()
 
     def test_out_of_range_swap(self):
         mapping = MappingTable(4)

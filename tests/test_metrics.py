@@ -115,14 +115,15 @@ class TestBlockWriteSD:
 
 
 def _sd_one_term_per_value(rows):
-    """population_sd as it was written before it grouped equal values: one
-    squared deviation per counter, summed by fsum."""
+    """An independent restatement of population_sd, written over a flat walk:
+    one squared deviation per counter, summed by fsum, so every result must
+    match it bit for bit."""
     n = sum(map(len, rows))
     mean = sum(map(sum, rows)) / n
     return math.sqrt(math.fsum((v - mean) ** 2 for row in rows for v in row) / n)
 
 
-# small counts repeat, so grouping merges terms; large ones test rounding
+# small counts repeat many times; large ones test rounding
 COUNTS = st.one_of(st.integers(0, 40), st.integers(2**20, 2**62))
 
 

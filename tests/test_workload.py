@@ -272,6 +272,32 @@ class TestRoundTrip:
             write_trace(path, events())
         assert path.read_text().splitlines() == [f"W 0x{64 * i:x} {i}" for i in range(1024)]
 
+    # the reader's error for the event's line, which is the event's position
+    @pytest.mark.parametrize("event, message", [
+        ((True, 1 << 49, 5), "address above 2^48"),
+        ((True, -64, 5), "address must be 0x-prefixed hex, got '-0x40'"),
+        ((False, 64, 5.0), "bad instruction count '5.0'"),
+        ((False, 64, True), "bad instruction count 'True'"),
+        ((False, 64, -1), "negative instruction count"),
+        ((False, 64.0, 5), "address must be 0x-prefixed hex, got '64.0'"),
+        ((False, "0x40", 5), "address must be 0x-prefixed hex, got \"'0x40'\""),
+    ])
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, event, message):
+        path = tmp_path / "t.trace"
+        with pytest.raises(TraceFormatError) as raised:
+            write_trace(path, [(True, 0, 0), event])
+        assert str(raised.value) == f"{path}:2: {message}"
+        assert path.read_bytes() == b""
+
+    def test_writer_refuses_an_icount_that_decreases_across_a_batch_edge(self, tmp_path):
+        events = [(True, 64 * i, 10 + i) for i in range(1024)] + [(False, 0, 3)]
+        path = tmp_path / "t.trace"
+        with pytest.raises(TraceFormatError) as raised:
+            write_trace(path, events)
+        assert str(raised.value) == f"{path}:1025: instruction count decreased (1033 -> 3)"
+        assert path.read_text().splitlines() == [f"W 0x{64 * i:x} {10 + i}"
+                                                 for i in range(1024)]
+
     def test_gen_trace_bytes_are_pinned(self, tmp_path):
         # digest of the file as the one-write-per-line writer made it
         path = tmp_path / "u.trace"
