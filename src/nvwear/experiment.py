@@ -2,9 +2,10 @@
 
 Config files are INI-style ``key = value`` text with one section per
 subsystem ([cache], [policy], [workload], [output]); command-line flags
-override file values. Reports are written atomically: a fixed-schema CSV, a
-per-interval decision log, a mapping audit trail, tidy plot data, and a
-markdown summary.
+override file values. Reports (a fixed-schema CSV, a per-interval decision
+log, a mapping audit trail, tidy plot data, a markdown summary) are written to
+a temp file that is renamed in after the old report is unlinked, so a reader
+may briefly find none, but never half of one. Nothing is fsynced.
 """
 
 import configparser
@@ -14,6 +15,7 @@ import logging
 import os
 import re
 import tempfile
+from contextlib import suppress
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import islice
@@ -349,13 +351,16 @@ def _csv_text(columns, rows):
 
 
 def write_atomic(path, text):
-    """Write text to path via a temp file + rename in the same directory."""
+    """Write text to path via a temp file in the same directory, renamed in
+    after path is unlinked: a rename over a fresh file waits for its write-out."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        with suppress(FileNotFoundError):
+            os.unlink(path)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -413,7 +418,7 @@ def _write_reports(out_dir, runs, compared=None):
         write(f"{prefix}decisions.csv", _csv_text(
             ["intervalIndex", "cycle", "sdw", "nHigher", "nColorToSwap", "swaps",
              "writebacks"],
-            [[d.interval, d.cycle, d.sdw, d.n_higher, d.n_color_to_swap,
+            [[d.interval, d.cycle, d.sdw, d.n_higher, len(d.swaps),
               ";".join(f"{c1}:{c2}" for c1, c2 in d.swaps), d.writebacks]
              for d in rep.decisions]))
         write(f"{prefix}mapping_audit.csv",

@@ -38,10 +38,6 @@ class RemapDecision:
     cycle: int = 0
     writebacks: int = 0
 
-    @property
-    def n_color_to_swap(self):
-        return len(self.swaps)
-
 
 @dataclass
 class PolicyState:

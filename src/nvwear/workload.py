@@ -257,27 +257,22 @@ def _parse_lines(path, lines, lineno, last_icount):
 def write_trace(path, events):
     """Write ``(is_write, addr, icount)`` events in the text format
     ``read_trace`` accepts (LF endings), 1024 lines per write. Each batch is
-    checked first: for an event ``read_trace`` would refuse, or whose address
-    or icount is not an int, the reader's TraceFormatError is raised, with the
-    event's 1-based position as the line. The file then holds the batches
-    before it, as it does when ``events`` raises."""
+    rendered once (an int address in hex, any other value by its ``repr``) and
+    written if it passes the reader's bulk test; else the reader's line parser
+    raises its TraceFormatError, the event's 1-based position as the line. The
+    file then holds the batches before it, as it does when ``events`` raises."""
     events = iter(events)
     written = last_icount = 0
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         while batch := list(islice(events, 1024)):
-            try:  # hex() takes ints only; hex(addr) is f"0x{addr:x}" for every addr >= 0
-                text = "".join([f"{'W' if is_write else 'R'} {hex(addr)} {icount}\n"
-                                for is_write, addr, icount in batch])
-            except TypeError:
-                text = None
+            lines = [f"{'W' if is_write else 'R'} "
+                     f"{hex(addr) if isinstance(addr, int) else repr(addr)} {icount!r}\n"
+                     for is_write, addr, icount in batch]
+            text = "".join(lines)
             icounts = [*map(itemgetter(2), batch)]
-            # only a negative number puts a "-" in the text
-            if (text is None or "-" in text or {*map(type, icounts)} != {int}
-                    or not _in_order(map(itemgetter(1), batch), icounts, last_icount)):
-                # the reader raises at the first line it refuses, a non-int's repr too
-                list(_parse_lines(path, [f"W {hex(a) if isinstance(a, int) else repr(a)} "
-                                         f"{i if type(i) is int else repr(i)}\n"
-                                         for _, a, i in batch], written, last_icount))
+            if not (_CANONICAL.fullmatch(text)
+                    and _in_order(map(itemgetter(1), batch), icounts, last_icount)):
+                list(_parse_lines(path, lines, written, last_icount))
             fh.write(text)
             written += len(batch)
             last_icount = icounts[-1]

@@ -106,7 +106,7 @@ def test_c04_uniform_roundrobin_is_a_noop_for_swl():
                              block_size_bytes=cache.block_size_bytes)
     static, swl = _static_and_swl(cache, workload)
     assert swl.decisions, "expected the policy to execute at least once"
-    assert all(d.n_color_to_swap == 0 for d in swl.decisions)
+    assert all(len(d.swaps) == 0 for d in swl.decisions)
     assert swl.stats.remap_runs == 0
     ratio = static.stats.max_block_writes / swl.stats.max_block_writes
     assert ratio == pytest.approx(1.0, abs=0.01)

@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import logging
+import os
 import re
 import shlex
 from pathlib import Path
@@ -677,6 +678,26 @@ class TestWriteAtomic:
             write_atomic(path, "a\ud800")  # a lone surrogate has no UTF-8 form
         assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
         assert path.read_text() == "old\n"
+
+    def test_rewrite_renames_onto_no_existing_file(self, tmp_path, monkeypatch):
+        # a rename over a file written a moment earlier stalls until the
+        # kernel has written that file out, so the old report goes first
+        targets = []
+
+        def check_target(rename):
+            def wrapped(src, dst, *args, **kwargs):
+                targets.append((dst, os.path.exists(dst)))
+                return rename(src, dst, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(os, "replace", check_target(os.replace))
+        monkeypatch.setattr(os, "rename", check_target(os.rename))
+        path = tmp_path / "r.csv"
+        write_atomic(path, "old\n")
+        write_atomic(path, "new\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+        assert path.read_text() == "new\n"
+        assert targets == [(path, False), (path, False)]
 
 
 class TestSelftest:

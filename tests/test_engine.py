@@ -119,7 +119,7 @@ class TestPolicyIntegration:
         sim, stats = run_sim(cfg, generate(spec), "swl", k_writes=400,
                              min_gap_cycles=0)
         assert len(sim.decisions) > 10
-        assert all(d.n_color_to_swap == 0 for d in sim.decisions)
+        assert all(len(d.swaps) == 0 for d in sim.decisions)
         assert all(d.sdw == 0.0 for d in sim.decisions)
         assert stats.remap_runs == 0
 
@@ -174,7 +174,7 @@ class TestPolicyIntegration:
         sim, _ = run_sim(cfg, generate(spec), "swl", k_writes=1000,
                          min_gap_cycles=0, swap_limit=1)
         remap_intervals = {d.interval for d in sim.decisions
-                           if d.n_color_to_swap > 0 and
+                           if len(d.swaps) > 0 and
                            any(c1 != c2 for c1, c2 in d.swaps)}
         audit_intervals = {row[0] for row in sim.mapping_audit} - {0}
         assert audit_intervals.issuperset(remap_intervals)
@@ -193,7 +193,7 @@ class TestPolicyIntegration:
                              min_gap_cycles=0)
         assert stats.remap_runs == len(sim.decisions) > 0
         assert stats.flush_writebacks > 0
-        assert all(d.n_color_to_swap == cfg.num_colors // 2
+        assert all(len(d.swaps) == cfg.num_colors // 2
                    for d in sim.decisions)
 
     def test_trigger_respects_cycle_gap(self):

@@ -289,6 +289,38 @@ class TestRoundTrip:
         assert str(raised.value) == f"{path}:2: {message}"
         assert path.read_bytes() == b""
 
+    # a valid stream with a few fields replaced, across the writer's batch
+    # edges: the writer raises exactly when the per-line reader refuses the
+    # same events written out as lines, and with its error
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.sampled_from([1, 2, 1023, 1024, 1025, 2048, 2100]),
+           replaced=st.lists(st.tuples(
+               st.integers(0, 2099), st.sampled_from(["addr", "icount"]),
+               st.one_of(st.integers(0, MAX_ADDRESS), st.integers(MAX_ADDRESS + 1, 1 << 64),
+                         st.integers(max_value=-1), st.booleans(), st.floats(),
+                         st.text(st.characters(max_codepoint=127), max_size=4),
+                         st.none())), max_size=3))
+    def test_writer_raises_exactly_when_the_reader_refuses(self, tmp_path, n, replaced):
+        events = [TraceEvent(i % 3 == 0, 64 * i, 5 * i) for i in range(n)]
+        for pos, name, value in replaced:
+            events[pos % n] = events[pos % n]._replace(**{name: value})
+        text = "".join(f"{'W' if w else 'R'} {hex(a) if isinstance(a, int) else repr(a)}"
+                       f" {i!r}\n" for w, a, i in events)
+        path = tmp_path / "t.trace"
+        path.write_text(text, encoding="ascii")
+        try:
+            expected = list(read_trace_per_line(path))
+        except TraceFormatError as refused:
+            with pytest.raises(TraceFormatError) as raised:
+                write_trace(path, events)
+            assert str(raised.value) == str(refused)
+        else:
+            write_trace(path, events)
+            assert path.read_text(encoding="ascii") == text
+            assert list(read_trace(path)) == expected == [
+                TraceEvent(bool(w), a, i) for w, a, i in events]
+
     def test_writer_refuses_an_icount_that_decreases_across_a_batch_edge(self, tmp_path):
         events = [(True, 64 * i, 10 + i) for i in range(1024)] + [(False, 0, 3)]
         path = tmp_path / "t.trace"
