@@ -160,7 +160,7 @@ class CacheState:
         return writebacks
 
     def max_block_writes(self):
-        return max(max(row) for row in self.write_counts)
+        return max(map(max, self.write_counts))
 
     def lru_order(self, set_index):
         """Tags of the set's valid blocks, least recently used first."""

@@ -8,7 +8,6 @@ a temp file that is renamed in after the old report is unlinked, so a reader
 may briefly find none, but never half of one. Nothing is fsynced.
 """
 
-import configparser
 import csv
 import io
 import logging
@@ -158,6 +157,7 @@ _SETTINGS = (
 
 
 def _read_ini(path):
+    import configparser  # loaded only by runs that read an INI file
     # values are literal (no %-interpolation), and no section is a default
     # one, so [DEFAULT] is an unknown section like any other
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),

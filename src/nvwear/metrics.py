@@ -1,6 +1,7 @@
 """Lifetime, energy, and MPKI accounting over finished runs."""
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
@@ -72,12 +73,19 @@ def mpki(misses, instructions):
 
 def population_sd(rows):
     """Population standard deviation of the values in a sequence of rows,
-    walked in place (flattening the write-count matrix would copy it)."""
+    walked in place (flattening the write-count matrix would copy it). Each
+    distinct value's squared deviation, times its count, is summed exactly
+    over a common power-of-two denominator and rounded once: the float that
+    ``fsum`` gives over one term per value, at a cost that grows with the
+    distinct values, not the counters."""
     n = sum(map(len, rows))
     if n < 1:
         raise ValueError("population SD needs at least one value")
     mean = sum(map(sum, rows)) / n
-    return math.sqrt(math.fsum((v - mean) ** 2 for v in chain.from_iterable(rows)) / n)
+    terms = [(((v - mean) ** 2).as_integer_ratio(), c)
+             for v, c in Counter(chain.from_iterable(rows)).items()]
+    den = max(q for (_, q), _ in terms)
+    return math.sqrt(sum(p * (den // q) * c for (p, q), c in terms) / den / n)
 
 
 def block_write_sd(state):

@@ -1,8 +1,10 @@
 """Trace file I/O and deterministic synthetic access-stream generators."""
 
+import os
 import random
 import re
 from bisect import bisect_right
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
 from operator import itemgetter
@@ -260,9 +262,14 @@ def write_trace(path, events):
     rendered once (an int address in hex, any other value by its ``repr``) and
     written if it passes the reader's bulk test; else the reader's line parser
     raises its TraceFormatError, the event's 1-based position as the line. The
-    file then holds the batches before it, as it does when ``events`` raises."""
+    file then holds the batches before it, as it does when ``events`` raises.
+    A regular file at ``path`` is unlinked first (truncating one written a
+    moment ago waits for its write-out); a symlink or device is written through."""
     events = iter(events)
     written = last_icount = 0
+    with suppress(OSError):  # a file we may not unlink is written in place
+        if os.path.isfile(path) and not os.path.islink(path):
+            os.unlink(path)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         while batch := list(islice(events, 1024)):
             lines = [f"{'W' if is_write else 'R'} "

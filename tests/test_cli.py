@@ -5,10 +5,13 @@ import logging
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import nvwear
 from nvwear import (CacheState, ConfigError, ExperimentConfig, GeneratorSpec, build_config,
                     read_trace, run_experiment)
 from nvwear.cache import AccessOutcome
@@ -435,6 +438,19 @@ class TestGenTrace:
         assert main(["gen-trace", str(out), "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith(f"error: {cfg}: {message}")
         assert not out.exists()
+
+
+class TestConfigparserOnDemand:
+    def test_loaded_only_to_read_an_ini_file(self, tmp_path):
+        cfg = write_config(tmp_path / "c.ini", "[workload]\nevents = 10\n")
+        code = ("import sys, nvwear, nvwear.cli\n"
+                "nvwear.build_config(None, {'events': 10})\n"
+                "assert 'configparser' not in sys.modules\n"
+                f"nvwear.build_config({str(cfg)!r})\n"
+                "assert 'configparser' in sys.modules\n")
+        src = str(Path(nvwear.__file__).parents[1])
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
 
 
 class TestFlagsAreNotAbbreviated:

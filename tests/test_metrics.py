@@ -143,6 +143,19 @@ class TestPopulationSD:
         rows = [[3] * 1024] * 1025 + [[2**21, 5, 3]]
         assert population_sd(rows).hex() == _sd_one_term_per_value(rows).hex()
 
+    # value, count pairs where a grouped sum that rounds each count x term
+    # product (by fsum or sum) misses the last bit, and a plain sum of one
+    # term per value misses more; only the exact sum gives these
+    @pytest.mark.parametrize("groups, expected", [
+        ([(799, 18), (32, 31), (844, 39), (887, 47)], "0x1.5b96217321c41p+8"),
+        ([(506, 14), (264, 44)], "0x1.9e39f1efbc798p+6"),
+        ([(759, 1), (687, 50), (65, 11)], "0x1.dca8daff1c9c4p+7"),
+    ])
+    def test_pinned_sums_that_rounded_products_miss(self, groups, expected):
+        rows = [[value] * count for value, count in groups]
+        assert _sd_one_term_per_value(rows).hex() == expected
+        assert population_sd(rows).hex() == expected
+
     def test_no_values_rejected(self):
         with pytest.raises(ValueError):
             population_sd([[], []])

@@ -1,9 +1,10 @@
 import hashlib
 import math
+import os
 import random
 import re
 from collections import Counter
-from itertools import cycle, islice
+from itertools import count, cycle, islice
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -14,6 +15,16 @@ from nvwear.cli import main
 from nvwear.workload import MAX_ADDRESS
 
 from oracles import read_trace_per_line
+
+
+# hypothesis runs every example of a test in one tmp_path, and rewriting a
+# file written a moment earlier can wait for its old data to reach the disk;
+# so each example writes files under names no earlier example used
+_NAMES = count()
+
+
+def _fresh_path(tmp_path):
+    return tmp_path / f"t{next(_NAMES)}.trace"
 
 
 class TestReadTrace:
@@ -150,7 +161,7 @@ class TestBatchParserEquivalence:
         body = b"".join(lines)
         if not trailing_newline:
             body = body.rstrip(b"\n")
-        path = tmp_path / "t.trace"
+        path = _fresh_path(tmp_path)
         path.write_bytes(body)
         assert _parse(read_trace, path) == _parse(read_trace_per_line, path)
 
@@ -210,7 +221,7 @@ class TestReadTraceFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(body=_TRACE_BYTES)
     def test_any_bytes_parse_like_the_per_line_parser(self, tmp_path, body):
-        path = tmp_path / "t.trace"
+        path = _fresh_path(tmp_path)
         path.write_bytes(body)
         # _parse catches TraceFormatError only, so any other exception fails here
         events, error = _parse(read_trace, path)
@@ -254,12 +265,30 @@ class TestRoundTrip:
             events.append((is_write, addr, icount))
         expected = "".join(f"{'W' if is_write else 'R'} 0x{addr:x} {icount}\n"
                            for is_write, addr, icount in events).encode()
-        path = tmp_path / "t.trace"
+        path, again = _fresh_path(tmp_path), _fresh_path(tmp_path)
         write_trace(path, events)
         assert path.read_bytes() == expected
         assert list(read_trace(path)) == [TraceEvent(bool(w), a, i) for w, a, i in events]
-        write_trace(path, (TraceEvent(*ev) for ev in events))
-        assert path.read_bytes() == expected
+        write_trace(again, (TraceEvent(*ev) for ev in events))
+        assert again.read_bytes() == expected
+
+    def test_rewrite_replaces_a_hard_linked_file(self, tmp_path):
+        path, link = tmp_path / "t.trace", tmp_path / "link.trace"
+        write_trace(path, [TraceEvent(True, 0x40, 1)])
+        os.link(path, link)
+        write_trace(path, [TraceEvent(False, 0x80, 2)])
+        assert path.read_text() == "R 0x80 2\n"
+        assert link.read_text() == "W 0x40 1\n"
+
+    def test_writes_through_a_symlink_and_to_the_null_device(self, tmp_path):
+        target, link = tmp_path / "t.trace", tmp_path / "link.trace"
+        target.write_text("")
+        link.symlink_to(target)
+        write_trace(link, [TraceEvent(True, 0x40, 1)])
+        assert link.is_symlink()
+        assert target.read_text() == "W 0x40 1\n"
+        write_trace(os.devnull, [TraceEvent(True, 0x40, 1)])
+        assert os.path.exists(os.devnull)
 
     def test_stream_that_raises_leaves_the_written_batches(self, tmp_path):
         def events():
@@ -307,7 +336,7 @@ class TestRoundTrip:
             events[pos % n] = events[pos % n]._replace(**{name: value})
         text = "".join(f"{'W' if w else 'R'} {hex(a) if isinstance(a, int) else repr(a)}"
                        f" {i!r}\n" for w, a, i in events)
-        path = tmp_path / "t.trace"
+        path = _fresh_path(tmp_path)
         path.write_text(text, encoding="ascii")
         try:
             expected = list(read_trace_per_line(path))
