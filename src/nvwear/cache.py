@@ -95,16 +95,19 @@ class CacheState:
     way, and keeps their dirty bits in one int. Only ``flush_color``
     invalidates, and it empties whole sets, so the valid ways of a set are
     always ``0 .. len(tags) - 1`` and the lowest invalid way is ``len(tags)``.
+    The write counters of all blocks sit in one flat list, way ``w`` of set
+    ``s`` at ``s << way_bits | w``; ``write_counts`` copies them out by set.
     """
 
     def __init__(self, cfg: CacheConfig, count_fills: bool = True):
         self.cfg = cfg
         self.count_fills = count_fills
-        n, a = cfg.num_sets, cfg.associativity
+        n = cfg.num_sets
         self._lru = [[] for _ in range(n)]
         self._tags = [[] for _ in range(n)]
         self._dirty = [0] * n
-        self.write_counts = [[0] * a for _ in range(n)]
+        self._way_bits = cfg.associativity.bit_length() - 1
+        self._writes = [0] * (n << self._way_bits)
         # every access returns one of these: read hit, write hit, clean, dirty miss
         self.outcomes = (AccessOutcome(True, False), AccessOutcome(True, False),
                          AccessOutcome(False, False), AccessOutcome(False, True))
@@ -119,7 +122,7 @@ class CacheState:
             if is_write:
                 way = self._tags[set_index].index(tag)
                 self._dirty[set_index] |= 1 << way
-                self.write_counts[set_index][way] += 1
+                self._writes[set_index << self._way_bits | way] += 1
                 return self.outcomes[1]
             return self.outcomes[0]
 
@@ -137,7 +140,7 @@ class CacheState:
         if is_write:
             self._dirty[set_index] |= 1 << way
         if is_write or self.count_fills:
-            self.write_counts[set_index][way] += 1
+            self._writes[set_index << self._way_bits | way] += 1
         return self.outcomes[2 + evicted_dirty]  # the clean or the dirty miss
 
     def flush_color(self, color):
@@ -159,8 +162,14 @@ class CacheState:
             self._tags[s].clear()
         return writebacks
 
+    @property
+    def write_counts(self):
+        """Per-set rows of the write counters, by way: a new list each call."""
+        writes, a = self._writes, self.cfg.associativity
+        return [writes[i:i + a] for i in range(0, len(writes), a)]
+
     def max_block_writes(self):
-        return max(map(max, self.write_counts))
+        return max(self._writes)
 
     def lru_order(self, set_index):
         """Tags of the set's valid blocks, least recently used first."""

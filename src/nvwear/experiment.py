@@ -14,9 +14,9 @@ import logging
 import os
 import re
 import tempfile
+import time
 from contextlib import suppress
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from itertools import islice
 from operator import attrgetter
 
@@ -404,7 +404,7 @@ def _write_reports(out_dir, runs, compared=None):
 
     rows, plot, lines = [], [], [
         f"# nvwear {'run' if compared is None else 'comparison'} summary", "",
-        f"generated: {datetime.now(timezone.utc).isoformat()}", ""]
+        f"generated: {time.strftime('%Y-%m-%dT%H:%M:%S+00:00', time.gmtime())}", ""]
     table = ["| policy | workload | " + " | ".join(c for c, _, _ in _METRICS) + " |",
              "|" + "---|" * (2 + len(_METRICS))]
     for role, rep, ratios in runs:
@@ -430,9 +430,18 @@ def _write_reports(out_dir, runs, compared=None):
         plot += [[name, rep.policy, rep.workload, value]  # the technique, run last
                  for (_, name), value in zip(_RATIOS, compared)]
         lifetime, perf, saving, mpki_delta = compared
+        stats, decisions = rep.stats, rep.decisions
+        swapped = sum(1 for d in decisions if d.swaps)
         lines += ["## comparison (technique vs baseline)",
-                  f"- relative lifetime: {_fmt(lifetime)}",
-                  f"- relative performance: {_fmt(perf)} "
+                  f"- horizon: {stats.reads + stats.writes} events, "
+                  f"{stats.instructions} instructions",
+                  f"- technique decisions: {stats.remap_runs} run, "
+                  f"{len(decisions) - stats.remap_runs} gated, {swapped} with swaps",
+                  f"- relative lifetime: {_fmt(lifetime)}"]
+        if swapped < 2:
+            lines.append(f"- the relative lifetime rests on {swapped} remap"
+                         f"{'' if swapped == 1 else 's'}; a longer run may move it")
+        lines += [f"- relative performance: {_fmt(perf)} "
                   "(coarse proxy: additive timing model, no contention)",
                   "- remap flush writebacks cost energy but zero cycles, so relative "
                   "performance is optimistic for swl and xor",

@@ -72,22 +72,23 @@ def mpki(misses, instructions):
 
 
 def population_sd(rows):
-    """Population standard deviation of the values in a sequence of rows,
-    walked in place (flattening the write-count matrix would copy it). Each
-    distinct value's squared deviation, times its count, is summed exactly
-    over a common power-of-two denominator and rounded once: the float that
-    ``fsum`` gives over one term per value, at a cost that grows with the
-    distinct values, not the counters."""
-    n = sum(map(len, rows))
+    """Population standard deviation of the integers in a sequence of rows.
+    One ``Counter`` pass gives each distinct value's count, and from those
+    the number of values and their exact sum. Each distinct value's squared
+    deviation, times its count, is summed exactly over a common power-of-two
+    denominator and rounded once: the float that ``fsum`` gives over one term
+    per value, at a cost that grows with the distinct values, not the
+    counters."""
+    counts = Counter(chain.from_iterable(rows))
+    n = sum(counts.values())
     if n < 1:
         raise ValueError("population SD needs at least one value")
-    mean = sum(map(sum, rows)) / n
-    terms = [(((v - mean) ** 2).as_integer_ratio(), c)
-             for v, c in Counter(chain.from_iterable(rows)).items()]
+    mean = sum(v * c for v, c in counts.items()) / n
+    terms = [(((v - mean) ** 2).as_integer_ratio(), c) for v, c in counts.items()]
     den = max(q for (_, q), _ in terms)
     return math.sqrt(sum(p * (den // q) * c for (p, q), c in terms) / den / n)
 
 
 def block_write_sd(state):
     """Population SD of the write counters across every block in the cache."""
-    return population_sd(state.write_counts)
+    return population_sd((state._writes,))

@@ -1,9 +1,13 @@
+import gc
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nvwear import (CacheConfig, CacheState, ConfigError, MappingTable,
-                    decompose_address)
+                    block_write_sd, decompose_address)
 
 from nvwear.cache import AccessOutcome
+from nvwear.metrics import population_sd
 from nvwear.reference import replay_against_reference
 
 from helpers import random_trace, replay_both, seeded, small_cfg
@@ -296,6 +300,64 @@ class TestDifferentialSmall:
         assert ref.flush_writebacks > 0 and len(outcomes) > 3800
 
 
+@st.composite
+def _schedules(draw):
+    """A small geometry, a fill-counting mode and a schedule of accesses,
+    flushes and remaps for replay_against_reference."""
+    colors, spc, assoc = (draw(st.sampled_from((1, 2, 4))) for _ in range(3))
+    cfg = small_cfg(colors=colors, sets_per_color=spc, assoc=assoc)
+    blocks = 4 * colors * spc  # four pages per region
+    color = st.integers(0, colors - 1)
+    op = st.one_of(
+        st.tuples(st.just("access"),
+                  st.integers(0, blocks - 1).map(lambda b: b * cfg.block_size_bytes),
+                  st.booleans()),
+        st.tuples(st.just("flush"), color),
+        st.tuples(st.just("remap"), color, color))
+    return cfg, draw(st.booleans()), draw(st.lists(op, max_size=120))
+
+
+class TestFlatWriteCounters:
+    """The counters live in one flat list; write_counts copies them out by set."""
+
+    def test_write_counts_is_a_snapshot_of_the_reference_matrix(self):
+        rng = seeded(31)
+        cfg = small_cfg(colors=4, sets_per_color=4, assoc=4)
+        trace = random_trace(rng, 3000, 32, cfg.page_size_bytes, cfg.block_size_bytes)
+        _, _, cache, ref = replay_both(cfg, trace)
+        rows = cache.write_counts
+        assert rows == ref.write_count_matrix()
+        peak = cache.max_block_writes()
+        for row in rows:
+            row[0] += 10 * peak
+        assert cache.max_block_writes() == peak
+        assert cache.write_counts == ref.write_count_matrix()
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_schedules())
+    def test_wear_summary_equals_the_rows_summary(self, case):
+        cfg, count_fills, ops = case
+        failure, _, cache, _ = replay_against_reference(cfg, ops, count_fills)
+        assert failure is None
+        rows = cache.write_counts
+        assert len(rows) == cfg.num_sets
+        assert cache.max_block_writes() == max(map(max, rows))
+        assert block_write_sd(cache).hex() == population_sd(rows).hex()
+
+    def test_default_cache_object_budget(self):
+        cfg = CacheConfig()
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            cache = CacheState(cfg)
+            created = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert cache.max_block_writes() == 0
+        assert created <= 2 * cfg.num_sets + 16
+
+
 class TestDifferentialHarnessFails:
     """replay_against_reference must report a divergence when production
     misbehaves; production is patched, the reference never is."""
@@ -327,7 +389,7 @@ class TestDifferentialHarnessFails:
         real_access = CacheState.access
 
         def count_one_more(self, set_index, tag, is_write):
-            self.write_counts[set_index][0] += 1
+            self._writes[set_index << self._way_bits] += 1
             return real_access(self, set_index, tag, is_write)
 
         monkeypatch.setattr(CacheState, "access", count_one_more)

@@ -446,6 +446,7 @@ class TestConfigparserOnDemand:
         code = ("import sys, nvwear, nvwear.cli\n"
                 "nvwear.build_config(None, {'events': 10})\n"
                 "assert 'configparser' not in sys.modules\n"
+                "assert 'datetime' not in sys.modules\n"
                 f"nvwear.build_config({str(cfg)!r})\n"
                 "assert 'configparser' in sys.modules\n")
         src = str(Path(nvwear.__file__).parents[1])
@@ -641,6 +642,41 @@ class TestCompare:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["b.ini", "t.ini"]
         assert main(["compare", base, tech, "--out", "both"]) == 0
         assert (tmp_path / "both" / "report.csv").exists()
+
+
+class TestCompareSummary:
+    """summary.md says over how many events and remaps the lifetime ratio holds."""
+
+    @pytest.mark.parametrize("beta, events, expected", [
+        (12, 999, ["- horizon: 999 events, 4995 instructions",
+                   "- technique decisions: 0 run, 0 gated, 0 with swaps",
+                   "- relative lifetime: 1",
+                   "- the relative lifetime rests on 0 remaps; a longer run may move it"]),
+        (12, 1500, ["- horizon: 1500 events, 7500 instructions",
+                    "- technique decisions: 0 run, 1 gated, 0 with swaps",
+                    "- relative lifetime: 1",
+                    "- the relative lifetime rests on 0 remaps; a longer run may move it"]),
+        (0, 1500, ["- horizon: 1500 events, 7500 instructions",
+                   "- technique decisions: 1 run, 0 gated, 1 with swaps",
+                   "- relative lifetime: 0.901639",
+                   "- the relative lifetime rests on 1 remap; a longer run may move it"]),
+        (12, 20000, ["- horizon: 20000 events, 100000 instructions",
+                     "- technique decisions: 10 run, 10 gated, 10 with swaps",
+                     "- relative lifetime: 1.00451"]),
+    ])
+    def test_horizon_and_decision_lines(self, tmp_path, beta, events, expected):
+        workload = (f"kind = uniform\nevents = {events}\nwrite_fraction = 1.0\n"
+                    "pages = 16\nseed = 5\n")
+        base = small_config(tmp_path, "b.ini", policy="static", workload=workload)
+        tech = small_config(tmp_path, "t.ini", extra_policy=f"beta = {beta}\n",
+                            workload=workload)
+        out = tmp_path / "cmp"
+        assert main(["compare", base, tech, "--out", str(out)]) == 0
+        lines = (out / "summary.md").read_text().splitlines()
+        start = lines.index("## comparison (technique vs baseline)") + 1
+        end = next(i for i, line in enumerate(lines)
+                   if line.startswith("- relative performance:"))
+        assert lines[start:end] == expected
 
 
 class TestCompareEdges:

@@ -51,7 +51,7 @@ GOLDEN = {
         "report.csv":
             "9aabd0d6c3408df8de2d2ff1dcc68cc496e55413190761ab9cb60499e87806b9",
         "summary.md":
-            "f81b558c5ea04d89d466ede0210fc30685d3fb4487903d9d08f1f1867e13b446",
+            "259b27295a7004d8c9c5b0c4ecf2d9601cff77c0fea7a7520f1f56887bf10da2",
         "technique_decisions.csv":
             "f84b63c6bbfffc6820c0c7392dff8151af0e91e9639bc2ab5188acac6bdfa791",
         "technique_mapping_audit.csv":
@@ -67,7 +67,7 @@ GOLDEN = {
         "report.csv":
             "7581c879e1aaa889da52d190aa5c29a86026bca6dc10a7dd7880894dc56df92e",
         "summary.md":
-            "061a52c475fbe9e79e3d49bf564d9143d853dafa0b19ecde3f5e50fdd0e584ce",
+            "e0c62b5f1a68455d316452d571008fa20822531152804972174c82bcacb98218",
         "technique_decisions.csv":
             "9a38ed34f6bdc28283d13355560e984827b0c16c4259531cb6b24d9bc71f4fda",
         "technique_mapping_audit.csv":
@@ -83,7 +83,7 @@ GOLDEN = {
         "report.csv":
             "1d7a4cb4434dbf315ebfe0f61faadb7cda0d3ed475b5f578efa0a4ec4d39d88c",
         "summary.md":
-            "5a72103991fbf78571259bf5289881efdd25a10ca21c85852864bbcff70a6cc9",
+            "61fdb1b8b972b1c47254f7c75f9d9eebd77655072b2dd5fe7e276f2bed64477d",
         "technique_decisions.csv":
             "d837d46b04eb68a6dd30d85caee60f5a2afa8f9a2e6372181a96827555b2a3ca",
         "technique_mapping_audit.csv":
