@@ -56,8 +56,7 @@ class CacheConfig:
         assert self.num_sets == self.num_colors * self.sets_per_color
 
 
-# eq=False: callers tell the shared outcomes apart by identity, and two hold equal values
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True)
 class AccessOutcome:
     hit: bool
     evicted_dirty: bool
@@ -108,9 +107,9 @@ class CacheState:
         self._dirty = [0] * n
         self._way_bits = cfg.associativity.bit_length() - 1
         self._writes = [0] * (n << self._way_bits)
-        # every access returns one of these: read hit, write hit, clean, dirty miss
-        self.outcomes = (AccessOutcome(True, False), AccessOutcome(True, False),
-                         AccessOutcome(False, False), AccessOutcome(False, True))
+        # every access returns one of these: hit, clean miss, dirty miss
+        self.outcomes = (AccessOutcome(True, False), AccessOutcome(False, False),
+                         AccessOutcome(False, True))
 
     def access(self, set_index, tag, is_write) -> AccessOutcome:
         """One demand access. Hits promote to MRU; misses fill and may evict."""
@@ -123,7 +122,6 @@ class CacheState:
                 way = self._tags[set_index].index(tag)
                 self._dirty[set_index] |= 1 << way
                 self._writes[set_index << self._way_bits | way] += 1
-                return self.outcomes[1]
             return self.outcomes[0]
 
         tags = self._tags[set_index]
@@ -141,7 +139,7 @@ class CacheState:
             self._dirty[set_index] |= 1 << way
         if is_write or self.count_fills:
             self._writes[set_index << self._way_bits | way] += 1
-        return self.outcomes[2 + evicted_dirty]  # the clean or the dirty miss
+        return self.outcomes[1 + evicted_dirty]  # the clean or the dirty miss
 
     def flush_color(self, color):
         """Invalidate every block of one color; returns dirty blocks written back.

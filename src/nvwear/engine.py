@@ -67,7 +67,7 @@ class Simulator:
         set_mask = sets_per_color - 1
         # bound once per call, so instrumentation must patch it before run()
         access = self.cache.access
-        read_hit, write_hit, _, dirty_miss = self.cache.outcomes
+        hit, _, dirty_miss = self.cache.outcomes
         # The write window: each counted write goes to its color's window and
         # lifetime count, as observe_write would, and the policy is polled only
         # at the K-th; close_window empties the same list. A policy without a
@@ -89,10 +89,10 @@ class Simulator:
             color = color_of[addr >> page_shift & color_mask]
             outcome = access(color * sets_per_color + (addr >> block_shift & set_mask),
                              addr >> tag_shift, is_write)
-            if outcome is read_hit:
-                read_hits += 1
-                continue
-            if outcome is write_hit:
+            if outcome is hit:
+                if not is_write:
+                    read_hits += 1
+                    continue
                 write_hits += 1
             else:
                 if outcome is dirty_miss:

@@ -13,7 +13,6 @@ import io
 import logging
 import os
 import re
-import tempfile
 import time
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -82,7 +81,7 @@ class Comparison:
     mpki_increase: float | None
 
 
-_SIZE_RE = re.compile(r"^(\d+)\s*([kKmMgG])?(i?[bB])?$")
+_SIZE_RE = re.compile(r"^(\d+)\s*(?:([kKmMgG])(?:i?[bB])?|[bB])?$")
 _SIZE_MULT = {None: 1, "k": 1024, "m": 1024 ** 2, "g": 1024 ** 3}
 
 
@@ -157,11 +156,9 @@ _SETTINGS = (
 
 
 def _read_ini(path):
-    import configparser  # loaded only by runs that read an INI file
-    # values are literal (no %-interpolation), and no section is a default
-    # one, so [DEFAULT] is an unknown section like any other
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
-                                       interpolation=None, default_section="")
+    """{section: {key: value}} of an INI file of ``[section]`` and ``key = value``
+    lines (split at the first ``=``); a ``#`` or ``;`` at the start of a line or
+    after a blank starts a comment. Values are literal and keys exact."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -170,21 +167,28 @@ def _read_ini(path):
         line = data.count(b"\n", 0, exc.start) + 1
         raise ConfigError(
             f"{path}:{line}: not UTF-8: byte 0x{data[exc.start]:02x}") from None
-    try:
-        parser.read_string(text, source=path)
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from None
     known = {(section, key) for section, key, *_ in _SETTINGS}
-    sections = {}
-    for name in parser.sections():
-        if name not in {section for section, _ in known}:
-            raise ConfigError(f"{path}: unknown section [{name}]")
-        body = dict(parser.items(name))
-        unknown = {key for key in body if (name, key) not in known}
-        if unknown:
-            raise ConfigError(f"{path}: unknown key(s) in [{name}]: "
-                              f"{', '.join(sorted(unknown))}")
-        sections[name] = body
+    sections, name = {}, None
+    for n, line in enumerate(text.split("\n"), 1):
+        line = re.split(r"(?:^|\s)[#;]", line, maxsplit=1)[0].strip()
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not line:
+            continue
+        if m := re.fullmatch(r"\[(.*)\]", line):
+            name = m[1]
+            if name in sections or name not in {section for section, _ in known}:
+                raise ConfigError(f"{path}:{n}: {'repeated' if name in sections else 'unknown'}"
+                                  f" section [{name}]")
+            sections[name] = {}
+        elif not eq or not key:
+            raise ConfigError(f"{path}:{n}: expected [section] or key = value, got {line!r}")
+        elif name is None:
+            raise ConfigError(f"{path}:{n}: key {key!r} before any section")
+        elif key in sections[name] or (name, key) not in known:
+            raise ConfigError(f"{path}:{n}: {'repeated' if key in sections[name] else 'unknown'}"
+                              f" key {key!r} in [{name}]")
+        else:
+            sections[name][key] = value
     return sections
 
 
@@ -351,21 +355,19 @@ def _csv_text(columns, rows):
 
 
 def write_atomic(path, text):
-    """Write text to path via a temp file in the same directory, renamed in
+    """Write text to path via a sibling temp file (mode from the umask), renamed in
     after path is unlinked: a rename over a fresh file waits for its write-out."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         with suppress(FileNotFoundError):
             os.unlink(path)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    finally:  # the temp file is left only by a failure
+        with suppress(FileNotFoundError):
             os.unlink(tmp)
-        raise
 
 
 def _config_lines(report: ExperimentReport):
@@ -393,21 +395,22 @@ def _fmt(value, suffix=""):
     return f"{value}{suffix}" if isinstance(value, int) else f"{value:.6g}{suffix}"
 
 
-def _write_reports(out_dir, runs, compared=None):
+def _write_reports(out_dir, runs, baseline=None):
     """Write report.csv, plot.csv, summary.md and a decision log and mapping
-    audit per run. ``runs`` holds (role, report, ratios): a role prefixes the
-    run's log and audit file names and its configuration heading, and the
-    ratios fill its report.csv cells. ``compared``, the comparison's ratios,
-    adds their plot.csv rows and the summary's comparison section."""
+    audit per run. ``runs`` holds (role, report) pairs: a role prefixes the
+    run's log and audit file names and its configuration heading. A ``baseline``
+    fills each run's report.csv ratio cells with ``_ratios(baseline, run)``, and
+    the last run's ratios add plot.csv rows and the summary's comparison section."""
     def write(name, text):
         write_atomic(os.path.join(out_dir, name), text)
 
     rows, plot, lines = [], [], [
-        f"# nvwear {'run' if compared is None else 'comparison'} summary", "",
+        f"# nvwear {'run' if baseline is None else 'comparison'} summary", "",
         f"generated: {time.strftime('%Y-%m-%dT%H:%M:%S+00:00', time.gmtime())}", ""]
     table = ["| policy | workload | " + " | ".join(c for c, _, _ in _METRICS) + " |",
              "|" + "---|" * (2 + len(_METRICS))]
-    for role, rep, ratios in runs:
+    for role, rep in runs:
+        ratios = (None,) * len(_RATIOS) if baseline is None else _ratios(baseline, rep)
         values = [attrgetter(path)(rep) for _, _, path in _METRICS]
         rows.append(_report_row((rep.policy, rep.seed, rep.workload), values, ratios))
         plot += [[name, rep.policy, rep.workload, value]
@@ -426,10 +429,10 @@ def _write_reports(out_dir, runs, compared=None):
         lines += [f"## {role} configuration" if role else "## configuration",
                   *_config_lines(rep), ""]
     lines += ["## results", *table, ""]
-    if compared is not None:
+    if baseline is not None:
         plot += [[name, rep.policy, rep.workload, value]  # the technique, run last
-                 for (_, name), value in zip(_RATIOS, compared)]
-        lifetime, perf, saving, mpki_delta = compared
+                 for (_, name), value in zip(_RATIOS, ratios)]
+        lifetime, perf, saving, mpki_delta = ratios
         stats, decisions = rep.stats, rep.decisions
         swapped = sum(1 for d in decisions if d.swaps)
         lines += ["## comparison (technique vs baseline)",
@@ -455,13 +458,11 @@ def _write_reports(out_dir, runs, compared=None):
 def write_run_report(report: ExperimentReport, out_dir):
     """Emit report.csv (ratio cells empty), decisions.csv, mapping_audit.csv,
     plot.csv and summary.md."""
-    _write_reports(out_dir, [("", report, (None,) * len(_RATIOS))])
+    _write_reports(out_dir, [("", report)])
 
 
 def write_comparison_report(comparison: Comparison, out_dir):
     """Emit the same files for both runs, with baseline_/technique_ decision
     logs and mapping audits; the baseline row holds its ratios against itself."""
-    base, tech = comparison.baseline, comparison.technique
-    compared = tuple(getattr(comparison, name) for _, name in _RATIOS)
-    _write_reports(out_dir, [("baseline", base, _ratios(base, base)),
-                             ("technique", tech, compared)], compared)
+    _write_reports(out_dir, [("baseline", comparison.baseline),
+                             ("technique", comparison.technique)], comparison.baseline)

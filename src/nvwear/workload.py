@@ -84,8 +84,8 @@ class GeneratorSpec:
         if self.block_size_bytes > self.page_size_bytes:
             raise ConfigError("block_size_bytes must not exceed page_size_bytes")
         if self.page_count * self.page_size_bytes > MAX_ADDRESS:
-            raise ConfigError("page_count * page_size_bytes exceeds the 2^48 "
-                              "address space")
+            raise ConfigError("* page_size_bytes exceeds the 2^48 address space",
+                              "page_count")
 
     def label(self):
         """Short deterministic tag for reports."""

@@ -1,0 +1,200 @@
+"""Opt-in mutant gate: each row of MUTANTS plants one small bug in a copy of
+src/nvwear, and the test node ids of the row must fail on it.
+
+    python tests/mutants.py
+
+Each mutant gets a fresh temp copy of src/, with the row's old text replaced
+once by its new text, and runs its node ids in a pytest subprocess that
+imports nvwear from that copy. A row whose old text is not found exactly once
+fails the run, so a refactor that moves the code must update the row. Before
+any mutant, all named node ids run once on the unmutated copy and must pass.
+Exit status 0 means every mutant was killed.
+
+This file is not collected by pytest (its name does not start with test_).
+"""
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# One row per mutant: a name, the file under src/nvwear, the exact old text,
+# the new text, and the test node ids (relative to the repository root)
+# expected to kill it.
+MUTANTS = (
+    ("engine: every hit counted as a read hit", "engine.py",
+     "            if outcome is hit:\n                if not is_write:",
+     "            if outcome is hit:\n                if True:",
+     ["tests/test_engine.py::TestCycleAccounting::test_write_hit_costs_ten_more_than_read_hit",
+      "tests/test_engine.py::TestStatsBookkeeping::test_demand_counts_split"]),
+    ("engine: the last icount not kept between run calls", "engine.py",
+     "        self._counters = (last_icount, read_hits,",
+     "        self._counters = (0, read_hits,",
+     ["tests/test_engine.py::TestCycleAccounting::test_decreasing_icount_across_run_calls_raises",
+      "tests/test_engine.py::TestResumableRun::test_any_split_gives_the_one_call_result"]),
+    ("engine: the K-write count reset per run call", "engine.py",
+     "            counted = policy.writes_since_check\n        # the access",
+     "            counted = 0\n        # the access",
+     ["tests/test_engine.py::TestResumableRun::test_split_at_the_k_th_write",
+      "tests/test_engine.py::TestResumableRun::test_any_split_gives_the_one_call_result"]),
+    ("engine: a dirty eviction not counted as a writeback", "engine.py",
+     "                    writebacks += 1",
+     "                    writebacks += 0",
+     ["tests/test_engine.py::TestDeterminismAndOracle::test_static_run_matches_reference_counts",
+      "tests/test_engine.py::TestWholeRunAgainstReference::test_run_matches_reference_run"]),
+    ("engine: read fills always counted", "engine.py",
+     "                    if not count_fills:\n                        continue",
+     "                    if False:\n                        continue",
+     ["tests/test_engine.py::TestStatsBookkeeping::test_count_fills_off_shrinks_write_counts",
+      "tests/test_engine.py::TestWholeRunAgainstReference::test_run_matches_reference_run"]),
+    ("experiment: the stream produced per config", "experiment.py",
+     "    while chunk := list(islice(events, CHUNK)):\n        for sim in sims:\n"
+     "            sim.run(chunk)",
+     "    for sim in sims:\n        sim.run(read_trace(cfg.trace_path) if cfg.trace_path"
+     " else generate(cfg.workload))",
+     ["tests/test_engine.py::TestOneStreamPerCompare::test_stream_produced_once_per_compare",
+      "tests/test_engine.py::TestOneStreamPerCompare::"
+      "test_malformed_trace_fails_once_naming_its_line"]),
+    ("cache: the LRU MRU check inverted", "cache.py",
+     "            if lru[0] != tag:",
+     "            if lru[0] == tag:",
+     ["tests/test_cache.py::TestAccess::test_hit_promotes_to_mru",
+      "tests/test_cache.py::TestDifferentialSmall::test_traces_match_reference"]),
+    ("cache: a write hit leaves the block clean", "cache.py",
+     "                self._dirty[set_index] |= 1 << way\n                self._writes",
+     "                self._writes",
+     ["tests/test_cache.py::TestDifferentialSmall::test_traces_match_reference",
+      "tests/test_acceptance.py::test_c01_oracle_equivalence_on_randomized_traces"]),
+    ("cache: a full set evicts its most recently used block", "cache.py",
+     "            way = tags.index(lru.pop())",
+     "            way = tags.index(lru.pop(0))",
+     ["tests/test_cache.py::TestAccess::test_lru_evicts_oldest_and_reports_dirty",
+      "tests/test_cache.py::TestDifferentialSmall::test_traces_match_reference"]),
+    ("cache: flush_color keeps the dirty bits", "cache.py",
+     "            self._dirty[s] = 0\n",
+     "",
+     ["tests/test_cache.py::TestFlush::test_double_flush_returns_zero",
+      "tests/test_cache.py::TestDifferentialSmall::test_remaps_and_flushes_match_reference"]),
+    ("coloring: swap leaves region_of stale", "coloring.py",
+     "        self.region_of[c1], self.region_of[c2] = r2, r1\n",
+     "",
+     ["tests/test_coloring.py::TestSwap::test_swap_twice_restores_identity",
+      "tests/test_coloring.py::TestBijectivityFuzz::test_random_swaps_preserve_permutation"]),
+    ("policy: the beta gate opens only above beta", "policy.py",
+     "        if sdw < self.beta:",
+     "        if sdw <= self.beta:",
+     ["tests/test_policy.py::TestPlanRemap::test_differential_against_transcription",
+      "tests/test_acceptance.py::test_c02_plan_remap_matches_straight_line_transcription"]),
+    ("policy: the min-gap trigger defers at the gap itself", "policy.py",
+     "        if now_cycle - self.last_run_cycle < self.min_gap_cycles:",
+     "        if now_cycle - self.last_run_cycle <= self.min_gap_cycles:",
+     ["tests/test_policy.py::TestTrigger::test_gap_measured_from_last_fire"]),
+    ("policy: min mode takes the larger pair count", "policy.py",
+     "            n_swap = min(n_higher, self.swap_limit)",
+     "            n_swap = max(n_higher, self.swap_limit)",
+     ["tests/test_policy.py::TestPlanRemap::test_min_mode_uses_smaller_of_the_two",
+      "tests/test_policy.py::TestPlanRemap::test_differential_against_transcription"]),
+    ("policy: hot colors tie-break by descending index", "policy.py",
+     "        l1 = sorted(range(n), key=lambda c: (-last[c], c))",
+     "        l1 = sorted(range(n), key=lambda c: (-last[c], -c))",
+     ["tests/test_policy.py::TestPlanRemap::test_tie_break_is_ascending_color_index",
+      "tests/test_policy.py::TestPlanRemap::test_differential_against_transcription"]),
+    ("workload: _in_order skips the 2^48 test", "workload.py",
+     "    return (max(addrs) <= MAX_ADDRESS and icounts[0] >= last_icount",
+     "    return (icounts[0] >= last_icount",
+     ["tests/test_workload.py::TestReadTrace::test_rejects_address_above_48_bits",
+      "tests/test_workload.py::TestRoundTrip::test_writer_refuses_what_the_reader_refuses"]),
+    ("workload: the bulk reader reads W as a read", "workload.py",
+     'zip(map("W".__eq__, fields[::3]), addrs, icounts)',
+     'zip(map("R".__eq__, fields[::3]), addrs, icounts)',
+     ["tests/test_workload.py::TestReadTrace::test_basic_lines",
+      "tests/test_workload.py::TestRoundTrip::test_write_then_read_is_identity"]),
+    ("workload: the bulk reader does not advance the line number", "workload.py",
+     "                    lineno += len(lines)\n                    yield from",
+     "                    yield from",
+     ["tests/test_workload.py::TestBatchParserEquivalence::test_error_at_a_batch_boundary"]),
+    ("workload: the writer forgets the icount across batches", "workload.py",
+     "            written += len(batch)\n            last_icount = icounts[-1]",
+     "            written += len(batch)",
+     ["tests/test_workload.py::TestRoundTrip::"
+      "test_writer_refuses_an_icount_that_decreases_across_a_batch_edge"]),
+    ("workload: the writer swaps R and W", "workload.py",
+     "{'W' if is_write else 'R'}",
+     "{'R' if is_write else 'W'}",
+     ["tests/test_workload.py::TestRoundTrip::test_exact_line_format",
+      "tests/test_workload.py::TestRoundTrip::test_gen_trace_bytes_are_pinned"]),
+    ("experiment: _ratios(rep, baseline) with its arguments swapped", "experiment.py",
+     "_ratios(baseline, rep)",
+     "_ratios(rep, baseline)",
+     ["tests/test_golden.py::test_output_bytes_match_known_good"]),
+    ("experiment: relative performance inverted", "experiment.py",
+     "            b.stats.cycles / t.stats.cycles if",
+     "            t.stats.cycles / b.stats.cycles if",
+     ["tests/test_golden.py::test_output_bytes_match_known_good"]),
+    ("experiment: write_atomic leaves its temp file after a failure", "experiment.py",
+     "            os.unlink(tmp)",
+     "            pass",
+     ["tests/test_cli.py::TestWriteAtomic::test_failed_write_leaves_no_temp_file"]),
+    ("experiment: the INI reader accepts a key before any section", "experiment.py",
+     '        elif name is None:\n            raise ConfigError(f"{path}:{n}: key {key!r} '
+     'before any section")',
+     "        elif name is None:\n            continue",
+     ["tests/test_cli.py::TestIniGrammar::test_refusals_name_the_file_and_line"]),
+)
+
+
+def _pytest(src, node_ids, workdir):
+    """Run node ids with nvwear imported from ``src``; cwd is ``workdir``, so
+    hypothesis keeps its example database out of the repository."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           f"--rootdir={ROOT}", "-o", f"pythonpath={src}",
+           *(str(ROOT / node) for node in node_ids)]
+    return subprocess.run(cmd, cwd=workdir, capture_output=True, text=True)
+
+
+def _copy_src(workdir):
+    src = Path(workdir) / "src"
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def main():
+    rows, failed = MUTANTS, []
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="nvwear-mutants-") as workdir:
+        for name, file, old, _, _ in rows:
+            count = (ROOT / "src" / "nvwear" / file).read_text().count(old)
+            if count != 1:
+                failed.append(f"{name}: old text found {count} times in {file}")
+        nodes = sorted({node for row in rows for node in row[4]})
+        proc = _pytest(_copy_src(workdir), nodes, workdir)
+        if proc.returncode != 0:
+            failed.append(f"unmutated source: the named tests do not pass\n{proc.stdout}")
+        if failed:
+            print("\n".join(failed))
+            return 1
+        for name, file, old, new, node_ids in rows:
+            t0 = time.perf_counter()
+            src = _copy_src(workdir)
+            target = src / "nvwear" / file
+            target.write_text(target.read_text().replace(old, new, 1))
+            proc = _pytest(src, node_ids, workdir)
+            # pytest exits 1 when a test failed; 0 is a survivor, anything else
+            # (an internal or usage error) does not count as a kill
+            verdict = {0: "SURVIVED", 1: "killed"}.get(proc.returncode,
+                                                        f"ERROR (exit {proc.returncode})")
+            print(f"{verdict:>10}  {time.perf_counter() - t0:5.1f} s  {name}", flush=True)
+            if proc.returncode != 1:
+                failed.append(name)
+    print(f"{len(rows) - len(failed)} of {len(rows)} mutants killed in "
+          f"{time.perf_counter() - start:.1f} s")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
