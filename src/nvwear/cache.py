@@ -1,6 +1,6 @@
 """Set-associative write-back cache model with per-block write counting."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -24,11 +24,6 @@ class CacheConfig:
     miss_penalty: int = 160
     core_frequency_hz: int = 2_000_000_000
 
-    # derived geometry, filled in post-init
-    num_sets: int = field(init=False, repr=False, default=0)
-    num_colors: int = field(init=False, repr=False, default=0)
-    sets_per_color: int = field(init=False, repr=False, default=0)
-
     def __post_init__(self):
         for name in ("cache_size_bytes", "associativity", "block_size_bytes",
                      "page_size_bytes"):
@@ -42,18 +37,22 @@ class CacheConfig:
                 raise ConfigError("must be non-negative", name)
         if self.core_frequency_hz <= 0:
             raise ConfigError("must be positive", "core_frequency_hz")
-        num_colors = self.cache_size_bytes // (self.page_size_bytes * self.associativity)
-        if num_colors < 1:
+        if self.num_colors < 1:
             raise ConfigError(
                 "geometry yields zero colors: cache must hold at least "
                 "page_size * associativity bytes")
-        object.__setattr__(self, "num_colors", num_colors)
-        object.__setattr__(self, "num_sets",
-                           self.cache_size_bytes // (self.block_size_bytes * self.associativity))
-        object.__setattr__(self, "sets_per_color",
-                           self.page_size_bytes // self.block_size_bytes)
-        # with power-of-two sizes this always closes exactly
-        assert self.num_sets == self.num_colors * self.sets_per_color
+
+    @property
+    def num_colors(self):
+        return self.cache_size_bytes // (self.page_size_bytes * self.associativity)
+
+    @property
+    def sets_per_color(self):
+        return self.page_size_bytes // self.block_size_bytes
+
+    @property
+    def num_sets(self):
+        return self.num_colors * self.sets_per_color
 
 
 @dataclass(frozen=True, slots=True)

@@ -21,8 +21,6 @@ class MappingTable:
         n = len(self.color_of)
         if not (0 <= c1 < n and 0 <= c2 < n):
             raise ValueError(f"swap({c1}, {c2}) out of range for {n} colors")
-        if c1 == c2:
-            return
         r1, r2 = self.region_of[c1], self.region_of[c2]
         self.region_of[c1], self.region_of[c2] = r2, r1
         self.color_of[r1], self.color_of[r2] = c2, c1

@@ -156,8 +156,9 @@ _SETTINGS = (
 
 
 def _read_ini(path):
-    """{section: {key: value}} of an INI file of ``[section]`` and ``key = value``
-    lines (split at the first ``=``); a ``#`` or ``;`` at the start of a line or
+    """{(section, key): (value, where)} of an INI file of ``[section]`` and
+    ``key = value`` lines (split at the first ``=``), ``where`` reading
+    ``path:line: [section] key``; a ``#`` or ``;`` at the start of a line or
     after a blank starts a comment. Values are literal and keys exact."""
     with open(path, "rb") as fh:
         data = fh.read()
@@ -168,7 +169,7 @@ def _read_ini(path):
         raise ConfigError(
             f"{path}:{line}: not UTF-8: byte 0x{data[exc.start]:02x}") from None
     known = {(section, key) for section, key, *_ in _SETTINGS}
-    sections, name = {}, None
+    values, seen, name = {}, set(), None
     for n, line in enumerate(text.split("\n"), 1):
         line = re.split(r"(?:^|\s)[#;]", line, maxsplit=1)[0].strip()
         key, eq, value = (part.strip() for part in line.partition("="))
@@ -176,20 +177,20 @@ def _read_ini(path):
             continue
         if m := re.fullmatch(r"\[(.*)\]", line):
             name = m[1]
-            if name in sections or name not in {section for section, _ in known}:
-                raise ConfigError(f"{path}:{n}: {'repeated' if name in sections else 'unknown'}"
+            if name in seen or name not in {section for section, _ in known}:
+                raise ConfigError(f"{path}:{n}: {'repeated' if name in seen else 'unknown'}"
                                   f" section [{name}]")
-            sections[name] = {}
+            seen.add(name)
         elif not eq or not key:
             raise ConfigError(f"{path}:{n}: expected [section] or key = value, got {line!r}")
         elif name is None:
             raise ConfigError(f"{path}:{n}: key {key!r} before any section")
-        elif key in sections[name] or (name, key) not in known:
-            raise ConfigError(f"{path}:{n}: {'repeated' if key in sections[name] else 'unknown'}"
+        elif (name, key) in values or (name, key) not in known:
+            raise ConfigError(f"{path}:{n}: {'repeated' if (name, key) in values else 'unknown'}"
                               f" key {key!r} in [{name}]")
         else:
-            sections[name][key] = value
-    return sections
+            values[name, key] = value, f"{path}:{n}: [{name}] {key}"
+    return values
 
 
 def build_config(path=None, overrides=None, policy=True) -> ExperimentConfig:
@@ -198,10 +199,10 @@ def build_config(path=None, overrides=None, policy=True) -> ExperimentConfig:
     other value is parsed from its ``str``, as file text is). A setting given
     neither way keeps its dataclass default; an empty value or an undeclared
     override key is an error. An error about one setting's value names the
-    file key or the override key that gave it. The policy is built, which
-    range-checks its settings, only if ``policy`` is true: gen-trace runs
-    none."""
-    sections = _read_ini(path) if path else {}
+    file line and key, or the override key, that gave it. The policy is
+    built, which range-checks its settings, only if ``policy`` is true:
+    gen-trace runs none."""
+    values = _read_ini(path) if path else {}
     overrides = overrides or {}
     unknown = set(overrides) - {row[2] for row in _SETTINGS}
     if unknown:
@@ -209,11 +210,9 @@ def build_config(path=None, overrides=None, policy=True) -> ExperimentConfig:
     given = {CacheConfig: {}, GeneratorSpec: {}, ExperimentConfig: {}}
     sources = {}  # field -> where its value came from
     for section, key, override_key, target, name, parse in _SETTINGS:
-        value = overrides.get(override_key)
-        source = f"override {override_key}"
+        value, source = overrides.get(override_key), f"override {override_key}"
         if value is None:
-            value = sections.get(section, {}).get(key)
-            source = f"{path}: [{section}] {key}"
+            value, source = values.get((section, key), (None, None))
         if value is None:
             continue
         sources[name] = source

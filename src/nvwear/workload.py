@@ -211,46 +211,42 @@ def _parse_lines(path, lines, lineno, last_icount):
     """Yield the events of ``lines``, which follow line ``lineno`` of the
     trace, one line at a time; returns the last icount."""
     for lineno, line in enumerate(lines, start=lineno + 1):
-        if not line.isascii():
-            byte = next(ch for ch in line if not ch.isascii())
-            raise TraceFormatError(
-                f"{path}:{lineno}: non-ASCII byte 0x{ord(byte):02x}")
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
-        if len(parts) != 3:
-            raise TraceFormatError(
-                f"{path}:{lineno}: expected 'R|W 0xADDR ICOUNT', got {stripped!r}")
-        kind, addr_text, icount_text = parts
-        if kind not in ("R", "W"):
-            raise TraceFormatError(f"{path}:{lineno}: unknown kind {kind!r}")
-        if not addr_text.startswith("0x"):
-            raise TraceFormatError(
-                f"{path}:{lineno}: address must be 0x-prefixed hex, got {addr_text!r}")
         try:
-            addr = int(addr_text, 16)
-        except ValueError:
-            raise TraceFormatError(
-                f"{path}:{lineno}: bad hex address {addr_text!r}") from None
-        if addr > MAX_ADDRESS:
-            raise TraceFormatError(f"{path}:{lineno}: address above 2^48")
-        try:
-            icount = int(icount_text, 10)
-        except ValueError:
-            raise TraceFormatError(
-                f"{path}:{lineno}: bad instruction count {icount_text!r}") from None
-        if icount < 0:
-            raise TraceFormatError(f"{path}:{lineno}: negative instruction count")
-        if icount < last_icount:
-            raise TraceFormatError(
-                f"{path}:{lineno}: instruction count decreased "
-                f"({last_icount} -> {icount})")
-        # int() accepts '_' and signs; tested last so older errors keep their text
-        if "_" in addr_text or not icount_text.isdigit():
-            raise TraceFormatError(
-                f"{path}:{lineno}: '_' and signs are not allowed in "
-                f"numbers, got {stripped!r}")
+            if not line.isascii():
+                byte = next(ch for ch in line if not ch.isascii())
+                raise TraceFormatError(f"non-ASCII byte 0x{ord(byte):02x}")
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            parts = stripped.split()
+            if len(parts) != 3:
+                raise TraceFormatError(f"expected 'R|W 0xADDR ICOUNT', got {stripped!r}")
+            kind, addr_text, icount_text = parts
+            if kind not in ("R", "W"):
+                raise TraceFormatError(f"unknown kind {kind!r}")
+            if not addr_text.startswith("0x"):
+                raise TraceFormatError(f"address must be 0x-prefixed hex, got {addr_text!r}")
+            try:
+                addr = int(addr_text, 16)
+            except ValueError:
+                raise TraceFormatError(f"bad hex address {addr_text!r}") from None
+            if addr > MAX_ADDRESS:
+                raise TraceFormatError("address above 2^48")
+            try:
+                icount = int(icount_text, 10)
+            except ValueError:
+                raise TraceFormatError(f"bad instruction count {icount_text!r}") from None
+            if icount < 0:
+                raise TraceFormatError("negative instruction count")
+            if icount < last_icount:
+                raise TraceFormatError(
+                    f"instruction count decreased ({last_icount} -> {icount})")
+            # int() accepts '_' and signs; tested last so older errors keep their text
+            if "_" in addr_text or not icount_text.isdigit():
+                raise TraceFormatError(
+                    f"'_' and signs are not allowed in numbers, got {stripped!r}")
+        except TraceFormatError as exc:
+            raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
         last_icount = icount
         yield TraceEvent(kind == "W", addr, icount)
     return last_icount

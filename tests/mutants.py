@@ -79,6 +79,10 @@ MUTANTS = (
      "",
      ["tests/test_cache.py::TestFlush::test_double_flush_returns_zero",
       "tests/test_cache.py::TestDifferentialSmall::test_remaps_and_flushes_match_reference"]),
+    ("cache: num_sets not derived from the colors", "cache.py",
+     "        return self.num_colors * self.sets_per_color",
+     "        return self.cache_size_bytes // self.block_size_bytes",
+     ["tests/test_coloring.py::TestNumColors::test_reference_llc_has_64_colors"]),
     ("coloring: swap leaves region_of stale", "coloring.py",
      "        self.region_of[c1], self.region_of[c2] = r2, r1\n",
      "",
@@ -127,6 +131,11 @@ MUTANTS = (
      "{'R' if is_write else 'W'}",
      ["tests/test_workload.py::TestRoundTrip::test_exact_line_format",
       "tests/test_workload.py::TestRoundTrip::test_gen_trace_bytes_are_pinned"]),
+    ("workload: the per-line parser names the line before", "workload.py",
+     'raise TraceFormatError(f"{path}:{lineno}: {exc}")',
+     'raise TraceFormatError(f"{path}:{lineno - 1}: {exc}")',
+     ["tests/test_workload.py::TestReadTrace::test_error_carries_line_number",
+      "tests/test_workload.py::TestReadTrace::test_non_ascii_byte_names_its_line"]),
     ("experiment: _ratios(rep, baseline) with its arguments swapped", "experiment.py",
      "_ratios(baseline, rep)",
      "_ratios(rep, baseline)",
@@ -144,6 +153,10 @@ MUTANTS = (
      'before any section")',
      "        elif name is None:\n            continue",
      ["tests/test_cli.py::TestIniGrammar::test_refusals_name_the_file_and_line"]),
+    ("experiment: the INI reader names the line after a value", "experiment.py",
+     'values[name, key] = value, f"{path}:{n}: [{name}] {key}"',
+     'values[name, key] = value, f"{path}:{n + 1}: [{name}] {key}"',
+     ["tests/test_cli.py::TestBuildConfig::test_file_value_error_names_its_line"]),
 )
 
 

@@ -132,7 +132,7 @@ class TestBuildConfig:
                                                         section, key, value):
         bad = write_config(tmp_path / "bad.ini", f"[{section}]\n{key} = {value}\n")
         assert main(["run", "--config", bad, "--out", str(tmp_path / "o")]) == 2
-        assert f"{bad}: [{section}] {key}: " in capsys.readouterr().err
+        assert f"{bad}:2: [{section}] {key}: " in capsys.readouterr().err
 
     def test_malformed_override_names_override_key(self):
         with pytest.raises(ConfigError, match=r"^override lambda: "):
@@ -141,7 +141,7 @@ class TestBuildConfig:
     def test_empty_file_value_names_file_section_and_key(self, tmp_path, capsys):
         bad = write_config(tmp_path / "bad.ini", "[workload]\ntrace =\n")
         assert main(["run", "--config", bad, "--out", str(tmp_path / "o")]) == 2
-        assert f"error: {bad}: [workload] trace: empty value" in capsys.readouterr().err
+        assert f"error: {bad}:2: [workload] trace: empty value" in capsys.readouterr().err
 
     def test_empty_override_names_override_key(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -182,8 +182,14 @@ class TestBuildConfig:
         bad = write_config(tmp_path / "bad.ini", f"[{section}]\n{key} = {value}\n")
         assert main(["run", "--config", bad, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {bad}: ") and message in err
+        assert err.startswith(f"error: {bad}:2: ") and message in err
         assert not (tmp_path / "o").exists()
+
+    def test_file_value_error_names_its_line(self, tmp_path, capsys):
+        bad = write_config(tmp_path / "bad.ini", "# a comment\n[cache]\nsize_bytes = 4M\n"
+                                                 "\n[policy]\nbeta = -1\n")
+        assert main(["run", "--config", bad, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {bad}:6: [policy] beta must be >= 0\n"
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--beta", "-1", "error: override beta must be >= 0"),
@@ -259,7 +265,7 @@ class TestSettingFlags:
                            "[policy]\nkind = static\nswap_limit_mode = bogus\n")
         assert main(["run", "--config", cfg, "--events", "10", "--out", out]) == 2
         assert capsys.readouterr().err.startswith(
-            f"error: {cfg}: [policy] swap_limit_mode: 'bogus' is not one of")
+            f"error: {cfg}:3: [policy] swap_limit_mode: 'bogus' is not one of")
         assert not (tmp_path / "o").exists()
 
     def test_ignored_workload_kind_is_still_checked(self, tmp_path, capsys):
@@ -274,7 +280,7 @@ class TestSettingFlags:
                            f"[workload]\nkind = bogus\ntrace = {trace}\n")
         assert main(["run", "--config", cfg, "--out", out]) == 2
         assert capsys.readouterr().err.startswith(
-            f"error: {cfg}: [workload] kind: 'bogus' is not one of ")
+            f"error: {cfg}:2: [workload] kind: 'bogus' is not one of ")
         assert not (tmp_path / "o").exists()
         assert main(["run", "--kind", "trace", "--trace", str(trace),
                      "--out", out]) == 0
@@ -287,7 +293,7 @@ class TestSettingFlags:
         assert capsys.readouterr().err == f"error: override {reason}"
         cfg = write_config(tmp_path / "exp.ini", f"[workload]\npages = {2 ** 37}\n")
         assert main(["run", "--config", cfg, "--out", out]) == 2
-        assert capsys.readouterr().err == f"error: {cfg}: [workload] {reason}"
+        assert capsys.readouterr().err == f"error: {cfg}:2: [workload] {reason}"
         assert main(["run", "--pages", str(2 ** 36), "--events", "10", "--out", out]) == 0
 
     def test_trace_kind_without_a_trace_names_the_override_key(self, capsys):
@@ -489,7 +495,7 @@ class TestGenTrace:
         cfg = write_config(tmp_path / "p.ini", text)
         out = tmp_path / "out.trace"
         assert main(["gen-trace", str(out), "--config", cfg]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {cfg}: {message}")
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:2: {message}")
         assert not out.exists()
 
 

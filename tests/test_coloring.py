@@ -32,8 +32,13 @@ class TestSwap:
 
     def test_self_swap_is_noop(self):
         mapping = MappingTable(4)
-        mapping.swap(2, 2)
-        assert mapping.color_of == [0, 1, 2, 3]
+        for c in range(4):
+            mapping.swap(c, c)
+            assert mapping.color_of == mapping.region_of == [0, 1, 2, 3]
+        mapping.swap(1, 3)  # and on a permuted table
+        for c in range(4):
+            mapping.swap(c, c)
+            assert mapping.color_of == mapping.region_of == [0, 3, 2, 1]
 
     def test_swap_twice_restores_identity(self):
         mapping = MappingTable(4)
