@@ -13,10 +13,10 @@ import sys
 
 from .cache import CacheConfig
 from .errors import ConfigError
-from .experiment import (_SETTINGS, build_config, compare_experiments, run_experiment,
-                         write_comparison_report, write_run_report)
+from .experiment import (_SETTINGS, _read_ini, build_config, compare_experiments,
+                         run_experiment, write_comparison_report, write_run_report)
 from .reference import replay_against_reference
-from .workload import GeneratorSpec, generate, write_trace
+from .workload import GeneratorSpec, generate_tuples, write_trace
 
 log = logging.getLogger("nvwear.cli")
 
@@ -101,11 +101,11 @@ def _cmd_gen_trace(args):
     cfg = build_config(args.config, _settings(args), policy=False)
     if cfg.workload is None:
         # gen-trace has no --trace flag, so the trace came from the file
-        raise ConfigError(f"{args.config}: [workload] trace is set, but gen-trace "
-                          "needs a generator workload")
+        where = _read_ini(args.config)["workload", "trace"][1]
+        raise ConfigError(f"{where} is set, but gen-trace needs a generator workload")
     directory = os.path.dirname(os.path.abspath(args.path))
     os.makedirs(directory, exist_ok=True)
-    write_trace(args.path, generate(cfg.workload))
+    write_trace(args.path, generate_tuples(cfg.workload))
     log.info("wrote %d events to %s", cfg.workload.num_events, args.path)
     return 0
 

@@ -25,7 +25,10 @@ from .errors import ConfigError
 from .metrics import RunStats, energy_joules, mpki, relative_lifetime
 from .policy import (DEFAULT_BETA, DEFAULT_K_WRITES, DEFAULT_MIN_GAP_CYCLES,
                      POLICY_KINDS, build_policy, default_swap_limit)
-from .workload import GENERATOR_KINDS, GeneratorSpec, generate, read_trace
+# exact tuples for the simulators, under the names of the per-event seams that
+# perfbench/tracer.py, tests/test_bench_contract.py and TestOneStreamPerCompare patch
+from .workload import (GENERATOR_KINDS, GeneratorSpec, generate_tuples as generate,
+                       read_trace_tuples as read_trace)
 
 log = logging.getLogger("nvwear.experiment")
 

@@ -110,7 +110,12 @@ def _zipf_cdf(spec):
 
 
 def generate(spec: GeneratorSpec):
-    """Yield the deterministic event stream described by ``spec``.
+    """Yield the deterministic event stream described by ``spec`` as TraceEvents."""
+    return map(tuple.__new__, repeat(TraceEvent), generate_tuples(spec))
+
+
+def generate_tuples(spec: GeneratorSpec):
+    """Yield the events of ``generate`` as exact tuples, which unpack faster.
 
     Page and block draws inline ``randrange(n)``: ``getrandbits(n.bit_length())``
     until below n; the same stream, without argument checks or a call frame.
@@ -133,7 +138,6 @@ def generate(spec: GeneratorSpec):
     block_size = spec.block_size_bytes
     write_fraction = spec.write_fraction
     step = spec.instructions_per_access
-    new = tuple.__new__  # builds a TraceEvent without its Python-level __new__
     for icount in range(step, step * spec.num_events + 1, step):
         is_write = random_() < write_fraction
         if zipf_cdf is not None:
@@ -151,13 +155,12 @@ def generate(spec: GeneratorSpec):
         else:  # roundrobin: pages cycle fastest, no block draw
             i = icount // step - 1
             page, block = i % page_count, i // page_count % blocks_per_page
-            yield new(TraceEvent, (is_write, page * page_size + block * block_size,
-                                   icount))
+            yield is_write, page * page_size + block * block_size, icount
             continue
         block = getrandbits(k_block)
         while block >= blocks_per_page:
             block = getrandbits(k_block)
-        yield new(TraceEvent, (is_write, page * page_size + block * block_size, icount))
+        yield is_write, page * page_size + block * block_size, icount
 
 
 _BATCH_BYTES = 8192  # readlines() hint: small enough to leave peak RSS flat
@@ -166,7 +169,7 @@ _CANONICAL = re.compile(r"(?:[RW] 0x[0-9a-fA-F]+ [0-9]+\n)*")
 
 
 def read_trace(path):
-    """Yield events from a text trace.
+    """Yield the events of a text trace as TraceEvents.
 
     One event per line: ``R|W 0x<hex address> <decimal cumulative icount>``.
     ``#`` lines are comments; blank lines are skipped. Addresses must stay
@@ -179,9 +182,13 @@ def read_trace(path):
     line. Both paths accept the same traces and raise the same errors, the
     per-line one is only slower.
     """
+    return map(tuple.__new__, repeat(TraceEvent), read_trace_tuples(path))
+
+
+def read_trace_tuples(path):
+    """Yield the events of ``read_trace`` as exact tuples, which unpack faster."""
     last_icount = 0
     lineno = 0
-    new = tuple.__new__  # as in generate
     # latin-1 decodes every byte, so a non-ASCII byte fails the batch match
     # and reaches the line check, which can name its line
     with open(path, "r", encoding="latin-1") as fh:
@@ -194,8 +201,7 @@ def read_trace(path):
                 if _in_order(addrs, icounts, last_icount):
                     last_icount = icounts[-1]
                     lineno += len(lines)
-                    yield from map(new, repeat(TraceEvent),
-                                   zip(map("W".__eq__, fields[::3]), addrs, icounts))
+                    yield from zip(map("W".__eq__, fields[::3]), addrs, icounts)
                     continue
             last_icount = yield from _parse_lines(path, lines, lineno, last_icount)
             lineno += len(lines)
@@ -248,7 +254,7 @@ def _parse_lines(path, lines, lineno, last_icount):
         except TraceFormatError as exc:
             raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
         last_icount = icount
-        yield TraceEvent(kind == "W", addr, icount)
+        yield kind == "W", addr, icount
     return last_icount
 
 

@@ -117,6 +117,21 @@ MUTANTS = (
      'zip(map("R".__eq__, fields[::3]), addrs, icounts)',
      ["tests/test_workload.py::TestReadTrace::test_basic_lines",
       "tests/test_workload.py::TestRoundTrip::test_write_then_read_is_identity"]),
+    ("workload: the bulk reader yields TraceEvents", "workload.py",
+     'yield from zip(map("W".__eq__, fields[::3]), addrs, icounts)',
+     'yield from map(TraceEvent._make, zip(map("W".__eq__, fields[::3]), addrs, icounts))',
+     ["tests/test_workload.py::TestExactTupleStreams::"
+      "test_read_trace_on_bulk_and_per_line_batches"]),
+    ("workload: the per-line reader yields TraceEvents", "workload.py",
+     '        yield kind == "W", addr, icount',
+     '        yield TraceEvent(kind == "W", addr, icount)',
+     ["tests/test_workload.py::TestExactTupleStreams::"
+      "test_read_trace_on_bulk_and_per_line_batches"]),
+    ("workload: the public generate yields exact tuples", "workload.py",
+     "    return map(tuple.__new__, repeat(TraceEvent), generate_tuples(spec))",
+     "    return generate_tuples(spec)",
+     ["tests/test_workload.py::TestGenerate::test_icount_advances_uniformly",
+      "tests/test_workload.py::TestGenerate::test_write_fraction_extremes"]),
     ("workload: the bulk reader does not advance the line number", "workload.py",
      "                    lineno += len(lines)\n                    yield from",
      "                    yield from",

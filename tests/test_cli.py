@@ -474,7 +474,7 @@ class TestGenTrace:
         out = tmp_path / "out.trace"
         assert main(["gen-trace", str(out), "--config", cfg]) == 2
         assert capsys.readouterr().err == (
-            f"error: {cfg}: [workload] trace is set, but gen-trace needs a generator "
+            f"error: {cfg}:2: [workload] trace is set, but gen-trace needs a generator "
             "workload\n")
         assert not out.exists()
 

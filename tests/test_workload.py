@@ -9,10 +9,10 @@ from itertools import count, cycle, islice
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nvwear import (ConfigError, GeneratorSpec, TraceEvent, TraceFormatError,
+from nvwear import (ConfigError, GeneratorSpec, TraceEvent, TraceFormatError, experiment,
                     generate, read_trace, write_trace, workload)
 from nvwear.cli import main
-from nvwear.workload import MAX_ADDRESS
+from nvwear.workload import GENERATOR_KINDS, MAX_ADDRESS
 
 from oracles import read_trace_per_line
 
@@ -456,6 +456,37 @@ PINNED_SPECS = {
                            page_size_bytes=512),
     "roundrobin": dict(kind="roundrobin", page_count=10),
 }
+
+
+class TestExactTupleStreams:
+    """The simulators read the streams through experiment's generate and
+    read_trace, which yield exact tuples; the public streams are TraceEvent
+    views of the same events."""
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_generate(self, kind):
+        spec = GeneratorSpec(kind=kind, num_events=300, page_count=16, seed=3)
+        tuples = list(experiment.generate(spec))
+        assert tuples and all(type(ev) is tuple for ev in tuples)
+        public = list(generate(spec))
+        assert all(type(ev) is TraceEvent for ev in public)
+        assert public == tuples
+
+    def test_read_trace_on_bulk_and_per_line_batches(self, tmp_path):
+        events = list(generate(GeneratorSpec(num_events=3000, seed=4)))
+        path = tmp_path / "t.trace"
+        write_trace(path, events)
+        lines = path.read_text().splitlines(keepends=True)
+        is_write, addr, icount = events[1500]
+        # a comment and a tab-separated line send their batch to the per-line
+        # parser; the batches before and after it are canonical
+        lines[1500] = f"# comment\n{'W' if is_write else 'R'}\t{addr:#x}\t{icount}\n"
+        path.write_text("".join(lines))
+        tuples = list(experiment.read_trace(path))
+        assert all(type(ev) is tuple for ev in tuples)
+        public = list(read_trace(path))
+        assert all(type(ev) is TraceEvent for ev in public)
+        assert public == tuples == events
 
 
 def _randrange_stream(spec):
