@@ -68,6 +68,8 @@ class GeneratorSpec:
             raise ConfigError("must lie in [0, 1]", "hotset_probability")
         if self.page_count < 1:
             raise ConfigError("must be >= 1", "page_count")
+        if self.kind == "zipf" and self.page_count > 1 << 24:  # ~1 GiB of zipf table
+            raise ConfigError("must be <= 2^24 for zipf (64 B per page)", "page_count")
         if not self.zipf_exponent >= 0:  # NaN too
             raise ConfigError("must be >= 0", "zipf_exponent")
         try:  # of the zipf weights, the largest rank's overflows first
@@ -99,14 +101,11 @@ class GeneratorSpec:
 
 
 def _zipf_cdf(spec):
-    """Cumulative zipf probabilities of the pages, the last exactly 1.0: a
-    draw is ``bisect_right(cdf, random())``."""
+    """Cumulative zipf page probabilities: running sums (left to right on every
+    CPython) over the last, which gives 1.0; a draw is ``bisect_right(cdf, random())``."""
     s = spec.zipf_exponent
-    weights = [1.0 / (rank ** s) for rank in range(1, spec.page_count + 1)]
-    total = sum(weights)
-    cdf = [acc / total for acc in accumulate(weights)]
-    cdf[-1] = 1.0
-    return cdf
+    sums = list(accumulate(1.0 / (rank ** s) for rank in range(1, spec.page_count + 1)))
+    return [acc / sums[-1] for acc in sums]
 
 
 def generate(spec: GeneratorSpec):

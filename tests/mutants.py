@@ -74,6 +74,12 @@ MUTANTS = (
      "            way = tags.index(lru.pop(0))",
      ["tests/test_cache.py::TestAccess::test_lru_evicts_oldest_and_reports_dirty",
       "tests/test_cache.py::TestDifferentialSmall::test_traces_match_reference"]),
+    ("cache: a full set reads an evicted way's dirty bit at way mod 8", "cache.py",
+     "            evicted_dirty = self._dirty[set_index] >> way & 1",
+     "            evicted_dirty = self._dirty[set_index] >> (way & 7) & 1",
+     # the drawn geometries have at most 4 ways; only the 16-way default sees it
+     ["tests/test_engine.py::TestWholeRunAtBenchmarkGeometry::"
+      "test_run_matches_reference_run[zipf-miss]"]),
     ("cache: flush_color keeps the dirty bits", "cache.py",
      "            self._dirty[s] = 0\n",
      "",
@@ -151,6 +157,13 @@ MUTANTS = (
      'raise TraceFormatError(f"{path}:{lineno - 1}: {exc}")',
      ["tests/test_workload.py::TestReadTrace::test_error_carries_line_number",
       "tests/test_workload.py::TestReadTrace::test_non_ascii_byte_names_its_line"]),
+    ("workload: the zipf table totals its weights in a separate sum pass", "workload.py",
+     "    return [acc / sums[-1] for acc in sums]",
+     "    total = sum(1.0 / (rank ** s) for rank in range(1, spec.page_count + 1))\n"
+     "    return [acc / total for acc in sums]",
+     # sum adds left to right up to CPython 3.11; the test patches in a compensated one
+     ["tests/test_workload.py::TestZipfTable::"
+      "test_a_compensated_sum_leaves_the_table_unchanged"]),
     ("experiment: _ratios(rep, baseline) with its arguments swapped", "experiment.py",
      "_ratios(baseline, rep)",
      "_ratios(rep, baseline)",

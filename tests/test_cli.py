@@ -296,6 +296,18 @@ class TestSettingFlags:
         assert capsys.readouterr().err == f"error: {cfg}:2: [workload] {reason}"
         assert main(["run", "--pages", str(2 ** 36), "--events", "10", "--out", out]) == 0
 
+    def test_zipf_page_bound_names_the_pages_setting(self, tmp_path, capsys):
+        # refused while the config is built, before any page table
+        reason = "pages must be <= 2^24 for zipf (64 B per page)\n"
+        out = str(tmp_path / "o")
+        assert main(["run", "--kind", "zipf", "--pages", str(2 ** 24 + 1),
+                     "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: override {reason}"
+        cfg = write_config(tmp_path / "exp.ini",
+                           f"[workload]\nkind = zipf\npages = {2 ** 24 + 1}\n")
+        assert main(["run", "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:3: [workload] {reason}"
+
     def test_trace_kind_without_a_trace_names_the_override_key(self, capsys):
         assert main(["run", "--kind", "trace"]) == 2
         assert capsys.readouterr().err == (

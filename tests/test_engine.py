@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nvwear import (ExperimentConfig, GeneratorSpec, ReferenceSimulator, Simulator,
-                    TraceEvent, TraceFormatError, build_policy, compare_experiments,
-                    generate, run_experiment, write_trace)
+                    TraceEvent, TraceFormatError, build_config, build_policy,
+                    compare_experiments, generate, read_trace, run_experiment, write_trace)
 from nvwear import experiment
 from nvwear.workload import MAX_ADDRESS
 
@@ -350,6 +350,55 @@ class TestWholeRunAgainstReference:
         sim.run(events)
         got = sim.result()
         stats, decisions, audit = reference_run(cfg, kind, params, events, count_fills)
+        assert dataclasses.asdict(got) == {
+            **stats, "block_write_sd": pytest.approx(stats["block_write_sd"])}
+        assert [(d.interval, d.cycle, d.ran, d.swaps, d.sdw, d.n_higher, d.writebacks)
+                for d in sim.decisions] == [
+            (*head, pytest.approx(sdw), n_higher, writebacks)
+            for *head, sdw, n_higher, writebacks in decisions]
+        assert sim.mapping_audit == audit
+
+
+# The benchmark's three workloads, copied from perfbench/run.py: the generator
+# overrides, the technique's overrides, and whether the stream is replayed
+# through a text trace.
+BENCH_WORKLOADS = {
+    "zipf-miss": ({"workload_kind": "zipf", "pages": 4096, "zipf_s": 1.0,
+                   "write_fraction": 0.3}, {"policy": "swl"}, False),
+    "hotset-remap": ({"workload_kind": "hotset", "pages": 64, "write_fraction": 1.0},
+                     {"policy": "swl", "k": 10_000, "min_gap_cycles": 0}, False),
+    "trace-replay": ({"workload_kind": "uniform", "pages": 256, "write_fraction": 0.5},
+                     {"policy": "xor"}, True),
+}
+
+
+class TestWholeRunAtBenchmarkGeometry:
+    """Simulator.run against reference_run on the default cache (64 colors of
+    64 sets, 16 ways), over each benchmark workload's stream at seed 5 and
+    300k events with the technique's settings: full 16-way sets and policy
+    executions at a size the drawn runs above never reach."""
+
+    @pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS))
+    def test_run_matches_reference_run(self, name, tmp_path):
+        generator, technique, replay = BENCH_WORKLOADS[name]
+        source = {**generator, "events": 300_000, "seed": 5}
+        if replay:
+            path = str(tmp_path / "replay.trace")
+            write_trace(path, generate(build_config(None, source, policy=False).workload))
+            source = {"trace": path}
+        cfg = build_config(None, {**source, **technique})
+        cache = cfg.cache
+        assert (cache.num_colors, cache.sets_per_color, cache.associativity) == (64, 64, 16)
+        events = list(read_trace(path) if replay else generate(cfg.workload))
+        sim = Simulator(cache, cfg.make_policy(), count_fills=cfg.count_fills)
+        sim.run(events)
+        got = sim.result()
+        params = dict(beta=cfg.beta, swap_limit=16,  # the default: a quarter of the colors
+                      k_writes=cfg.k_writes, min_gap_cycles=cfg.min_gap_cycles,
+                      swap_limit_mode=cfg.swap_limit_mode)
+        stats, decisions, audit = reference_run(cache, cfg.policy_kind, params, events,
+                                                cfg.count_fills)
+        assert decisions  # the technique acted
         assert dataclasses.asdict(got) == {
             **stats, "block_write_sd": pytest.approx(stats["block_write_sd"])}
         assert [(d.interval, d.cycle, d.ran, d.swaps, d.sdw, d.n_higher, d.writebacks)

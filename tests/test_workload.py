@@ -4,7 +4,7 @@ import os
 import random
 import re
 from collections import Counter
-from itertools import count, cycle, islice
+from itertools import accumulate, count, cycle, islice
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -431,6 +431,28 @@ class TestGenerate:
             assert ev.addr % spec.block_size_bytes == 0
 
 
+class TestZipfTable:
+    """The zipf page table totals its weights as its own running sum, added left
+    to right; a float ``sum`` adds left to right only up to CPython 3.11."""
+
+    @pytest.mark.parametrize("pages, s", [(256, 0.8), (4096, 1.0)])
+    def test_a_compensated_sum_leaves_the_table_unchanged(self, monkeypatch, pages, s):
+        spec = GeneratorSpec(kind="zipf", page_count=pages, zipf_exponent=s)
+        cdf = workload._zipf_cdf(spec)
+        weights = [1.0 / rank ** s for rank in range(1, pages + 1)]
+        assert math.fsum(weights) != list(accumulate(weights))[-1]  # the patch bites
+        monkeypatch.setattr(workload, "sum", math.fsum, raising=False)
+        assert workload._zipf_cdf(spec) == cdf
+        assert all(a <= b for a, b in zip(cdf, cdf[1:]))
+        assert cdf[-1] == 1.0
+
+    def test_table_bits_are_pinned(self):
+        # every entry's exact bits: another order of additions fails on any CPython
+        cdf = workload._zipf_cdf(GeneratorSpec(kind="zipf", page_count=4096))
+        assert hashlib.sha256(" ".join(map(float.hex, cdf)).encode()).hexdigest() == (
+            "00900978f2e10c94d265dde5f13f61fb75bbb560f7c0ae3949d437de97da1518")
+
+
 # SHA-256 of the first 20k events, one "is_write addr icount" line each, as
 # generated when every draw still went through Random.randrange; pins the
 # inlined rejection sampling to that stream
@@ -547,10 +569,16 @@ class TestSpecValidation:
         dict(page_count=1 << 40),
         dict(zipf_exponent=float("nan")),
         dict(zipf_exponent=400.0),  # 256 ** 400 overflows a float
+        dict(kind="zipf", page_count=(1 << 24) + 1),  # its table would need > 1 GiB
     ])
     def test_rejects_bad_specs(self, kwargs):
         with pytest.raises(ConfigError):
             GeneratorSpec(**kwargs)
+
+    def test_accepts_pages_up_to_the_zipf_bound(self):
+        # validation only: no table of this size is built
+        GeneratorSpec(kind="zipf", page_count=1 << 24)
+        GeneratorSpec(kind="uniform", page_count=(1 << 24) + 1)
 
     def test_labels_are_deterministic(self):
         spec = GeneratorSpec(kind="hotset", num_events=10, page_count=4)
