@@ -138,12 +138,10 @@ class Simulator:
         (last_icount, read_hits, write_hits, read_misses, write_misses,
          writebacks) = self._counters
         misses = read_misses + write_misses
-        # every miss fills; a read fill programs the block only when fills count
-        block_writes = write_hits + write_misses + read_misses * self.cache.count_fills
         return RunStats(
             reads=read_hits + read_misses, writes=write_hits + write_misses,
             misses=misses, fills=misses, write_hits=write_hits,
-            block_write_events=block_writes, writebacks=writebacks,
+            block_write_events=sum(self.cache._writes), writebacks=writebacks,
             flush_writebacks=sum(d.writebacks for d in self.decisions),
             cycles=_cycles(last_icount, read_hits, write_hits, misses, self.cfg),
             instructions=last_icount, max_block_writes=self.cache.max_block_writes(),

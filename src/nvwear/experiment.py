@@ -13,7 +13,6 @@ import io
 import logging
 import os
 import re
-import time
 from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import islice
@@ -407,8 +406,7 @@ def _write_reports(out_dir, runs, baseline=None):
         write_atomic(os.path.join(out_dir, name), text)
 
     rows, plot, lines = [], [], [
-        f"# nvwear {'run' if baseline is None else 'comparison'} summary", "",
-        f"generated: {time.strftime('%Y-%m-%dT%H:%M:%S+00:00', time.gmtime())}", ""]
+        f"# nvwear {'run' if baseline is None else 'comparison'} summary", ""]
     table = ["| policy | workload | " + " | ".join(c for c, _, _ in _METRICS) + " |",
              "|" + "---|" * (2 + len(_METRICS))]
     for role, rep in runs:

@@ -224,7 +224,8 @@ def test_c10_repeat_runs_produce_identical_csv(tmp_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert main(["run", "--config", str(config), "--out", str(out1)]) == 0
     assert main(["run", "--config", str(config), "--out", str(out2)]) == 0
-    names = ("report.csv", "decisions.csv", "mapping_audit.csv", "plot.csv")
+    names = ("report.csv", "decisions.csv", "mapping_audit.csv", "plot.csv",
+             "summary.md")
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), \
             f"{name} differed between identical runs"
@@ -232,4 +233,4 @@ def test_c10_repeat_runs_produce_identical_csv(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[1][rows[0].index("remapRuns")] != "0"
     _passed("criterion 10: identical config+seed reproduced byte-identical "
-            "CSV report bodies")
+            "report files")

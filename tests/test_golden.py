@@ -1,8 +1,8 @@
 """Known-good bytes of the files `nvwear run` and `nvwear compare` write.
 
 Each case runs the CLI on a small fixed config and checks the SHA-256 digest
-of every output file. summary.md is digested with its `generated:` timestamp
-line masked. A change that is meant to move these bytes must say why and
+of every output file, summary.md included: each is a function of the config
+and seed alone. A change that is meant to move these bytes must say why and
 update the digests; any other change must leave them alone.
 """
 
@@ -51,7 +51,7 @@ GOLDEN = {
         "report.csv":
             "9aabd0d6c3408df8de2d2ff1dcc68cc496e55413190761ab9cb60499e87806b9",
         "summary.md":
-            "259b27295a7004d8c9c5b0c4ecf2d9601cff77c0fea7a7520f1f56887bf10da2",
+            "6c5a1039489f474f69d0e6a14bd839a716a2ad68e6bbac6fb0a9f7a08673b74f",
         "technique_decisions.csv":
             "f84b63c6bbfffc6820c0c7392dff8151af0e91e9639bc2ab5188acac6bdfa791",
         "technique_mapping_audit.csv":
@@ -67,7 +67,7 @@ GOLDEN = {
         "report.csv":
             "7581c879e1aaa889da52d190aa5c29a86026bca6dc10a7dd7880894dc56df92e",
         "summary.md":
-            "e0c62b5f1a68455d316452d571008fa20822531152804972174c82bcacb98218",
+            "bdc5127c521d26d77b2c785c640bdba4cffe33e50a9573c748b4cef02057e662",
         "technique_decisions.csv":
             "9a38ed34f6bdc28283d13355560e984827b0c16c4259531cb6b24d9bc71f4fda",
         "technique_mapping_audit.csv":
@@ -83,7 +83,7 @@ GOLDEN = {
         "report.csv":
             "1d7a4cb4434dbf315ebfe0f61faadb7cda0d3ed475b5f578efa0a4ec4d39d88c",
         "summary.md":
-            "61fdb1b8b972b1c47254f7c75f9d9eebd77655072b2dd5fe7e276f2bed64477d",
+            "8cb39f6187b757dc94b03bb87ebea1e1aad5ac42b37dcdd81d04d4a4ae055e3c",
         "technique_decisions.csv":
             "d837d46b04eb68a6dd30d85caee60f5a2afa8f9a2e6372181a96827555b2a3ca",
         "technique_mapping_audit.csv":
@@ -99,7 +99,7 @@ GOLDEN = {
         "report.csv":
             "c1b6b331fdd54b0c4e5a5bbf3d142150973f1effba88273aa75055ad09c974d7",
         "summary.md":
-            "b64be34f1f261cc3829709fd3dd2b891a7696acdd47bb17c6dae0c057cdd172f",
+            "63b405994a27cbbd8ba4bd9f47e0c21bb1d417a78e34f962403932a0f6876c08",
     },
     "run-swl-6000": {
         "decisions.csv":
@@ -111,7 +111,7 @@ GOLDEN = {
         "report.csv":
             "5f9e6a223f7c4a215d0b3c2b808a1dc42c8de3f2d5dc7812613620e5c57c80b5",
         "summary.md":
-            "9de132030016db5995b9af455a2c73732584fc64ee5788e6207c4f8858e77e03",
+            "5e573d2e986c167350175ccc4075d997aad2678a68a6a030471deeefeb1c2565",
     },
     "run-xor-6000": {
         "decisions.csv":
@@ -123,17 +123,13 @@ GOLDEN = {
         "report.csv":
             "5fbf04588b0dd43610ca0094bfc8fd9c62bbe33487b906fef7ecd9b7d54541fa",
         "summary.md":
-            "11c1305f16e318bf33b16f1f5f338430dc55a7e7acec8c99e106400f72f8d830",
+            "3039bd5077d1538d5ee9f7d78d0fa704137544b3b0ea593c6cbb6e121a22ffdd",
     },
 }
 
 
 def _digest(path):
-    data = path.read_bytes()
-    if path.name == "summary.md":
-        data = b"\n".join(b"generated:" if line.startswith(b"generated:") else line
-                          for line in data.split(b"\n"))
-    return hashlib.sha256(data).hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _config(tmp_path, policy, events):
