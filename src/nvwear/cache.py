@@ -90,11 +90,11 @@ class CacheState:
     counts hits, misses and programmed blocks from the returned outcomes.
 
     Each set lists its valid blocks' tags most recently used first and by
-    way, and keeps their dirty bits in one int. Only ``flush_color``
-    invalidates, and it empties whole sets, so the valid ways of a set are
-    always ``0 .. len(tags) - 1`` and the lowest invalid way is ``len(tags)``.
-    The write counters of all blocks sit in one flat list, way ``w`` of set
-    ``s`` at ``s << way_bits | w``; ``write_counts`` copies them out by set.
+    way. Only ``flush_color`` invalidates, and it empties whole sets, so the
+    valid ways of a set are always ``0 .. len(tags) - 1`` and the lowest
+    invalid way is ``len(tags)``. Way ``w`` of set ``s`` is block
+    ``s << way_bits | w`` of the flat write-counter list and dirty bytearray;
+    ``write_counts`` copies the counters out by set.
     """
 
     def __init__(self, cfg: CacheConfig, count_fills: bool = True):
@@ -103,9 +103,9 @@ class CacheState:
         n = cfg.num_sets
         self._lru = [[] for _ in range(n)]
         self._tags = [[] for _ in range(n)]
-        self._dirty = [0] * n
         self._way_bits = cfg.associativity.bit_length() - 1
         self._writes = [0] * (n << self._way_bits)
+        self._dirty = bytearray(len(self._writes))
         # every access returns one of these: hit, clean miss, dirty miss
         self.outcomes = (AccessOutcome(True, False), AccessOutcome(False, False),
                          AccessOutcome(False, True))
@@ -118,26 +118,25 @@ class CacheState:
                 lru.remove(tag)
                 lru.insert(0, tag)
             if is_write:
-                way = self._tags[set_index].index(tag)
-                self._dirty[set_index] |= 1 << way
-                self._writes[set_index << self._way_bits | way] += 1
+                block = set_index << self._way_bits | self._tags[set_index].index(tag)
+                self._dirty[block] = 1
+                self._writes[block] += 1
             return self.outcomes[0]
 
         tags = self._tags[set_index]
         if len(tags) < self.cfg.associativity:  # fill the lowest invalid way
-            way = len(tags)
+            block = set_index << self._way_bits | len(tags)
             tags.append(tag)
             evicted_dirty = 0
         else:  # evict the least recently used block
             way = tags.index(lru.pop())
             tags[way] = tag
-            evicted_dirty = self._dirty[set_index] >> way & 1
-            self._dirty[set_index] &= ~(1 << way)
+            block = set_index << self._way_bits | way
+            evicted_dirty = self._dirty[block]
+        self._dirty[block] = is_write
         lru.insert(0, tag)
-        if is_write:
-            self._dirty[set_index] |= 1 << way
         if is_write or self.count_fills:
-            self._writes[set_index << self._way_bits | way] += 1
+            self._writes[block] += 1
         return self.outcomes[1 + evicted_dirty]  # the clean or the dirty miss
 
     def flush_color(self, color):
@@ -150,11 +149,11 @@ class CacheState:
         if not 0 <= color < cfg.num_colors:
             raise ValueError(f"color {color} out of range (cache has {cfg.num_colors})")
         spc = cfg.sets_per_color
-        writebacks = 0
+        # the color's blocks are one slice; invalid ways are never dirty
+        lo, hi = color * spc << self._way_bits, (color + 1) * spc << self._way_bits
+        writebacks = self._dirty.count(1, lo, hi)
+        self._dirty[lo:hi] = bytes(hi - lo)
         for s in range(color * spc, (color + 1) * spc):
-            # invalid ways are never dirty, so every set bit is a valid block
-            writebacks += self._dirty[s].bit_count()
-            self._dirty[s] = 0
             self._lru[s].clear()
             self._tags[s].clear()
         return writebacks

@@ -115,14 +115,14 @@ def _selftest_case(rng, case_index, ops):
     random schedule of accesses, flushes, and remap swaps."""
     colors = rng.choice((2, 4))
     sets_per_color = rng.choice((2, 4))
-    assoc = rng.choice((1, 2, 4))
+    assoc = rng.choice((1, 2, 4, 16))
     block = 64
     page = block * sets_per_color
     cfg = CacheConfig(cache_size_bytes=colors * page * assoc,
                       associativity=assoc, block_size_bytes=block,
                       page_size_bytes=page)
     count_fills = bool(rng.getrandbits(1))
-    pages = colors * rng.choice((2, 4))
+    pages = colors * (assoc + rng.choice((2, 4)))  # every set can overfill
 
     def schedule():
         for _ in range(ops):

@@ -49,7 +49,9 @@ MUTANTS = (
     ("engine: read fills always counted", "engine.py",
      "                    if not count_fills:\n                        continue",
      "                    if False:\n                        continue",
-     ["tests/test_engine.py::TestStatsBookkeeping::test_count_fills_off_shrinks_write_counts",
+     ["tests/test_engine.py::TestStatsBookkeeping::"
+      "test_policy_ledger_is_the_cache_counters_by_color",
+      "tests/test_engine.py::TestStatsBookkeeping::test_count_fills_off_shrinks_write_counts",
       "tests/test_engine.py::TestWholeRunAgainstReference::test_run_matches_reference_run"]),
     ("experiment: the stream produced per config", "experiment.py",
      "    while chunk := list(islice(events, CHUNK)):\n        for sim in sims:\n"
@@ -65,8 +67,8 @@ MUTANTS = (
      ["tests/test_cache.py::TestAccess::test_hit_promotes_to_mru",
       "tests/test_cache.py::TestDifferentialSmall::test_traces_match_reference"]),
     ("cache: a write hit leaves the block clean", "cache.py",
-     "                self._dirty[set_index] |= 1 << way\n                self._writes",
-     "                self._writes",
+     "                self._dirty[block] = 1\n",
+     "",
      ["tests/test_cache.py::TestDifferentialSmall::test_traces_match_reference",
       "tests/test_acceptance.py::test_c01_oracle_equivalence_on_randomized_traces"]),
     ("cache: a full set evicts its most recently used block", "cache.py",
@@ -74,14 +76,20 @@ MUTANTS = (
      "            way = tags.index(lru.pop(0))",
      ["tests/test_cache.py::TestAccess::test_lru_evicts_oldest_and_reports_dirty",
       "tests/test_cache.py::TestDifferentialSmall::test_traces_match_reference"]),
-    ("cache: a full set reads an evicted way's dirty bit at way mod 8", "cache.py",
-     "            evicted_dirty = self._dirty[set_index] >> way & 1",
-     "            evicted_dirty = self._dirty[set_index] >> (way & 7) & 1",
-     # the drawn geometries have at most 4 ways; only the 16-way default sees it
-     ["tests/test_engine.py::TestWholeRunAtBenchmarkGeometry::"
+    ("cache: a full set reads an evicted way's dirty byte at way mod 8", "cache.py",
+     "            evicted_dirty = self._dirty[block]",
+     "            evicted_dirty = self._dirty[set_index << self._way_bits | way & 7]",
+     # the small drawn geometries have at most 4 ways; the 16-way default sees it
+     ["tests/test_cache.py::TestSixteenWays::test_each_victim_reports_its_own_ways_dirty_byte",
+      "tests/test_engine.py::TestWholeRunAtBenchmarkGeometry::"
       "test_run_matches_reference_run[zipf-miss]"]),
+    ("cache: a clean fill leaves the evicted block's dirty byte set", "cache.py",
+     "        self._dirty[block] = is_write",
+     "        if is_write:\n            self._dirty[block] = 1",
+     ["tests/test_cache.py::TestSixteenWays::test_each_victim_reports_its_own_ways_dirty_byte",
+      "tests/test_cache.py::TestDifferentialSmall::test_traces_match_reference"]),
     ("cache: flush_color keeps the dirty bits", "cache.py",
-     "            self._dirty[s] = 0\n",
+     "        self._dirty[lo:hi] = bytes(hi - lo)\n",
      "",
      ["tests/test_cache.py::TestFlush::test_double_flush_returns_zero",
       "tests/test_cache.py::TestDifferentialSmall::test_remaps_and_flushes_match_reference"]),

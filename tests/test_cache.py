@@ -185,6 +185,32 @@ class TestAccess:
                 assert total == write_miss_fills + write_hits
 
 
+class TestSixteenWays:
+    """The default geometry: 16 ways, so the dirty bytes of ways 8..15 count."""
+
+    def test_flush_writes_back_every_dirty_way(self):
+        cache = CacheState(CacheConfig())
+        for tag in range(16):
+            cache.access(0, tag, True)
+        assert cache.flush_color(0) == 16
+        assert cache.flush_color(0) == 0
+
+    def test_each_victim_reports_its_own_ways_dirty_byte(self):
+        cache = CacheState(CacheConfig())
+        # ways 8..15 dirty when even, ways 0..7 dirty when odd: no way agrees
+        # with the way eight below or above it
+        dirty = [w % 2 != w // 8 for w in range(16)]
+        for way in range(16):
+            cache.access(0, way, dirty[way])
+        for way in range(8):  # ways 8..15 become the least recently used
+            assert cache.access(0, way, False).hit
+        victims = [*range(8, 16), *range(8)]
+        evicted = [cache.access(0, 100 + i, False).evicted_dirty for i in range(16)]
+        assert evicted == [dirty[w] for w in victims]
+        assert evicted[0]  # way 8 was dirty
+        assert cache.flush_color(0) == 0  # the clean fills left no dirty byte
+
+
 class TestFlush:
     def test_flush_empty_color(self):
         cache = CacheState(small_cfg())

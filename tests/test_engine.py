@@ -108,6 +108,22 @@ class TestStatsBookkeeping:
         assert off.block_write_events < on.block_write_events
         assert off.max_block_writes <= on.max_block_writes
 
+    @pytest.mark.parametrize("count_fills", [True, False])
+    def test_policy_ledger_is_the_cache_counters_by_color(self, count_fills):
+        # every write the cache counts on a block is one write in the policy's
+        # lifetime count of that block's (physical) color, remaps or not
+        cfg = small_cfg(colors=16, sets_per_color=4, assoc=2)
+        spec = GeneratorSpec(kind="zipf", num_events=5000, page_count=64, seed=3,
+                             page_size_bytes=cfg.page_size_bytes,
+                             block_size_bytes=cfg.block_size_bytes)
+        sim, stats = run_sim(cfg, generate(spec), "swl", count_fills=count_fills,
+                             k_writes=300, min_gap_cycles=0, beta=0.0)
+        rows, spc = sim.cache.write_counts, cfg.sets_per_color
+        by_color = [sum(map(sum, rows[c * spc:(c + 1) * spc]))
+                    for c in range(cfg.num_colors)]
+        assert stats.remap_runs > 0
+        assert sim.policy.n_write_global == by_color
+
 
 class TestPolicyIntegration:
     def test_uniform_roundrobin_never_swaps(self):
