@@ -13,8 +13,8 @@ import sys
 
 from .cache import CacheConfig
 from .errors import ConfigError
-from .experiment import (_SETTINGS, _read_ini, build_config, compare_experiments,
-                         run_experiment, write_comparison_report, write_run_report)
+from .experiment import (_SETTINGS, build_config, compare_experiments, run_experiment,
+                         write_comparison_report, write_run_report)
 from .reference import replay_against_reference
 from .workload import GeneratorSpec, generate_tuples, write_trace
 
@@ -99,10 +99,6 @@ def _cmd_compare(args):
 
 def _cmd_gen_trace(args):
     cfg = build_config(args.config, _settings(args), policy=False)
-    if cfg.workload is None:
-        # gen-trace has no --trace flag, so the trace came from the file
-        where = _read_ini(args.config)["workload", "trace"][1]
-        raise ConfigError(f"{where} is set, but gen-trace needs a generator workload")
     directory = os.path.dirname(os.path.abspath(args.path))
     os.makedirs(directory, exist_ok=True)
     write_trace(args.path, generate_tuples(cfg.workload))

@@ -4,25 +4,20 @@ from .errors import ConfigError
 
 
 class MappingTable:
-    """Bijection between memory regions and cache colors, identity at start.
-
-    ``color_of[region]`` and ``region_of[color]`` are kept exact inverses of
-    each other through every swap.
-    """
+    """Bijection between memory regions and cache colors, identity at start:
+    ``color_of[region]`` is the region's color."""
 
     def __init__(self, num_colors):
         if num_colors < 1:
             raise ConfigError("mapping table needs at least one color")
         self.color_of = list(range(num_colors))
-        self.region_of = list(range(num_colors))
 
     def swap(self, c1, c2):
         """Exchange the regions mapped to colors c1 and c2; c1 == c2 is a no-op."""
         n = len(self.color_of)
         if not (0 <= c1 < n and 0 <= c2 < n):
             raise ValueError(f"swap({c1}, {c2}) out of range for {n} colors")
-        r1, r2 = self.region_of[c1], self.region_of[c2]
-        self.region_of[c1], self.region_of[c2] = r2, r1
+        r1, r2 = self.color_of.index(c1), self.color_of.index(c2)
         self.color_of[r1], self.color_of[r2] = c2, c1
 
     def apply_remap(self, cache, swaps):
@@ -41,8 +36,5 @@ class MappingTable:
         return writebacks
 
     def is_consistent(self):
-        """True when color_of is a permutation and region_of its exact inverse."""
-        n = len(self.color_of)
-        if sorted(self.color_of) != list(range(n)):
-            return False
-        return all(self.color_of[self.region_of[c]] == c for c in range(n))
+        """True when color_of is a permutation of the colors."""
+        return sorted(self.color_of) == list(range(len(self.color_of)))

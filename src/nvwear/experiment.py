@@ -202,8 +202,8 @@ def build_config(path=None, overrides=None, policy=True) -> ExperimentConfig:
     neither way keeps its dataclass default; an empty value or an undeclared
     override key is an error. An error about one setting's value names the
     file line and key, or the override key, that gave it. The policy is
-    built, which range-checks its settings, only if ``policy`` is true:
-    gen-trace runs none."""
+    built, which range-checks its settings, only if ``policy`` is true.
+    False is gen-trace's mode: no policy runs, and a trace workload is refused."""
     values = _read_ini(path) if path else {}
     overrides = overrides or {}
     unknown = set(overrides) - {row[2] for row in _SETTINGS}
@@ -235,6 +235,8 @@ def build_config(path=None, overrides=None, policy=True) -> ExperimentConfig:
             fields["workload"] = GeneratorSpec(
                 **given[GeneratorSpec], page_size_bytes=cache.page_size_bytes,
                 block_size_bytes=cache.block_size_bytes)
+        elif not policy:
+            raise ConfigError("is set, but gen-trace needs a generator workload", "trace_path")
         cfg = ExperimentConfig(cache=cache, **fields)
         if policy:
             cfg.make_policy()

@@ -97,11 +97,10 @@ MUTANTS = (
      "        return self.num_colors * self.sets_per_color",
      "        return self.cache_size_bytes // self.block_size_bytes",
      ["tests/test_coloring.py::TestNumColors::test_reference_llc_has_64_colors"]),
-    ("coloring: swap leaves region_of stale", "coloring.py",
-     "        self.region_of[c1], self.region_of[c2] = r2, r1\n",
-     "",
-     ["tests/test_coloring.py::TestSwap::test_swap_twice_restores_identity",
-      "tests/test_coloring.py::TestBijectivityFuzz::test_random_swaps_preserve_permutation"]),
+    ("coloring: swap looks up the first color's region twice", "coloring.py",
+     "self.color_of.index(c1), self.color_of.index(c2)",
+     "self.color_of.index(c1), self.color_of.index(c1)",
+     ["tests/test_coloring.py::TestSwap::test_identity_swap_0_3"]),
     ("policy: the beta gate opens only above beta", "policy.py",
      "        if sdw < self.beta:",
      "        if sdw <= self.beta:",
@@ -193,6 +192,10 @@ MUTANTS = (
      'values[name, key] = value, f"{path}:{n}: [{name}] {key}"',
      'values[name, key] = value, f"{path}:{n + 1}: [{name}] {key}"',
      ["tests/test_cli.py::TestBuildConfig::test_file_value_error_names_its_line"]),
+    ("experiment: gen-trace writes a stream for a trace config", "experiment.py",
+     "        elif not policy:\n",
+     "        elif False:\n",
+     ["tests/test_cli.py::TestGenTrace::test_trace_workload_names_the_file_and_key"]),
 )
 
 

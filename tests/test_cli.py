@@ -114,6 +114,13 @@ class TestBuildConfig:
         with pytest.raises(ConfigError):
             build_config(bad)
 
+    def test_without_policy_a_trace_workload_is_refused(self, tmp_path):
+        cfg = write_config(tmp_path / "t.ini", "[workload]\ntrace = some.trace\n")
+        with pytest.raises(ConfigError) as excinfo:
+            build_config(cfg, policy=False)
+        assert str(excinfo.value) == (
+            f"{cfg}:2: [workload] trace is set, but gen-trace needs a generator workload")
+
     @pytest.mark.parametrize("sources", [{}, {"workload": GeneratorSpec(),
                                               "trace_path": "t.trace"}],
                              ids=["neither", "both"])
