@@ -14,7 +14,7 @@ import logging
 import os
 import re
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import islice
 from operator import attrgetter
 
@@ -22,8 +22,7 @@ from .cache import CacheConfig
 from .engine import Simulator
 from .errors import ConfigError
 from .metrics import RunStats, energy_joules, mpki, relative_lifetime
-from .policy import (DEFAULT_BETA, DEFAULT_K_WRITES, DEFAULT_MIN_GAP_CYCLES,
-                     POLICY_KINDS, build_policy, default_swap_limit)
+from .policy import POLICY_KINDS, PolicySettings, build_policy, default_swap_limit
 # exact tuples for the simulators, under the names of the per-event seams that
 # perfbench/tracer.py, tests/test_bench_contract.py and TestOneStreamPerCompare patch
 from .workload import (GENERATOR_KINDS, GeneratorSpec, generate_tuples as generate,
@@ -32,14 +31,9 @@ from .workload import (GENERATOR_KINDS, GeneratorSpec, generate_tuples as genera
 log = logging.getLogger("nvwear.experiment")
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(PolicySettings):
     cache: CacheConfig = field(default_factory=CacheConfig)
     policy_kind: str = "swl"
-    beta: float = DEFAULT_BETA
-    swap_limit: int | None = None
-    k_writes: int = DEFAULT_K_WRITES
-    min_gap_cycles: int = DEFAULT_MIN_GAP_CYCLES
-    swap_limit_mode: str = "min"
     count_fills: bool = True
     workload: GeneratorSpec | None = None
     trace_path: str | None = None
@@ -52,10 +46,8 @@ class ExperimentConfig:
 
     def make_policy(self):
         """A fresh policy for one run; building one validates the policy settings."""
-        return build_policy(self.policy_kind, self.cache.num_colors, beta=self.beta,
-                            swap_limit=self.swap_limit, k_writes=self.k_writes,
-                            min_gap_cycles=self.min_gap_cycles,
-                            swap_limit_mode=self.swap_limit_mode)
+        return build_policy(self.policy_kind, self.cache.num_colors,
+                            **{f.name: getattr(self, f.name) for f in fields(PolicySettings)})
 
 
 @dataclass
@@ -228,16 +220,16 @@ def build_config(path=None, overrides=None, policy=True) -> ExperimentConfig:
 
     try:
         cache = CacheConfig(**given[CacheConfig])
-        fields = given[ExperimentConfig]
-        if fields.get("trace_path") is None:
+        own = given[ExperimentConfig]
+        if own.get("trace_path") is None:
             if given[GeneratorSpec].get("kind") == "trace":
                 raise ConfigError("'trace' requires a trace path", "kind")
-            fields["workload"] = GeneratorSpec(
+            own["workload"] = GeneratorSpec(
                 **given[GeneratorSpec], page_size_bytes=cache.page_size_bytes,
                 block_size_bytes=cache.block_size_bytes)
         elif not policy:
             raise ConfigError("is set, but gen-trace needs a generator workload", "trace_path")
-        cfg = ExperimentConfig(cache=cache, **fields)
+        cfg = ExperimentConfig(cache=cache, **own)
         if policy:
             cfg.make_policy()
         return cfg

@@ -3,7 +3,7 @@
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 from .errors import ConfigError
 
@@ -73,20 +73,16 @@ def mpki(misses, instructions):
 
 def population_sd(rows):
     """Population standard deviation of the integers in a sequence of rows.
-    One ``Counter`` pass gives each distinct value's count, and from those
-    the number of values and their exact sum. Each distinct value's squared
-    deviation, times its count, is summed exactly over a common power-of-two
-    denominator and rounded once: the float that ``fsum`` gives over one term
-    per value, at a cost that grows with the distinct values, not the
-    counters."""
+    One ``Counter`` pass gives each distinct value's count, and from those the
+    number of values, their exact sum, and the correctly rounded ``math.fsum``
+    of their squared deviations, one term per value repeated by its count."""
     counts = Counter(chain.from_iterable(rows))
     n = sum(counts.values())
     if n < 1:
         raise ValueError("population SD needs at least one value")
     mean = sum(v * c for v, c in counts.items()) / n
-    terms = [(((v - mean) ** 2).as_integer_ratio(), c) for v, c in counts.items()]
-    den = max(q for (_, q), _ in terms)
-    return math.sqrt(sum(p * (den // q) * c for (p, q), c in terms) / den / n)
+    return math.sqrt(math.fsum(chain.from_iterable(
+        repeat((v - mean) ** 2, c) for v, c in counts.items())) / n)
 
 
 def block_write_sd(state):

@@ -14,10 +14,6 @@ from dataclasses import dataclass, field
 from .errors import ConfigError
 from .metrics import population_sd
 
-DEFAULT_BETA = 75.0
-DEFAULT_K_WRITES = 100_000
-DEFAULT_MIN_GAP_CYCLES = 3_000_000
-
 
 def default_swap_limit(num_colors):
     """The pair budget when none is configured: a quarter of the colors, >= 1."""
@@ -39,8 +35,20 @@ class RemapDecision:
     writebacks: int = 0
 
 
+@dataclass(kw_only=True)
+class PolicySettings:
+    """The five policy settings and their defaults, for the policies and the
+    experiment config alike; ``PolicyState`` checks their ranges."""
+
+    beta: float = 75.0
+    swap_limit: int | None = None
+    k_writes: int = 100_000
+    min_gap_cycles: int = 3_000_000
+    swap_limit_mode: str = "min"
+
+
 @dataclass
-class PolicyState:
+class PolicyState(PolicySettings):
     """Counters and thresholds driving the periodic remap decision.
 
     ``n_write_global`` accumulates over the whole run; ``n_write_last_interval``
@@ -52,11 +60,6 @@ class PolicyState:
     """
 
     num_colors: int
-    beta: float = DEFAULT_BETA
-    swap_limit: int | None = None
-    k_writes: int = DEFAULT_K_WRITES
-    min_gap_cycles: int = DEFAULT_MIN_GAP_CYCLES
-    swap_limit_mode: str = "min"
     n_write_global: list = field(init=False, repr=False)
     n_write_last_interval: list = field(init=False, repr=False)
     writes_since_check: int = 0
@@ -109,6 +112,10 @@ class PolicyState:
         self.last_run_cycle = now_cycle
         return True
 
+    def poll(self, now_cycle):
+        """The plan of this execution once the trigger fires, else None."""
+        return self.plan_remap() if self.check_trigger(now_cycle) else None
+
     def close_window(self):
         """End the current write window and start an empty one in its list.
 
@@ -153,8 +160,8 @@ class StaticPolicy:
     # no write window, so the engine never counts writes for it or polls it
     n_write_last_interval = None
 
-    # The engine never calls note_write; the three policies keep it only
-    # because perfbench/tracer.py looks it up in each class's namespace.
+    # The engine never calls note_write, nor this poll; each policy class keeps
+    # both only because perfbench/tracer.py wraps them in the class's namespace.
     def note_write(self, color):
         """Returns None: there is nothing to poll."""
 
@@ -165,12 +172,7 @@ class StaticPolicy:
 class SwapWearPolicy(PolicyState):
     """Periodic pairwise swapping of hot colors toward the least-worn ones."""
 
-    note_write = PolicyState.observe_write  # for perfbench/tracer.py, as StaticPolicy's
-
-    def poll(self, now_cycle):
-        if self.check_trigger(now_cycle):
-            return self.plan_remap()
-        return None
+    note_write, poll = PolicyState.observe_write, PolicyState.poll  # see StaticPolicy
 
 
 class XorRemapPolicy(PolicyState):
@@ -182,7 +184,7 @@ class XorRemapPolicy(PolicyState):
     matches the mapping-table path.
     """
 
-    note_write = PolicyState.observe_write  # for perfbench/tracer.py, as StaticPolicy's
+    note_write, poll = PolicyState.observe_write, PolicyState.poll  # see StaticPolicy
 
     def __post_init__(self):
         super().__post_init__()
@@ -191,9 +193,8 @@ class XorRemapPolicy(PolicyState):
             raise ConfigError("xor remap needs a power-of-two color count")
         self.register = 0
 
-    def poll(self, now_cycle):
-        if not self.check_trigger(now_cycle):
-            return None
+    def plan_remap(self):
+        """Step the register and swap every color with its XOR partner; no gate."""
         n = self.num_colors
         _, sdw, n_higher = self.close_window()
         new_register = self.register % (n - 1) + 1
@@ -207,7 +208,7 @@ POLICY_KINDS = ("swl", "static", "xor")
 
 
 def build_policy(kind, num_colors, **params):
-    """``params`` are ``PolicyState`` fields (beta, k_writes, ...); static ignores them."""
+    """``params`` are ``PolicySettings`` fields (beta, k_writes, ...); static ignores them."""
     if kind == "static":
         return StaticPolicy()
     if kind == "swl":

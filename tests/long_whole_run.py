@@ -1,5 +1,5 @@
 """The whole-run oracle at length: Simulator against reference_run over the
-zipf-miss benchmark workload's technique config (zipf over 4096 pages, s = 1,
+zipf-miss entry of helpers.BENCH_WORKLOADS (zipf over 4096 pages, s = 1,
 write fraction 0.3, seed 5, swl on the default 64 colors x 64 sets x 16 ways)
 at 3M events, ten times the horizon of
 tests/test_engine.py::TestWholeRunAtBenchmarkGeometry.
@@ -11,38 +11,28 @@ takes about 7 s. Each side draws the deterministic stream itself, so
 the 3M events are never held in memory at once.
 """
 
-import dataclasses
-
-import pytest
-
 from nvwear import Simulator, build_config, generate
 
+from helpers import BENCH_WORKLOADS, assert_matches_reference_run
 from oracles import reference_run
 
 EVENTS = 3_000_000
 
 
 def test_zipf_run_matches_reference_run_at_3m_events():
-    cfg = build_config(None, {"workload_kind": "zipf", "pages": 4096, "zipf_s": 1.0,
-                              "write_fraction": 0.3, "events": EVENTS, "seed": 5,
-                              "policy": "swl"})
+    generator, technique, _ = BENCH_WORKLOADS["zipf-miss"]
+    cfg = build_config(None, {**generator, "events": EVENTS, "seed": 5, **technique})
     cache = cfg.cache
     assert (cache.num_colors, cache.sets_per_color, cache.associativity) == (64, 64, 16)
     sim = Simulator(cache, cfg.make_policy(), count_fills=cfg.count_fills)
     sim.run(generate(cfg.workload))
-    got = sim.result()
     params = dict(beta=cfg.beta, swap_limit=16,  # the default: a quarter of the colors
                   k_writes=cfg.k_writes, min_gap_cycles=cfg.min_gap_cycles,
                   swap_limit_mode=cfg.swap_limit_mode)
-    stats, decisions, audit = reference_run(cache, cfg.policy_kind, params,
-                                            generate(cfg.workload), cfg.count_fills)
+    reference = reference_run(cache, cfg.policy_kind, params,
+                              generate(cfg.workload), cfg.count_fills)
+    stats, decisions, _ = reference
     assert stats["reads"] + stats["writes"] == EVENTS
     # fourteen executions, each of which swapped
     assert [bool(swaps) for _, _, _, swaps, *_ in decisions] == [True] * 14
-    assert dataclasses.asdict(got) == {
-        **stats, "block_write_sd": pytest.approx(stats["block_write_sd"])}
-    assert [(d.interval, d.cycle, d.ran, d.swaps, d.sdw, d.n_higher, d.writebacks)
-            for d in sim.decisions] == [
-        (*head, pytest.approx(sdw), n_higher, writebacks)
-        for *head, sdw, n_higher, writebacks in decisions]
-    assert sim.mapping_audit == audit
+    assert_matches_reference_run(sim, reference)

@@ -120,6 +120,16 @@ MUTANTS = (
      "        l1 = sorted(range(n), key=lambda c: (-last[c], -c))",
      ["tests/test_policy.py::TestPlanRemap::test_tie_break_is_ascending_color_index",
       "tests/test_policy.py::TestPlanRemap::test_differential_against_transcription"]),
+    ("policy: xor falls back to swl's plan", "policy.py",
+     "    def plan_remap(self):\n",
+     "    def _xor_plan(self):\n",
+     ["tests/test_policy.py::TestXorPolicy::test_first_interval_maps_region_to_xor_one",
+      "tests/test_engine.py::TestWholeRunAtBenchmarkGeometry::"
+      "test_run_matches_reference_run[trace-replay]"]),
+    ("experiment: make_policy drops the last policy setting", "experiment.py",
+     "for f in fields(PolicySettings)}",
+     "for f in fields(PolicySettings)[:-1]}",
+     ["tests/test_cli.py::TestBuildConfig::test_every_policy_setting_reaches_the_policy"]),
     ("workload: _in_order skips the 2^48 test", "workload.py",
      "    return (max(addrs) <= MAX_ADDRESS and icounts[0] >= last_icount",
      "    return (icounts[0] >= last_icount",

@@ -96,6 +96,13 @@ class TestBuildConfig:
         assert cfg.workload.seed == 99
         assert cfg.beta == 10.0
 
+    def test_every_policy_setting_reaches_the_policy(self):
+        policy = build_config(None, {"policy": "swl", "beta": "1.5", "lambda": "3",
+                                     "k": "77", "min_gap_cycles": "9",
+                                     "swap_limit_mode": "max"}).make_policy()
+        assert (policy.beta, policy.swap_limit, policy.k_writes, policy.min_gap_cycles,
+                policy.swap_limit_mode) == (1.5, 3, 77, 9, "max")
+
     def test_lambda_flag_maps_to_swap_limit(self, tmp_path):
         path = small_config(tmp_path, extra_policy="lambda = 2\n")
         assert build_config(path).swap_limit == 2

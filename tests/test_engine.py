@@ -9,7 +9,8 @@ from nvwear import (ExperimentConfig, GeneratorSpec, ReferenceSimulator, Simulat
 from nvwear import experiment
 from nvwear.workload import MAX_ADDRESS
 
-from helpers import seeded, small_cfg
+from helpers import (BENCH_WORKLOADS, assert_matches_reference_run, bench_source,
+                     seeded, small_cfg)
 from oracles import reference_run
 
 
@@ -364,28 +365,8 @@ class TestWholeRunAgainstReference:
                                      page_no * page + rng.randrange(page), icount))
         sim = Simulator(cfg, build_policy(kind, colors, **params), count_fills=count_fills)
         sim.run(events)
-        got = sim.result()
-        stats, decisions, audit = reference_run(cfg, kind, params, events, count_fills)
-        assert dataclasses.asdict(got) == {
-            **stats, "block_write_sd": pytest.approx(stats["block_write_sd"])}
-        assert [(d.interval, d.cycle, d.ran, d.swaps, d.sdw, d.n_higher, d.writebacks)
-                for d in sim.decisions] == [
-            (*head, pytest.approx(sdw), n_higher, writebacks)
-            for *head, sdw, n_higher, writebacks in decisions]
-        assert sim.mapping_audit == audit
-
-
-# The benchmark's three workloads, copied from perfbench/run.py: the generator
-# overrides, the technique's overrides, and whether the stream is replayed
-# through a text trace.
-BENCH_WORKLOADS = {
-    "zipf-miss": ({"workload_kind": "zipf", "pages": 4096, "zipf_s": 1.0,
-                   "write_fraction": 0.3}, {"policy": "swl"}, False),
-    "hotset-remap": ({"workload_kind": "hotset", "pages": 64, "write_fraction": 1.0},
-                     {"policy": "swl", "k": 10_000, "min_gap_cycles": 0}, False),
-    "trace-replay": ({"workload_kind": "uniform", "pages": 256, "write_fraction": 0.5},
-                     {"policy": "xor"}, True),
-}
+        assert_matches_reference_run(
+            sim, reference_run(cfg, kind, params, events, count_fills))
 
 
 class TestWholeRunAtBenchmarkGeometry:
@@ -396,32 +377,20 @@ class TestWholeRunAtBenchmarkGeometry:
 
     @pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS))
     def test_run_matches_reference_run(self, name, tmp_path):
-        generator, technique, replay = BENCH_WORKLOADS[name]
-        source = {**generator, "events": 300_000, "seed": 5}
-        if replay:
-            path = str(tmp_path / "replay.trace")
-            write_trace(path, generate(build_config(None, source, policy=False).workload))
-            source = {"trace": path}
-        cfg = build_config(None, {**source, **technique})
+        source = bench_source(name, 300_000, 5, tmp_path)
+        cfg = build_config(None, {**source, **BENCH_WORKLOADS[name][1]})
         cache = cfg.cache
         assert (cache.num_colors, cache.sets_per_color, cache.associativity) == (64, 64, 16)
-        events = list(read_trace(path) if replay else generate(cfg.workload))
+        events = list(read_trace(cfg.trace_path) if cfg.trace_path
+                      else generate(cfg.workload))
         sim = Simulator(cache, cfg.make_policy(), count_fills=cfg.count_fills)
         sim.run(events)
-        got = sim.result()
         params = dict(beta=cfg.beta, swap_limit=16,  # the default: a quarter of the colors
                       k_writes=cfg.k_writes, min_gap_cycles=cfg.min_gap_cycles,
                       swap_limit_mode=cfg.swap_limit_mode)
-        stats, decisions, audit = reference_run(cache, cfg.policy_kind, params, events,
-                                                cfg.count_fills)
-        assert decisions  # the technique acted
-        assert dataclasses.asdict(got) == {
-            **stats, "block_write_sd": pytest.approx(stats["block_write_sd"])}
-        assert [(d.interval, d.cycle, d.ran, d.swaps, d.sdw, d.n_higher, d.writebacks)
-                for d in sim.decisions] == [
-            (*head, pytest.approx(sdw), n_higher, writebacks)
-            for *head, sdw, n_higher, writebacks in decisions]
-        assert sim.mapping_audit == audit
+        reference = reference_run(cache, cfg.policy_kind, params, events, cfg.count_fills)
+        assert reference[1]  # the technique acted
+        assert_matches_reference_run(sim, reference)
 
 
 class TestInlineSplitAgainstReference:

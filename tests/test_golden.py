@@ -4,13 +4,20 @@ Each case runs the CLI on a small fixed config and checks the SHA-256 digest
 of every output file, summary.md included: each is a function of the config
 and seed alone. A change that is meant to move these bytes must say why and
 update the digests; any other change must leave them alone.
+
+The benchmark's three workloads are pinned the same way: the files of one
+compare each, as perfbench/run.py makes them at seed 5 and 300,000 events.
 """
 
 import hashlib
 
 import pytest
 
+from nvwear import build_config, compare_experiments
 from nvwear.cli import main
+from nvwear.experiment import write_comparison_report
+
+from helpers import BENCH_WORKLOADS, bench_source
 
 CONFIG = """
 [cache]
@@ -153,3 +160,66 @@ def _outputs(tmp_path, case):
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_output_bytes_match_known_good(tmp_path, case):
     assert _outputs(tmp_path, case) == GOLDEN[case]
+
+
+BENCH_GOLDEN = {
+    "hotset-remap": {
+        "baseline_decisions.csv":
+            "f84b63c6bbfffc6820c0c7392dff8151af0e91e9639bc2ab5188acac6bdfa791",
+        "baseline_mapping_audit.csv":
+            "170d8114476ace420d5856b47433af26d8de59f9f05ebb6a89f950162488be45",
+        "plot.csv":
+            "594281bc9b5b0ad1322636520650528f94fbb1fe17d8aee7753a6042628732ff",
+        "report.csv":
+            "6cf487a1dde791a64a073505ade07633b3089a19dc79e7d62acdf205c0889f90",
+        "summary.md":
+            "f2f8c3365d53da564d6adc0c6be93eecc739f2792eabe645c67eef0bf35dc81f",
+        "technique_decisions.csv":
+            "b79f72e88c61a2c6c359bea3d569b9017ab8410de22861b0c5580522b8ca6a79",
+        "technique_mapping_audit.csv":
+            "5986f7e178a9542e0939fd0ceac3b316178a548ea99af091ba748ca003879397",
+    },
+    "trace-replay": {
+        "baseline_decisions.csv":
+            "f84b63c6bbfffc6820c0c7392dff8151af0e91e9639bc2ab5188acac6bdfa791",
+        "baseline_mapping_audit.csv":
+            "170d8114476ace420d5856b47433af26d8de59f9f05ebb6a89f950162488be45",
+        "plot.csv":
+            "181756dc46a73f52233465f63c20368eb1be66c966da369906bec0d647ec534a",
+        "report.csv":
+            "282b90d317ee1a3ee279810155a986f47d9c3a1d71ffd8b19f4a5c4b657cf182",
+        "summary.md":
+            "fee1a6fe57b0cb8b16e5967b6a2ba3c25eae7ce2f82d67c273a28a46b2e7f8e7",
+        "technique_decisions.csv":
+            "51fae1a688bcc48cd3e6112e99615cbe50190dff694b29e545a8a9ce33073dd2",
+        "technique_mapping_audit.csv":
+            "193dca319392a571dfa8d545225ca296aeb688b3e6625129197f7982ae727721",
+    },
+    "zipf-miss": {
+        "baseline_decisions.csv":
+            "f84b63c6bbfffc6820c0c7392dff8151af0e91e9639bc2ab5188acac6bdfa791",
+        "baseline_mapping_audit.csv":
+            "170d8114476ace420d5856b47433af26d8de59f9f05ebb6a89f950162488be45",
+        "plot.csv":
+            "998f255b682699118f446a9327f8a7a187725a4ae9f7c8b2423b3fbadcaddabf",
+        "report.csv":
+            "90aef95119e347332eeed33aee4d0be37aac561fa4953c56a651c6ede194a889",
+        "summary.md":
+            "6409cd70be02b5c85166f36eab62175ba2bdf4b8522c56ad90ba7a920248fadf",
+        "technique_decisions.csv":
+            "e07466e87f08e05ed44e356cfb85b215a49b5572bc1bd6880a76a9d5d6166503",
+        "technique_mapping_audit.csv":
+            "e8f359b3d41dab048627e1c7d3a5a646235a60513d9afb16e6c4c9a92a4c18a6",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS))
+def test_benchmark_workload_bytes_match_known_good(tmp_path, name):
+    out = tmp_path / "out"
+    overrides = {**bench_source(name, 300_000, 5, tmp_path), "out": str(out)}
+    comparison = compare_experiments(
+        build_config(None, {**overrides, "policy": "static"}),
+        build_config(None, {**overrides, **BENCH_WORKLOADS[name][1]}))
+    write_comparison_report(comparison, str(out))
+    assert {file: _digest(out / file) for file in COMPARE_FILES} == BENCH_GOLDEN[name]
