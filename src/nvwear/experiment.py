@@ -25,8 +25,8 @@ from .metrics import RunStats, energy_joules, mpki, relative_lifetime
 from .policy import POLICY_KINDS, PolicySettings, build_policy, default_swap_limit
 # exact tuples for the simulators, under the names of the per-event seams that
 # perfbench/tracer.py, tests/test_bench_contract.py and TestOneStreamPerCompare patch
-from .workload import (GENERATOR_KINDS, GeneratorSpec, generate_tuples as generate,
-                       read_trace_tuples as read_trace)
+from .workload import (GENERATOR_KINDS, MAX_ADDRESS, GeneratorSpec,
+                       generate_tuples as generate, read_trace_tuples as read_trace)
 
 log = logging.getLogger("nvwear.experiment")
 
@@ -43,6 +43,8 @@ class ExperimentConfig(PolicySettings):
         if (self.workload is None) == (self.trace_path is None):
             raise ConfigError("exactly one of a generator workload or a trace "
                               "path must be configured")
+        if self.workload and self.workload.page_count * self.cache.page_size_bytes > MAX_ADDRESS:
+            raise ConfigError("* page_size_bytes exceeds the 2^48 address space", "page_count")
 
     def make_policy(self):
         """A fresh policy for one run; building one validates the policy settings."""
@@ -224,9 +226,7 @@ def build_config(path=None, overrides=None, policy=True) -> ExperimentConfig:
         if own.get("trace_path") is None:
             if given[GeneratorSpec].get("kind") == "trace":
                 raise ConfigError("'trace' requires a trace path", "kind")
-            own["workload"] = GeneratorSpec(
-                **given[GeneratorSpec], page_size_bytes=cache.page_size_bytes,
-                block_size_bytes=cache.block_size_bytes)
+            own["workload"] = GeneratorSpec(**given[GeneratorSpec])
         elif not policy:
             raise ConfigError("is set, but gen-trace needs a generator workload", "trace_path")
         cfg = ExperimentConfig(cache=cache, **own)
@@ -257,7 +257,7 @@ def _run_all(cfgs):
             log.warning("workload touches %d pages but the cache has %d colors; "
                         "some colors will never see traffic",
                         cfg.workload.page_count, cfg.cache.num_colors)
-        events = generate(cfg.workload)
+        events = generate(cfg.workload, cfg.cache)
         label, seed = cfg.workload.label(), cfg.workload.seed
     sims = [Simulator(c.cache, c.make_policy(), count_fills=c.count_fills) for c in cfgs]
     while chunk := list(islice(events, CHUNK)):

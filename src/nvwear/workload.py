@@ -10,6 +10,7 @@ from itertools import accumulate, islice, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
+from .cache import CacheConfig
 from .errors import ConfigError, TraceFormatError
 
 MAX_ADDRESS = 1 << 48
@@ -52,8 +53,6 @@ class GeneratorSpec:
     page_count: int = 256
     seed: int = 1
     instructions_per_access: int = 5
-    page_size_bytes: int = 4096
-    block_size_bytes: int = 64
 
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
@@ -79,15 +78,6 @@ class GeneratorSpec:
                               "their zipf weights overflow", "zipf_exponent") from None
         if self.instructions_per_access < 1:
             raise ConfigError("must be >= 1", "instructions_per_access")
-        for name in ("page_size_bytes", "block_size_bytes"):
-            v = getattr(self, name)
-            if v < 1 or v & (v - 1):
-                raise ConfigError("must be a positive power of two", name)
-        if self.block_size_bytes > self.page_size_bytes:
-            raise ConfigError("block_size_bytes must not exceed page_size_bytes")
-        if self.page_count * self.page_size_bytes > MAX_ADDRESS:
-            raise ConfigError("* page_size_bytes exceeds the 2^48 address space",
-                              "page_count")
 
     def label(self):
         """Short deterministic tag for reports."""
@@ -108,12 +98,13 @@ def _zipf_cdf(spec):
     return [acc / sums[-1] for acc in sums]
 
 
-def generate(spec: GeneratorSpec):
-    """Yield the deterministic event stream described by ``spec`` as TraceEvents."""
-    return map(tuple.__new__, repeat(TraceEvent), generate_tuples(spec))
+def generate(spec: GeneratorSpec, cache: CacheConfig = CacheConfig()):
+    """Yield the deterministic event stream described by ``spec`` on the pages
+    and blocks of ``cache`` as TraceEvents."""
+    return map(tuple.__new__, repeat(TraceEvent), generate_tuples(spec, cache))
 
 
-def generate_tuples(spec: GeneratorSpec):
+def generate_tuples(spec: GeneratorSpec, cache: CacheConfig):
     """Yield the events of ``generate`` as exact tuples, which unpack faster.
 
     Page and block draws inline ``randrange(n)``: ``getrandbits(n.bit_length())``
@@ -121,7 +112,7 @@ def generate_tuples(spec: GeneratorSpec):
     """
     rng = random.Random(spec.seed)
     random_, getrandbits = rng.random, rng.getrandbits
-    blocks_per_page = spec.page_size_bytes // spec.block_size_bytes
+    blocks_per_page = cache.sets_per_color
     k_block = blocks_per_page.bit_length()
     zipf_cdf = _zipf_cdf(spec) if spec.kind == "zipf" else None
     page_count = spec.page_count
@@ -133,8 +124,8 @@ def generate_tuples(spec: GeneratorSpec):
         cold = page_count - hot  # 0 when the hot set covers every page: uniform
     k_hot, k_cold = hot.bit_length(), cold.bit_length()
     hot_probability = spec.hotset_probability
-    page_size = spec.page_size_bytes
-    block_size = spec.block_size_bytes
+    page_size = cache.page_size_bytes
+    block_size = cache.block_size_bytes
     write_fraction = spec.write_fraction
     step = spec.instructions_per_access
     for icount in range(step, step * spec.num_events + 1, step):

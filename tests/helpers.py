@@ -59,7 +59,8 @@ def bench_source(name, events, seed, tmp_path):
     if not replay:
         return source
     path = str(tmp_path / "replay.trace")
-    write_trace(path, generate(build_config(None, source, policy=False).workload))
+    cfg = build_config(None, source, policy=False)
+    write_trace(path, generate(cfg.workload, cfg.cache))
     return {"trace": path}
 
 

@@ -25,12 +25,12 @@ def test_zipf_run_matches_reference_run_at_3m_events():
     cache = cfg.cache
     assert (cache.num_colors, cache.sets_per_color, cache.associativity) == (64, 64, 16)
     sim = Simulator(cache, cfg.make_policy(), count_fills=cfg.count_fills)
-    sim.run(generate(cfg.workload))
+    sim.run(generate(cfg.workload, cache))
     params = dict(beta=cfg.beta, swap_limit=16,  # the default: a quarter of the colors
                   k_writes=cfg.k_writes, min_gap_cycles=cfg.min_gap_cycles,
                   swap_limit_mode=cfg.swap_limit_mode)
     reference = reference_run(cache, cfg.policy_kind, params,
-                              generate(cfg.workload), cfg.count_fills)
+                              generate(cfg.workload, cache), cfg.count_fills)
     stats, decisions, _ = reference
     assert stats["reads"] + stats["writes"] == EVENTS
     # fourteen executions, each of which swapped

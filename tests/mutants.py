@@ -57,7 +57,7 @@ MUTANTS = (
      "    while chunk := list(islice(events, CHUNK)):\n        for sim in sims:\n"
      "            sim.run(chunk)",
      "    for sim in sims:\n        sim.run(read_trace(cfg.trace_path) if cfg.trace_path"
-     " else generate(cfg.workload))",
+     " else generate(cfg.workload, cfg.cache))",
      ["tests/test_engine.py::TestOneStreamPerCompare::test_stream_produced_once_per_compare",
       "tests/test_engine.py::TestOneStreamPerCompare::"
       "test_malformed_trace_fails_once_naming_its_line"]),
@@ -93,6 +93,10 @@ MUTANTS = (
      "",
      ["tests/test_cache.py::TestFlush::test_double_flush_returns_zero",
       "tests/test_cache.py::TestDifferentialSmall::test_remaps_and_flushes_match_reference"]),
+    ("cache: the block bound at 2^25 blocks", "cache.py",
+     "self.block_size_bytes > 1 << 24:",
+     "self.block_size_bytes > 1 << 25:",
+     ["tests/test_cache.py::TestCacheConfig::test_rejects_bad_geometry"]),
     ("cache: num_sets not derived from the colors", "cache.py",
      "        return self.num_colors * self.sets_per_color",
      "        return self.cache_size_bytes // self.block_size_bytes",
@@ -151,10 +155,15 @@ MUTANTS = (
      ["tests/test_workload.py::TestExactTupleStreams::"
       "test_read_trace_on_bulk_and_per_line_batches"]),
     ("workload: the public generate yields exact tuples", "workload.py",
-     "    return map(tuple.__new__, repeat(TraceEvent), generate_tuples(spec))",
-     "    return generate_tuples(spec)",
+     "    return map(tuple.__new__, repeat(TraceEvent), generate_tuples(spec, cache))",
+     "    return generate_tuples(spec, cache)",
      ["tests/test_workload.py::TestGenerate::test_icount_advances_uniformly",
       "tests/test_workload.py::TestGenerate::test_write_fraction_extremes"]),
+    ("workload: generated pages ignore the cache's page size", "workload.py",
+     "    page_size = cache.page_size_bytes",
+     "    page_size = 4096",
+     ["tests/test_workload.py::TestStreamPinning::test_stream_matches_pinned_digest",
+      "tests/test_golden.py::test_output_bytes_match_known_good"]),
     ("workload: the bulk reader does not advance the line number", "workload.py",
      "                    lineno += len(lines)\n                    yield from",
      "                    yield from",

@@ -101,9 +101,7 @@ def test_c03_reference_geometry_has_64_colors_4096_sets():
 def test_c04_uniform_roundrobin_is_a_noop_for_swl():
     cache = _desk_cache()
     workload = GeneratorSpec(kind="roundrobin", num_events=600_000,
-                             write_fraction=1.0, page_count=64, seed=4,
-                             page_size_bytes=cache.page_size_bytes,
-                             block_size_bytes=cache.block_size_bytes)
+                             write_fraction=1.0, page_count=64, seed=4)
     static, swl = _static_and_swl(cache, workload)
     assert swl.decisions, "expected the policy to execute at least once"
     assert all(len(d.swaps) == 0 for d in swl.decisions)
@@ -118,9 +116,7 @@ def test_c05_hotset_skew_gives_lifetime_benefit():
     cache = _desk_cache()
     workload = GeneratorSpec(kind="hotset", num_events=1_000_000,
                              write_fraction=1.0, hotset_fraction=1 / 16,
-                             hotset_probability=0.9, page_count=16, seed=7,
-                             page_size_bytes=cache.page_size_bytes,
-                             block_size_bytes=cache.block_size_bytes)
+                             hotset_probability=0.9, page_count=16, seed=7)
     static, swl = _static_and_swl(cache, workload)
     assert swl.stats.max_block_writes < static.stats.max_block_writes
     ratio = static.stats.max_block_writes / swl.stats.max_block_writes
@@ -136,9 +132,7 @@ def test_c06_skew_trend_mirrors_write_variation():
     for s in (0.0, 1.0, 2.0):
         workload = GeneratorSpec(kind="zipf", zipf_exponent=s,
                                  num_events=600_000, write_fraction=1.0,
-                                 page_count=64, seed=11,
-                                 page_size_bytes=cache.page_size_bytes,
-                                 block_size_bytes=cache.block_size_bytes)
+                                 page_count=64, seed=11)
         static, swl = _static_and_swl(cache, workload)
         sds.append(static.stats.block_write_sd)
         lifetimes.append(static.stats.max_block_writes

@@ -36,9 +36,7 @@ def test_traced_run_tallies_accesses_and_restores_originals(kind):
     before = [dict(vars(owner)) for owner in owners]
     cfg = small_cfg(colors=4, sets_per_color=4, assoc=2)
     workload = GeneratorSpec(kind="hotset", num_events=EVENTS, write_fraction=1.0,
-                             page_count=16, seed=3,
-                             page_size_bytes=cfg.page_size_bytes,
-                             block_size_bytes=cfg.block_size_bytes)
+                             page_count=16, seed=3)
     rec = tracer.Recorder()
     with tracer.instrumented(rec):
         run_experiment(ExperimentConfig(cache=cfg, policy_kind=kind,
@@ -54,9 +52,7 @@ def test_traced_compare_produces_the_stream_once_and_runs_in_chunks():
     tracer = _tracer()
     cfg = small_cfg(colors=4, sets_per_color=4, assoc=2)
     workload = GeneratorSpec(kind="hotset", num_events=EVENTS, write_fraction=1.0,
-                             page_count=16, seed=3,
-                             page_size_bytes=cfg.page_size_bytes,
-                             block_size_bytes=cfg.block_size_bytes)
+                             page_count=16, seed=3)
     base = ExperimentConfig(cache=cfg, policy_kind="static", workload=workload,
                             out_dir="unused")
     tech = dataclasses.replace(base, policy_kind="swl", k_writes=200, min_gap_cycles=0)
@@ -76,8 +72,7 @@ def test_traced_trace_compare_tallies_read_trace_once_per_event(tmp_path):
     cfg = small_cfg(colors=4, sets_per_color=4, assoc=2)
     path = tmp_path / "t.trace"
     write_trace(path, generate(GeneratorSpec(
-        kind="uniform", num_events=EVENTS, page_count=16, seed=5,
-        page_size_bytes=cfg.page_size_bytes, block_size_bytes=cfg.block_size_bytes)))
+        kind="uniform", num_events=EVENTS, page_count=16, seed=5), cfg))
     base = ExperimentConfig(cache=cfg, policy_kind="static", trace_path=str(path),
                             out_dir="unused")
     tech = dataclasses.replace(base, policy_kind="xor", k_writes=200, min_gap_cycles=0)

@@ -34,10 +34,16 @@ class TestCacheConfig:
         dict(block_size_bytes=8192, page_size_bytes=4096),
         dict(hit_read_latency=-1),
         dict(core_frequency_hz=0),
+        dict(cache_size_bytes=(1 << 25) * 64),            # 2^25 blocks
     ])
     def test_rejects_bad_geometry(self, kwargs):
         with pytest.raises(ConfigError):
             CacheConfig(**kwargs)
+
+    def test_accepts_exactly_2_24_blocks(self):
+        assert CacheConfig(cache_size_bytes=(1 << 24) * 64).num_sets == 1 << 20
+        assert CacheConfig(cache_size_bytes=(1 << 24) * 128,
+                           block_size_bytes=128).num_sets == 1 << 20
 
     def test_rejects_zero_colors(self):
         # page * associativity exceeds the cache
@@ -271,13 +277,11 @@ class TestMaxBlockWrites:
         cfg = small_cfg(colors=4, sets_per_color=4, assoc=2)
         # 4 pages -> one page per region; every block resident, no evictions
         spec = GeneratorSpec(kind="roundrobin", num_events=2 * 4 * 4,
-                             write_fraction=1.0, page_count=4,
-                             page_size_bytes=cfg.page_size_bytes,
-                             block_size_bytes=cfg.block_size_bytes)
+                             write_fraction=1.0, page_count=4)
         cache = CacheState(cfg)
         mapping = MappingTable(4)
         fills = write_hits = 0
-        for ev in generate(spec):
+        for ev in generate(spec, cfg):
             s, t = decompose_address(ev.addr, cfg, mapping)
             out = cache.access(s, t, ev.is_write)
             fills += not out.hit

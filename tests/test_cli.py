@@ -87,7 +87,7 @@ class TestBuildConfig:
         assert cfg.cache.num_colors == 4
         assert cfg.k_writes == 1000
         assert cfg.workload.kind == "hotset"
-        assert cfg.workload.page_size_bytes == 256  # follows the cache geometry
+        assert cfg.cache.page_size_bytes == 256  # which the generated stream follows
 
     def test_overrides_beat_file(self, tmp_path):
         path = small_config(tmp_path)
@@ -322,6 +322,15 @@ class TestSettingFlags:
         assert main(["run", "--config", cfg, "--out", out]) == 2
         assert capsys.readouterr().err == f"error: {cfg}:3: [workload] {reason}"
 
+    def test_cache_block_bound_names_the_size_setting(self, tmp_path, capsys):
+        # refused while the config is built, before any cache state
+        cfg = write_config(tmp_path / "big.ini", "[cache]\nsize_bytes = 64G\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:2: [cache] size_bytes must hold at most 2^24 blocks\n")
+        assert not out.exists()
+
     def test_trace_kind_without_a_trace_names_the_override_key(self, capsys):
         assert main(["run", "--kind", "trace"]) == 2
         assert capsys.readouterr().err == (
@@ -525,8 +534,8 @@ class TestGenTrace:
         assert not out.exists()
 
 
-class TestConfigparserOnDemand:
-    def test_loaded_only_to_read_an_ini_file(self, tmp_path):
+class TestConfigPathImports:
+    def test_no_configparser_or_datetime_on_the_config_path(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", "[workload]\nevents = 10\n")
         code = ("import sys, nvwear, nvwear.cli\n"
                 "nvwear.build_config(None, {'events': 10})\n"
@@ -766,8 +775,7 @@ class TestCompareEdges:
 
         cache = CacheConfig(cache_size_bytes=2048, associativity=2,
                             block_size_bytes=64, page_size_bytes=256)
-        wl = GeneratorSpec(kind="uniform", num_events=0, page_count=4,
-                           page_size_bytes=256, block_size_bytes=64)
+        wl = GeneratorSpec(kind="uniform", num_events=0, page_count=4)
         base = ExperimentConfig(cache=cache, policy_kind="static",
                                 workload=wl, out_dir="unused")
         cmp_ = compare_experiments(base, dataclasses.replace(base))

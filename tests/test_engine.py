@@ -70,8 +70,8 @@ class TestCycleAccounting:
 class TestStatsBookkeeping:
     def _events(self, n=5000, seed=3):
         spec = GeneratorSpec(kind="uniform", num_events=n, page_count=32,
-                             seed=seed, page_size_bytes=256, block_size_bytes=64)
-        return list(generate(spec))
+                             seed=seed)
+        return list(generate(spec, small_cfg()))
 
     def test_demand_counts_split(self):
         cfg = small_cfg()
@@ -114,10 +114,8 @@ class TestStatsBookkeeping:
         # every write the cache counts on a block is one write in the policy's
         # lifetime count of that block's (physical) color, remaps or not
         cfg = small_cfg(colors=16, sets_per_color=4, assoc=2)
-        spec = GeneratorSpec(kind="zipf", num_events=5000, page_count=64, seed=3,
-                             page_size_bytes=cfg.page_size_bytes,
-                             block_size_bytes=cfg.block_size_bytes)
-        sim, stats = run_sim(cfg, generate(spec), "swl", count_fills=count_fills,
+        spec = GeneratorSpec(kind="zipf", num_events=5000, page_count=64, seed=3)
+        sim, stats = run_sim(cfg, generate(spec, cfg), "swl", count_fills=count_fills,
                              k_writes=300, min_gap_cycles=0, beta=0.0)
         rows, spc = sim.cache.write_counts, cfg.sets_per_color
         by_color = [sum(map(sum, rows[c * spc:(c + 1) * spc]))
@@ -130,10 +128,8 @@ class TestPolicyIntegration:
     def test_uniform_roundrobin_never_swaps(self):
         cfg = small_cfg(colors=4, sets_per_color=4, assoc=2)
         spec = GeneratorSpec(kind="roundrobin", num_events=20_000,
-                             write_fraction=1.0, page_count=8,
-                             page_size_bytes=cfg.page_size_bytes,
-                             block_size_bytes=cfg.block_size_bytes)
-        sim, stats = run_sim(cfg, generate(spec), "swl", k_writes=400,
+                             write_fraction=1.0, page_count=8)
+        sim, stats = run_sim(cfg, generate(spec, cfg), "swl", k_writes=400,
                              min_gap_cycles=0)
         assert len(sim.decisions) > 10
         assert all(len(d.swaps) == 0 for d in sim.decisions)
@@ -144,11 +140,9 @@ class TestPolicyIntegration:
         cfg = small_cfg(colors=4, sets_per_color=4, assoc=2)
         spec = GeneratorSpec(kind="hotset", num_events=40_000,
                              write_fraction=1.0, hotset_fraction=0.25,
-                             hotset_probability=0.9, page_count=4, seed=6,
-                             page_size_bytes=cfg.page_size_bytes,
-                             block_size_bytes=cfg.block_size_bytes)
-        _, static = run_sim(cfg, generate(spec))
-        _, swl = run_sim(cfg, generate(spec), "swl", k_writes=1000,
+                             hotset_probability=0.9, page_count=4, seed=6)
+        _, static = run_sim(cfg, generate(spec, cfg))
+        _, swl = run_sim(cfg, generate(spec, cfg), "swl", k_writes=1000,
                          min_gap_cycles=1000, swap_limit=1)
         assert swl.remap_runs > 0
         assert swl.max_block_writes < static.max_block_writes
@@ -157,9 +151,7 @@ class TestPolicyIntegration:
         # every write lands in one region: static wears one color, swl several
         cfg = small_cfg(colors=4, sets_per_color=4, assoc=2)
         spec = GeneratorSpec(kind="uniform", num_events=20_000,
-                             write_fraction=1.0, page_count=1, seed=9,
-                             page_size_bytes=cfg.page_size_bytes,
-                             block_size_bytes=cfg.block_size_bytes)
+                             write_fraction=1.0, page_count=1, seed=9)
 
         def color_totals(sim):
             totals = [0] * cfg.num_colors
@@ -168,11 +160,11 @@ class TestPolicyIntegration:
             return totals
 
         static_sim = Simulator(cfg, build_policy("static", cfg.num_colors))
-        static_sim.run(generate(spec))
+        static_sim.run(generate(spec, cfg))
         swl_sim = Simulator(cfg, build_policy("swl", cfg.num_colors,
                                               k_writes=1000, min_gap_cycles=0,
                                               swap_limit=1))
-        swl_sim.run(generate(spec))
+        swl_sim.run(generate(spec, cfg))
 
         static_totals = color_totals(static_sim)
         swl_totals = color_totals(swl_sim)
@@ -185,10 +177,8 @@ class TestPolicyIntegration:
         cfg = small_cfg(colors=4, sets_per_color=4, assoc=2)
         spec = GeneratorSpec(kind="hotset", num_events=30_000,
                              write_fraction=1.0, hotset_fraction=0.25,
-                             page_count=4, seed=2,
-                             page_size_bytes=cfg.page_size_bytes,
-                             block_size_bytes=cfg.block_size_bytes)
-        sim, _ = run_sim(cfg, generate(spec), "swl", k_writes=1000,
+                             page_count=4, seed=2)
+        sim, _ = run_sim(cfg, generate(spec, cfg), "swl", k_writes=1000,
                          min_gap_cycles=0, swap_limit=1)
         remap_intervals = {d.interval for d in sim.decisions
                            if len(d.swaps) > 0 and
@@ -203,10 +193,8 @@ class TestPolicyIntegration:
     def test_xor_policy_flushes_whole_cache(self):
         cfg = small_cfg(colors=4, sets_per_color=4, assoc=2)
         spec = GeneratorSpec(kind="uniform", num_events=20_000,
-                             write_fraction=1.0, page_count=8, seed=5,
-                             page_size_bytes=cfg.page_size_bytes,
-                             block_size_bytes=cfg.block_size_bytes)
-        sim, stats = run_sim(cfg, generate(spec), "xor", k_writes=2000,
+                             write_fraction=1.0, page_count=8, seed=5)
+        sim, stats = run_sim(cfg, generate(spec, cfg), "xor", k_writes=2000,
                              min_gap_cycles=0)
         assert stats.remap_runs == len(sim.decisions) > 0
         assert stats.flush_writebacks > 0
@@ -217,11 +205,9 @@ class TestPolicyIntegration:
         cfg = small_cfg(colors=4, sets_per_color=4, assoc=2)
         spec = GeneratorSpec(kind="hotset", num_events=30_000,
                              write_fraction=1.0, hotset_fraction=0.25,
-                             page_count=4, seed=2,
-                             page_size_bytes=cfg.page_size_bytes,
-                             block_size_bytes=cfg.block_size_bytes)
+                             page_count=4, seed=2)
         gap = 50_000
-        sim, _ = run_sim(cfg, generate(spec), "swl", k_writes=100,
+        sim, _ = run_sim(cfg, generate(spec, cfg), "swl", k_writes=100,
                          min_gap_cycles=gap)
         cycles = [d.cycle for d in sim.decisions]
         assert len(cycles) >= 2
@@ -249,9 +235,8 @@ class TestPolicyContract:
 
     def _events(self):
         spec = GeneratorSpec(kind="uniform", num_events=6000, write_fraction=0.4,
-                             page_count=32, seed=4, page_size_bytes=256,
-                             block_size_bytes=64)
-        return list(generate(spec))
+                             page_count=32, seed=4)
+        return list(generate(spec, small_cfg()))
 
     @pytest.mark.parametrize("count_fills", [True, False])
     def test_poll_runs_exactly_at_each_k_th_counted_write(self, count_fills):
@@ -311,10 +296,9 @@ class TestDeterminismAndOracle:
     def test_same_events_same_result(self):
         cfg = small_cfg(colors=4, sets_per_color=4, assoc=2)
         spec = GeneratorSpec(kind="zipf", num_events=15_000, page_count=16,
-                             seed=12, page_size_bytes=cfg.page_size_bytes,
-                             block_size_bytes=cfg.block_size_bytes)
-        a, a_stats = run_sim(cfg, generate(spec), "swl", k_writes=500, min_gap_cycles=0)
-        b, b_stats = run_sim(cfg, generate(spec), "swl", k_writes=500, min_gap_cycles=0)
+                             seed=12)
+        a, a_stats = run_sim(cfg, generate(spec, cfg), "swl", k_writes=500, min_gap_cycles=0)
+        b, b_stats = run_sim(cfg, generate(spec, cfg), "swl", k_writes=500, min_gap_cycles=0)
         assert a_stats == b_stats
         assert a.decisions == b.decisions
         assert a.mapping.color_of == b.mapping.color_of
@@ -322,12 +306,11 @@ class TestDeterminismAndOracle:
     def test_static_run_matches_reference_counts(self):
         cfg = small_cfg(colors=4, sets_per_color=4, assoc=2)
         spec = GeneratorSpec(kind="uniform", num_events=10_000, page_count=16,
-                             seed=21, page_size_bytes=cfg.page_size_bytes,
-                             block_size_bytes=cfg.block_size_bytes)
-        _, stats = run_sim(cfg, generate(spec))
+                             seed=21)
+        _, stats = run_sim(cfg, generate(spec, cfg))
         ref = ReferenceSimulator(cfg)
         hits = 0
-        for ev in generate(spec):
+        for ev in generate(spec, cfg):
             hit, _ = ref.access_addr(ev.addr, ev.is_write)
             hits += hit
         total = spec.num_events
@@ -382,7 +365,7 @@ class TestWholeRunAtBenchmarkGeometry:
         cache = cfg.cache
         assert (cache.num_colors, cache.sets_per_color, cache.associativity) == (64, 64, 16)
         events = list(read_trace(cfg.trace_path) if cfg.trace_path
-                      else generate(cfg.workload))
+                      else generate(cfg.workload, cache))
         sim = Simulator(cache, cfg.make_policy(), count_fills=cfg.count_fills)
         sim.run(events)
         params = dict(beta=cfg.beta, swap_limit=16,  # the default: a quarter of the colors
@@ -459,10 +442,8 @@ class TestResumableRun:
 
     def _events(self, n, seed, write_fraction=0.7):
         spec = GeneratorSpec(kind="hotset", num_events=n, write_fraction=write_fraction,
-                             hotset_fraction=0.25, page_count=16, seed=seed,
-                             page_size_bytes=self.CFG.page_size_bytes,
-                             block_size_bytes=self.CFG.block_size_bytes)
-        return list(generate(spec))
+                             hotset_fraction=0.25, page_count=16, seed=seed)
+        return list(generate(spec, self.CFG))
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(["static", "swl", "xor"]),
@@ -499,12 +480,10 @@ class TestResumableRun:
 def _configs(tmp_path, n, source):
     cfg = small_cfg(colors=4, sets_per_color=4, assoc=2)
     spec = GeneratorSpec(kind="hotset", num_events=n, write_fraction=0.8,
-                         hotset_fraction=0.25, page_count=16, seed=7,
-                         page_size_bytes=cfg.page_size_bytes,
-                         block_size_bytes=cfg.block_size_bytes)
+                         hotset_fraction=0.25, page_count=16, seed=7)
     if source == "trace":
         path = str(tmp_path / "t.trace")
-        write_trace(path, generate(spec))
+        write_trace(path, generate(spec, cfg))
         stream = dict(trace_path=path)
     else:
         stream = dict(workload=spec)

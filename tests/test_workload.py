@@ -9,11 +9,13 @@ from itertools import accumulate, count, cycle, islice
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nvwear import (ConfigError, GeneratorSpec, TraceEvent, TraceFormatError, experiment,
-                    generate, read_trace, write_trace, workload)
+from nvwear import (CacheConfig, ConfigError, ExperimentConfig, GeneratorSpec, TraceEvent,
+                    TraceFormatError, experiment, generate, read_trace, write_trace,
+                    workload)
 from nvwear.cli import main
 from nvwear.workload import GENERATOR_KINDS, MAX_ADDRESS
 
+from helpers import small_cfg
 from oracles import read_trace_per_line
 
 
@@ -392,16 +394,16 @@ class TestGenerate:
     def test_roundrobin_covers_every_block_once(self):
         pages, blocks = 8, 4
         spec = GeneratorSpec(kind="roundrobin", num_events=pages * blocks,
-                             write_fraction=1.0, page_count=pages,
-                             page_size_bytes=256, block_size_bytes=64)
-        counts = Counter(ev.addr for ev in generate(spec))
+                             write_fraction=1.0, page_count=pages)
+        counts = Counter(ev.addr for ev in generate(spec, CacheConfig(page_size_bytes=256)))
         assert len(counts) == pages * blocks
         assert set(counts.values()) == {1}
 
     def test_zipf_frequencies_non_increasing(self):
         spec = GeneratorSpec(kind="zipf", zipf_exponent=1.0, num_events=100_000,
                              page_count=16, seed=8)
-        counts = Counter(ev.addr // spec.page_size_bytes for ev in generate(spec))
+        cache = CacheConfig()
+        counts = Counter(ev.addr // cache.page_size_bytes for ev in generate(spec, cache))
         freqs = [counts.get(page, 0) for page in range(16)]
         noise = 4 * math.sqrt(max(freqs))
         assert all(freqs[i] >= freqs[i + 1] - noise for i in range(15))
@@ -410,7 +412,8 @@ class TestGenerate:
     def test_zipf_exponent_zero_is_uniform(self):
         spec = GeneratorSpec(kind="zipf", zipf_exponent=0.0, num_events=64_000,
                              page_count=16, seed=9)
-        counts = Counter(ev.addr // spec.page_size_bytes for ev in generate(spec))
+        cache = CacheConfig()
+        counts = Counter(ev.addr // cache.page_size_bytes for ev in generate(spec, cache))
         expected = spec.num_events / spec.page_count
         sigma = math.sqrt(expected)
         for page in range(16):
@@ -420,15 +423,40 @@ class TestGenerate:
         spec = GeneratorSpec(kind="hotset", hotset_fraction=1 / 16,
                              hotset_probability=0.9, num_events=50_000,
                              page_count=16, seed=10)
-        hot = sum(1 for ev in generate(spec) if ev.addr < spec.page_size_bytes)
+        cache = CacheConfig()
+        hot = sum(1 for ev in generate(spec, cache) if ev.addr < cache.page_size_bytes)
         assert hot / spec.num_events == pytest.approx(0.9, abs=0.02)
 
     def test_addresses_block_aligned_and_in_range(self):
         spec = GeneratorSpec(kind="hotset", num_events=2000, page_count=8, seed=4)
-        top = spec.page_count * spec.page_size_bytes
-        for ev in generate(spec):
+        cache = CacheConfig()
+        top = spec.page_count * cache.page_size_bytes
+        for ev in generate(spec, cache):
             assert 0 <= ev.addr < top
-            assert ev.addr % spec.block_size_bytes == 0
+            assert ev.addr % cache.block_size_bytes == 0
+
+    def test_default_cache(self):
+        # perfbench/run.py generates its streams with the spec alone
+        spec = GeneratorSpec(kind="zipf", num_events=2000, seed=5)
+        assert list(generate(spec)) == list(generate(spec, CacheConfig()))
+
+
+class TestCacheGeometry:
+    """A stream lies on the pages and blocks of the cache it is generated for."""
+
+    def test_a_stream_touches_exactly_its_pages(self):
+        cfg = ExperimentConfig(cache=small_cfg(),  # 2 KiB, 256 B pages
+                               workload=GeneratorSpec(kind="uniform", page_count=16))
+        pages = {addr // cfg.cache.page_size_bytes
+                 for _, addr, _ in experiment.generate(cfg.workload, cfg.cache)}
+        assert pages == set(range(16))
+
+    def test_the_address_space_bound_is_checked_against_the_cache(self):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(workload=GeneratorSpec(page_count=1 << 40))
+        assert exc.value.field == "page_count"
+        # the same page count fits below 2^48 with 256 B pages
+        ExperimentConfig(cache=small_cfg(), workload=GeneratorSpec(page_count=1 << 40))
 
 
 class TestZipfTable:
@@ -474,10 +502,11 @@ PINNED_SPECS = {
     "hotset": dict(kind="hotset", page_count=64, write_fraction=1.0),
     # hot >= pages: the hot set covers every page, so draws are uniform over
     # a power-of-two page count, where rejection is most frequent
-    "hotset-all-hot": dict(kind="hotset", page_count=64, hotset_fraction=1.0,
-                           page_size_bytes=512),
+    "hotset-all-hot": dict(kind="hotset", page_count=64, hotset_fraction=1.0),
     "roundrobin": dict(kind="roundrobin", page_count=10),
 }
+# the cache a pinned stream is generated for, where it is not the default one
+PINNED_CACHES = {"hotset-all-hot": CacheConfig(page_size_bytes=512)}
 
 
 class TestExactTupleStreams:
@@ -488,9 +517,10 @@ class TestExactTupleStreams:
     @pytest.mark.parametrize("kind", GENERATOR_KINDS)
     def test_generate(self, kind):
         spec = GeneratorSpec(kind=kind, num_events=300, page_count=16, seed=3)
-        tuples = list(experiment.generate(spec))
+        cache = small_cfg()
+        tuples = list(experiment.generate(spec, cache))
         assert tuples and all(type(ev) is tuple for ev in tuples)
-        public = list(generate(spec))
+        public = list(generate(spec, cache))
         assert all(type(ev) is TraceEvent for ev in public)
         assert public == tuples
 
@@ -511,7 +541,7 @@ class TestExactTupleStreams:
         assert public == tuples == events
 
 
-def _randrange_stream(spec):
+def _randrange_stream(spec, cache):
     """The generator's draw order written out with Random.randrange."""
     rng = random.Random(spec.seed)
     p = spec.page_count
@@ -523,9 +553,9 @@ def _randrange_stream(spec):
                     else rng.randrange(hot, p))
         else:
             page = rng.randrange(p)
-        block = rng.randrange(spec.page_size_bytes // spec.block_size_bytes)
-        yield TraceEvent(is_write, page * spec.page_size_bytes
-                         + block * spec.block_size_bytes,
+        block = rng.randrange(cache.page_size_bytes // cache.block_size_bytes)
+        yield TraceEvent(is_write, page * cache.page_size_bytes
+                         + block * cache.block_size_bytes,
                          i * spec.instructions_per_access)
 
 
@@ -539,7 +569,7 @@ class TestStreamPinning:
     def test_stream_matches_pinned_digest(self, name, seed):
         spec = GeneratorSpec(num_events=20_000, seed=seed, **PINNED_SPECS[name])
         digest = hashlib.sha256()
-        for ev in generate(spec):
+        for ev in generate(spec, PINNED_CACHES.get(name, CacheConfig())):
             digest.update(f"{int(ev.is_write)} {ev.addr} {ev.icount}\n".encode())
         assert digest.hexdigest() == PINNED_STREAMS[name, seed]
 
@@ -549,9 +579,9 @@ class TestStreamPinning:
     def test_generate_equals_randrange_transcription(self, kind, n, seed,
                                                      block_shift, hot_fraction):
         spec = GeneratorSpec(kind=kind, num_events=30, page_count=n, seed=seed,
-                             hotset_fraction=hot_fraction,
-                             block_size_bytes=4096 >> block_shift)
-        assert list(generate(spec)) == list(_randrange_stream(spec))
+                             hotset_fraction=hot_fraction)
+        cache = CacheConfig(block_size_bytes=4096 >> block_shift)
+        assert list(generate(spec, cache)) == list(_randrange_stream(spec, cache))
 
 
 class TestSpecValidation:
@@ -564,9 +594,6 @@ class TestSpecValidation:
         dict(hotset_probability=-0.2),
         dict(page_count=0),
         dict(instructions_per_access=0),
-        dict(page_size_bytes=1000),
-        dict(block_size_bytes=8192, page_size_bytes=4096),
-        dict(page_count=1 << 40),
         dict(zipf_exponent=float("nan")),
         dict(zipf_exponent=400.0),  # 256 ** 400 overflows a float
         dict(kind="zipf", page_count=(1 << 24) + 1),  # its table would need > 1 GiB
