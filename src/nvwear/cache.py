@@ -9,8 +9,8 @@ from .errors import ConfigError
 class CacheConfig:
     """Geometry and timing of the simulated last-level cache.
 
-    Sizes must be powers of two with block <= page <= cache size (at most
-    2^24 blocks); the color count (cache / (page * associativity)) must be >= 1.
+    Sizes are powers of two, block <= page <= cache size, with at most 2^24
+    blocks and 2^20 sets, and at least one color (page * associativity bytes).
     Latencies are whole core cycles; the defaults model a 4MB 16-way
     non-volatile LLC behind a 2GHz core.
     """
@@ -32,8 +32,10 @@ class CacheConfig:
                 raise ConfigError(f"must be a positive power of two, got {v}", name)
         if not self.block_size_bytes <= self.page_size_bytes <= self.cache_size_bytes:
             raise ConfigError("need block_size_bytes <= page_size_bytes <= cache_size_bytes")
-        if self.cache_size_bytes // self.block_size_bytes > 1 << 24:  # ~17 B each when empty
+        if self.cache_size_bytes // self.block_size_bytes > 1 << 24:  # ~9 B each when empty
             raise ConfigError("must hold at most 2^24 blocks", "cache_size_bytes")
+        if self.num_sets > 1 << 20:  # ~128 B each when empty; with the blocks, <= ~272 MiB
+            raise ConfigError("must hold at most 2^20 sets", "cache_size_bytes")
         for name in ("hit_read_latency", "hit_write_latency", "miss_penalty"):
             if getattr(self, name) < 0:
                 raise ConfigError("must be non-negative", name)

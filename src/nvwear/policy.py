@@ -49,7 +49,7 @@ class PolicySettings:
 
 @dataclass
 class PolicyState(PolicySettings):
-    """Counters and thresholds driving the periodic remap decision.
+    """The swl policy: counters and thresholds driving the periodic remap decision.
 
     ``n_write_global`` accumulates over the whole run; ``n_write_last_interval``
     restarts whenever the decision procedure executes. The engine advances
@@ -94,6 +94,8 @@ class PolicyState(PolicySettings):
         self.n_write_last_interval[color] += 1
         self.writes_since_check += 1
         return self.writes_since_check >= self.k_writes
+
+    note_write = observe_write  # see StaticPolicy
 
     def check_trigger(self, now_cycle):
         """True when K writes accumulated and the minimum cycle gap has passed.
@@ -169,10 +171,7 @@ class StaticPolicy:
         return None
 
 
-class SwapWearPolicy(PolicyState):
-    """Periodic pairwise swapping of hot colors toward the least-worn ones."""
-
-    note_write, poll = PolicyState.observe_write, PolicyState.poll  # see StaticPolicy
+SwapWearPolicy = PolicyState  # swl: periodic pairwise swapping of hot colors
 
 
 class XorRemapPolicy(PolicyState):
@@ -211,8 +210,6 @@ def build_policy(kind, num_colors, **params):
     """``params`` are ``PolicySettings`` fields (beta, k_writes, ...); static ignores them."""
     if kind == "static":
         return StaticPolicy()
-    if kind == "swl":
-        return SwapWearPolicy(num_colors, **params)
-    if kind == "xor":
-        return XorRemapPolicy(num_colors, **params)
-    raise ConfigError(f"{kind!r} is not one of {POLICY_KINDS}", "policy_kind")
+    if kind not in POLICY_KINDS:
+        raise ConfigError(f"{kind!r} is not one of {POLICY_KINDS}", "policy_kind")
+    return (XorRemapPolicy if kind == "xor" else PolicyState)(num_colors, **params)

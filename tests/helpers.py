@@ -1,12 +1,14 @@
 """Shared fixtures-in-spirit: tiny cache geometries, differential replay, the
-benchmark's workloads and the whole-run comparison against the oracle."""
+benchmark's own modules and the whole-run comparison against the oracle."""
 
 import dataclasses
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
-from nvwear import CacheConfig, build_config, generate, write_trace
+from nvwear import CacheConfig
 from nvwear.reference import replay_against_reference
 
 
@@ -37,31 +39,13 @@ def seeded(seed):
     return random.Random(seed)
 
 
-# The benchmark's three workloads, copied from perfbench/run.py: the generator
-# overrides, the technique's overrides, and whether the stream is replayed
-# through a text trace.
-BENCH_WORKLOADS = {
-    "zipf-miss": ({"workload_kind": "zipf", "pages": 4096, "zipf_s": 1.0,
-                   "write_fraction": 0.3}, {"policy": "swl"}, False),
-    "hotset-remap": ({"workload_kind": "hotset", "pages": 64, "write_fraction": 1.0},
-                     {"policy": "swl", "k": 10_000, "min_gap_cycles": 0}, False),
-    "trace-replay": ({"workload_kind": "uniform", "pages": 256, "write_fraction": 0.5},
-                     {"policy": "xor"}, True),
-}
-
-
-def bench_source(name, events, seed, tmp_path):
-    """The ``build_config`` overrides of benchmark workload ``name``'s stream.
-    A replayed workload's stream is written, as the benchmark does, to a text
-    trace named replay.trace under ``tmp_path``, and the overrides name it."""
-    generator, _, replay = BENCH_WORKLOADS[name]
-    source = {**generator, "events": events, "seed": seed}
-    if not replay:
-        return source
-    path = str(tmp_path / "replay.trace")
-    cfg = build_config(None, source, policy=False)
-    write_trace(path, generate(cfg.workload, cfg.cache))
-    return {"trace": path}
+def perfbench(name):
+    """perfbench/<name>.py, imported by its path as a fresh module."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def assert_matches_reference_run(sim, reference):

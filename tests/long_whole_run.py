@@ -1,5 +1,5 @@
 """The whole-run oracle at length: Simulator against reference_run over the
-zipf-miss entry of helpers.BENCH_WORKLOADS (zipf over 4096 pages, s = 1,
+zipf-miss entry of perfbench/run.py's WORKLOADS (zipf over 4096 pages, s = 1,
 write fraction 0.3, seed 5, swl on the default 64 colors x 64 sets x 16 ways)
 at 3M events, ten times the horizon of
 tests/test_engine.py::TestWholeRunAtBenchmarkGeometry.
@@ -13,15 +13,16 @@ the 3M events are never held in memory at once.
 
 from nvwear import Simulator, build_config, generate
 
-from helpers import BENCH_WORKLOADS, assert_matches_reference_run
+from helpers import assert_matches_reference_run, perfbench
 from oracles import reference_run
 
 EVENTS = 3_000_000
 
 
 def test_zipf_run_matches_reference_run_at_3m_events():
-    generator, technique, _ = BENCH_WORKLOADS["zipf-miss"]
-    cfg = build_config(None, {**generator, "events": EVENTS, "seed": 5, **technique})
+    workload = perfbench("run").WORKLOADS["zipf-miss"]
+    cfg = build_config(None, {**workload.generator, "events": EVENTS, "seed": 5,
+                              **workload.technique})
     cache = cfg.cache
     assert (cache.num_colors, cache.sets_per_color, cache.associativity) == (64, 64, 16)
     sim = Simulator(cache, cfg.make_policy(), count_fills=cfg.count_fills)

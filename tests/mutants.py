@@ -97,6 +97,10 @@ MUTANTS = (
      "self.block_size_bytes > 1 << 24:",
      "self.block_size_bytes > 1 << 25:",
      ["tests/test_cache.py::TestCacheConfig::test_rejects_bad_geometry"]),
+    ("cache: the set bound at 2^21 sets", "cache.py",
+     "self.num_sets > 1 << 20:",
+     "self.num_sets > 1 << 21:",
+     ["tests/test_cache.py::TestCacheConfig::test_accepts_exactly_2_20_sets"]),
     ("cache: num_sets not derived from the colors", "cache.py",
      "        return self.num_colors * self.sets_per_color",
      "        return self.cache_size_bytes // self.block_size_bytes",
@@ -130,6 +134,11 @@ MUTANTS = (
      ["tests/test_policy.py::TestXorPolicy::test_first_interval_maps_region_to_xor_one",
       "tests/test_engine.py::TestWholeRunAtBenchmarkGeometry::"
       "test_run_matches_reference_run[trace-replay]"]),
+    ("policy: build_policy builds xor for swl", "policy.py",
+     '(XorRemapPolicy if kind == "xor" else PolicyState)',
+     '(XorRemapPolicy if kind != "static" else PolicyState)',
+     ["tests/test_policy.py::TestValidation::test_build_policy_kinds",
+      "tests/test_policy.py::TestValidation::test_xor_needs_a_power_of_two_color_count"]),
     ("experiment: make_policy drops the last policy setting", "experiment.py",
      "for f in fields(PolicySettings)}",
      "for f in fields(PolicySettings)[:-1]}",

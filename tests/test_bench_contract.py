@@ -3,9 +3,6 @@ by name and reads the objects they return. This runs a short experiment under
 that instrumentation, so a change to the package that breaks the traced
 benchmark fails here too."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
 import dataclasses
@@ -14,22 +11,14 @@ from nvwear import (ExperimentConfig, GeneratorSpec, compare_experiments,
                     generate, run_experiment, write_trace)
 from nvwear import cache, coloring, engine, experiment, policy
 
-from helpers import small_cfg
+from helpers import perfbench, small_cfg
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 EVENTS = 3000
-
-
-def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("kind", ["swl", "xor"])
 def test_traced_run_tallies_accesses_and_restores_originals(kind):
-    tracer = _tracer()
+    tracer = perfbench("tracer")
     owners = (engine, engine.Simulator, cache.CacheState, coloring.MappingTable,
               experiment, policy.StaticPolicy, policy.SwapWearPolicy,
               policy.XorRemapPolicy)
@@ -49,7 +38,7 @@ def test_traced_run_tallies_accesses_and_restores_originals(kind):
 
 
 def test_traced_compare_produces_the_stream_once_and_runs_in_chunks():
-    tracer = _tracer()
+    tracer = perfbench("tracer")
     cfg = small_cfg(colors=4, sets_per_color=4, assoc=2)
     workload = GeneratorSpec(kind="hotset", num_events=EVENTS, write_fraction=1.0,
                              page_count=16, seed=3)
@@ -68,7 +57,7 @@ def test_traced_compare_produces_the_stream_once_and_runs_in_chunks():
 def test_traced_trace_compare_tallies_read_trace_once_per_event(tmp_path):
     # the batch parser must still hand events out one at a time, so the
     # tracer's per-event seam around read_trace sees every one
-    tracer = _tracer()
+    tracer = perfbench("tracer")
     cfg = small_cfg(colors=4, sets_per_color=4, assoc=2)
     path = tmp_path / "t.trace"
     write_trace(path, generate(GeneratorSpec(

@@ -34,7 +34,8 @@ class TestCacheConfig:
         dict(block_size_bytes=8192, page_size_bytes=4096),
         dict(hit_read_latency=-1),
         dict(core_frequency_hz=0),
-        dict(cache_size_bytes=(1 << 25) * 64),            # 2^25 blocks
+        dict(cache_size_bytes=(1 << 25) * 64, associativity=64),  # 2^25 blocks, 2^19 sets
+        dict(cache_size_bytes=1 << 30, associativity=1),  # 2^24 blocks, 2^24 sets
     ])
     def test_rejects_bad_geometry(self, kwargs):
         with pytest.raises(ConfigError):
@@ -44,6 +45,11 @@ class TestCacheConfig:
         assert CacheConfig(cache_size_bytes=(1 << 24) * 64).num_sets == 1 << 20
         assert CacheConfig(cache_size_bytes=(1 << 24) * 128,
                            block_size_bytes=128).num_sets == 1 << 20
+
+    def test_accepts_exactly_2_20_sets(self):
+        assert CacheConfig(cache_size_bytes=(1 << 20) * 64, associativity=1).num_sets == 1 << 20
+        with pytest.raises(ConfigError, match="2\\^20 sets"):
+            CacheConfig(cache_size_bytes=(1 << 21) * 64, associativity=1)
 
     def test_rejects_zero_colors(self):
         # page * associativity exceeds the cache

@@ -331,6 +331,16 @@ class TestSettingFlags:
             f"error: {cfg}:2: [cache] size_bytes must hold at most 2^24 blocks\n")
         assert not out.exists()
 
+    def test_cache_set_bound_names_the_size_setting(self, tmp_path, capsys):
+        # 2^24 blocks, within the block bound, but one set each
+        cfg = write_config(tmp_path / "sets.ini",
+                           "[cache]\nsize_bytes = 1G\nassociativity = 1\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:2: [cache] size_bytes must hold at most 2^20 sets\n")
+        assert not out.exists()
+
     def test_trace_kind_without_a_trace_names_the_override_key(self, capsys):
         assert main(["run", "--kind", "trace"]) == 2
         assert capsys.readouterr().err == (

@@ -5,12 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from nvwear import (ExperimentConfig, GeneratorSpec, ReferenceSimulator, Simulator,
                     TraceEvent, TraceFormatError, build_config, build_policy,
-                    compare_experiments, generate, read_trace, run_experiment, write_trace)
+                    compare_experiments, generate, run_experiment, write_trace)
 from nvwear import experiment
 from nvwear.workload import MAX_ADDRESS
 
-from helpers import (BENCH_WORKLOADS, assert_matches_reference_run, bench_source,
-                     seeded, small_cfg)
+from helpers import assert_matches_reference_run, perfbench, seeded, small_cfg
 from oracles import reference_run
 
 
@@ -352,20 +351,24 @@ class TestWholeRunAgainstReference:
             sim, reference_run(cfg, kind, params, events, count_fills))
 
 
+BENCH = perfbench("run")
+
+
 class TestWholeRunAtBenchmarkGeometry:
     """Simulator.run against reference_run on the default cache (64 colors of
     64 sets, 16 ways), over each benchmark workload's stream at seed 5 and
     300k events with the technique's settings: full 16-way sets and policy
     executions at a size the drawn runs above never reach."""
 
-    @pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS))
+    @pytest.mark.parametrize("name", sorted(BENCH.WORKLOADS))
     def test_run_matches_reference_run(self, name, tmp_path):
-        source = bench_source(name, 300_000, 5, tmp_path)
-        cfg = build_config(None, {**source, **BENCH_WORKLOADS[name][1]})
+        plan = BENCH.Plan(BENCH.WORKLOADS[name], 5, 300_000, str(tmp_path / "out"),
+                          str(tmp_path / "replay.trace"))
+        plan.prepare()
+        cfg = build_config(None, plan.overrides(plan.workload.technique))
         cache = cfg.cache
         assert (cache.num_colors, cache.sets_per_color, cache.associativity) == (64, 64, 16)
-        events = list(read_trace(cfg.trace_path) if cfg.trace_path
-                      else generate(cfg.workload, cache))
+        events = list(plan.events_prefix(300_000))
         sim = Simulator(cache, cfg.make_policy(), count_fills=cfg.count_fills)
         sim.run(events)
         params = dict(beta=cfg.beta, swap_limit=16,  # the default: a quarter of the colors

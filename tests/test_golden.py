@@ -6,18 +6,17 @@ and seed alone. A change that is meant to move these bytes must say why and
 update the digests; any other change must leave them alone.
 
 The benchmark's three workloads are pinned the same way: the files of one
-compare each, as perfbench/run.py makes them at seed 5 and 300,000 events.
+compare each, made by perfbench/run.py's own compare_once at seed 5 and
+300,000 events.
 """
 
 import hashlib
 
 import pytest
 
-from nvwear import build_config, compare_experiments
 from nvwear.cli import main
-from nvwear.experiment import write_comparison_report
 
-from helpers import BENCH_WORKLOADS, bench_source
+from helpers import perfbench
 
 CONFIG = """
 [cache]
@@ -214,12 +213,14 @@ BENCH_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS))
+BENCH = perfbench("run")
+
+
+@pytest.mark.parametrize("name", sorted(BENCH.WORKLOADS))
 def test_benchmark_workload_bytes_match_known_good(tmp_path, name):
     out = tmp_path / "out"
-    overrides = {**bench_source(name, 300_000, 5, tmp_path), "out": str(out)}
-    comparison = compare_experiments(
-        build_config(None, {**overrides, "policy": "static"}),
-        build_config(None, {**overrides, **BENCH_WORKLOADS[name][1]}))
-    write_comparison_report(comparison, str(out))
+    plan = BENCH.Plan(BENCH.WORKLOADS[name], 5, 300_000, str(out),
+                      str(tmp_path / "replay.trace"))
+    plan.prepare()
+    BENCH.compare_once(plan)
     assert {file: _digest(out / file) for file in COMPARE_FILES} == BENCH_GOLDEN[name]
