@@ -98,10 +98,23 @@ def _zipf_cdf(spec):
     return [acc / sums[-1] for acc in sums]
 
 
+class _Views(map):
+    """TraceEvent views of a tuple producer, ``source``, which ``write_trace``
+    reads in their place; a map pulls no further ahead than it yields."""
+
+    __slots__ = ("source",)
+
+
+def _views(producer, *args):
+    views = _Views(tuple.__new__, repeat(TraceEvent), source := producer(*args))
+    views.source = source
+    return views
+
+
 def generate(spec: GeneratorSpec, cache: CacheConfig = CacheConfig()):
     """Yield the deterministic event stream described by ``spec`` on the pages
     and blocks of ``cache`` as TraceEvents."""
-    return map(tuple.__new__, repeat(TraceEvent), generate_tuples(spec, cache))
+    return _views(generate_tuples, spec, cache)
 
 
 def generate_tuples(spec: GeneratorSpec, cache: CacheConfig):
@@ -172,7 +185,7 @@ def read_trace(path):
     line. Both paths accept the same traces and raise the same errors, the
     per-line one is only slower.
     """
-    return map(tuple.__new__, repeat(TraceEvent), read_trace_tuples(path))
+    return _views(read_trace_tuples, path)
 
 
 def read_trace_tuples(path):
@@ -254,16 +267,21 @@ def write_trace(path, events):
     rendered once (an int address in hex, any other value by its ``repr``) and
     written if it passes the reader's bulk test; else the reader's line parser
     raises its TraceFormatError, the event's 1-based position as the line. The
-    file then holds the batches before it, as it does when ``events`` raises.
-    A regular file at ``path`` is unlinked first (truncating one written a
-    moment ago waits for its write-out); a symlink or device is written through."""
-    events = iter(events)
+    file then holds the batches before it, as it does when ``events`` raises
+    after its first batch. A regular file at ``path`` is unlinked first
+    (truncating one written a moment ago waits for its write-out); a symlink or
+    device is written through. The first batch is taken before the unlink, so
+    a stream that raises in it leaves ``path`` as it was, and a stream that
+    reads ``path`` holds the old file open. A ``generate`` or ``read_trace``
+    stream is read through its tuple producer, which builds no TraceEvents."""
+    events = iter(events.source if type(events) is _Views else events)
     written = last_icount = 0
+    batch = list(islice(events, 1024))
     with suppress(OSError):  # a file we may not unlink is written in place
         if os.path.isfile(path) and not os.path.islink(path):
             os.unlink(path)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        while batch := list(islice(events, 1024)):
+        while batch:
             lines = [f"{'W' if is_write else 'R'} "
                      f"{hex(addr) if isinstance(addr, int) else repr(addr)} {icount!r}\n"
                      for is_write, addr, icount in batch]
@@ -275,3 +293,4 @@ def write_trace(path, events):
             fh.write(text)
             written += len(batch)
             last_icount = icounts[-1]
+            batch = list(islice(events, 1024))

@@ -303,6 +303,29 @@ class TestRoundTrip:
             write_trace(path, events())
         assert path.read_text().splitlines() == [f"W 0x{64 * i:x} {i}" for i in range(1024)]
 
+    def test_a_trace_rewritten_in_place_keeps_its_bytes(self, tmp_path):
+        # many of the reader's 8 KiB batches, so most are read after the unlink
+        path = tmp_path / "t.trace"
+        write_trace(path, generate(GeneratorSpec(num_events=20_000, seed=8)))
+        before = path.read_bytes()
+        assert len(before) > 20 * workload._BATCH_BYTES
+        write_trace(path, read_trace(path))
+        assert path.read_bytes() == before
+
+    def test_a_stream_that_raises_in_its_first_batch_leaves_the_target(self, tmp_path):
+        def events():
+            yield from ((True, 64 * i, i) for i in range(1000))
+            raise RuntimeError("stream failed")
+
+        path, bad = tmp_path / "t.trace", tmp_path / "bad.trace"
+        path.write_bytes(b"W 0x40 1\n")
+        bad.write_bytes(b"W 0x40 1\nR 0x80 0\n")
+        with pytest.raises(RuntimeError, match="stream failed"):
+            write_trace(path, events())
+        with pytest.raises(TraceFormatError, match="bad.trace:2: instruction count"):
+            write_trace(path, read_trace(bad))
+        assert path.read_bytes() == b"W 0x40 1\n"
+
     # the reader's error for the event's line, which is the event's position
     @pytest.mark.parametrize("event, message", [
         ((True, 1 << 49, 5), "address above 2^48"),
@@ -523,6 +546,8 @@ class TestExactTupleStreams:
         public = list(generate(spec, cache))
         assert all(type(ev) is TraceEvent for ev in public)
         assert public == tuples
+        # the fields perfbench's oracle check reads
+        assert [(ev.is_write, ev.addr) for ev in public] == [ev[:2] for ev in tuples]
 
     def test_read_trace_on_bulk_and_per_line_batches(self, tmp_path):
         events = list(generate(GeneratorSpec(num_events=3000, seed=4)))
@@ -539,6 +564,82 @@ class TestExactTupleStreams:
         public = list(read_trace(path))
         assert all(type(ev) is TraceEvent for ev in public)
         assert public == tuples == events
+        assert [(ev.is_write, ev.addr) for ev in public] == [ev[:2] for ev in tuples]
+
+
+def _lines(events):
+    return "".join(f"{'W' if w else 'R'} 0x{a:x} {i}\n" for w, a, i in events).encode()
+
+
+class TestViewStreamsWriteFromTheirProducer:
+    """write_trace reads a generate or read_trace stream through the tuple
+    producer its TraceEvent views are made from; the bytes and errors are
+    those of writing the views themselves."""
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_views_and_producer_write_the_same_bytes(self, tmp_path, kind):
+        spec = GeneratorSpec(kind=kind, num_events=2500, page_count=16, seed=3)
+        cache = small_cfg()
+        views, tuples = tmp_path / "views.trace", tmp_path / "tuples.trace"
+        write_trace(views, generate(spec, cache))
+        write_trace(tuples, workload.generate_tuples(spec, cache))
+        assert views.read_bytes() == tuples.read_bytes() == _lines(
+            experiment.generate(spec, cache))
+
+    def test_a_partly_read_stream_writes_the_rest(self, tmp_path):
+        spec = GeneratorSpec(num_events=4000, seed=5)
+        source = tmp_path / "source.trace"
+        write_trace(source, generate(spec))
+        expected = _lines(islice(experiment.generate(spec, CacheConfig()), 1500, None))
+        for stream in (generate(spec), read_trace(source)):
+            first = next(stream)
+            assert type(first) is TraceEvent
+            assert len(list(islice(stream, 1499))) == 1499
+            path = _fresh_path(tmp_path)
+            write_trace(path, stream)
+            assert path.read_bytes() == expected
+
+    def test_a_source_attribute_alone_is_not_read_through(self, tmp_path):
+        class Stream(list):
+            source = [(True, 0x80, 2)]
+
+        path = tmp_path / "t.trace"
+        write_trace(path, Stream([(False, 0x40, 1)]))
+        assert path.read_bytes() == b"R 0x40 1\n"
+
+    def test_a_canonical_trace_is_copied_byte_for_byte(self, tmp_path):
+        a, b = tmp_path / "a.trace", tmp_path / "b.trace"
+        write_trace(a, generate(GeneratorSpec(num_events=5000, seed=6)))
+        write_trace(b, read_trace(a))
+        assert b.read_bytes() == a.read_bytes()
+
+    def test_comments_blank_lines_and_crlf_are_canonicalised(self, tmp_path):
+        events = list(experiment.generate(GeneratorSpec(num_events=3000, seed=7),
+                                          CacheConfig()))
+        lines = _lines(events).decode().splitlines()
+        for i in range(0, 3000, 700):
+            lines[i] = f"# note {i}\n\n{lines[i]}"
+        a, b = tmp_path / "a.trace", tmp_path / "b.trace"
+        a.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+        write_trace(b, read_trace(a))
+        assert b.read_bytes() == _lines(events)
+
+    @pytest.mark.parametrize("lineno", [1025, 1500, 2900])
+    def test_a_bad_line_fails_as_through_trace_events(self, tmp_path, lineno):
+        lines = _lines((i % 2 == 0, 64 * i, i) for i in range(3000)).splitlines(True)
+        lines[lineno - 1] = b"R 0x40 junk\n"
+        source = tmp_path / "source.trace"
+        source.write_bytes(b"".join(lines))
+        outcomes = []
+        # a generator around the views hides them, so it writes TraceEvents
+        for stream in (read_trace(source), (ev for ev in read_trace(source))):
+            path = _fresh_path(tmp_path)
+            with pytest.raises(TraceFormatError) as raised:
+                write_trace(path, stream)
+            outcomes.append((str(raised.value), path.read_bytes()))
+        assert outcomes[0] == outcomes[1] == (
+            f"{source}:{lineno}: bad instruction count 'junk'",
+            b"".join(lines[:(lineno - 1) // 1024 * 1024]))
 
 
 def _randrange_stream(spec, cache):
