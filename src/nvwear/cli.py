@@ -99,8 +99,6 @@ def _cmd_compare(args):
 
 def _cmd_gen_trace(args):
     cfg = build_config(args.config, _settings(args), policy=False)
-    directory = os.path.dirname(os.path.abspath(args.path))
-    os.makedirs(directory, exist_ok=True)
     write_trace(args.path, generate_tuples(cfg.workload, cfg.cache))
     log.info("wrote %d events to %s", cfg.workload.num_events, args.path)
     return 0

@@ -3,9 +3,9 @@
 Config files are INI-style ``key = value`` text with one section per
 subsystem ([cache], [policy], [workload], [output]); command-line flags
 override file values. Reports (a fixed-schema CSV, a per-interval decision
-log, a mapping audit trail, tidy plot data, a markdown summary) are written to
-a temp file that is renamed in after the old report is unlinked, so a reader
-may briefly find none, but never half of one. Nothing is fsynced.
+log, a mapping audit trail, tidy plot data, a markdown summary) are written
+through ``workload.replacing``, like traces: a reader may briefly find no
+report, but never half of one. Nothing is fsynced.
 """
 
 import csv
@@ -13,7 +13,6 @@ import io
 import logging
 import os
 import re
-from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from itertools import islice
 from operator import attrgetter
@@ -25,7 +24,7 @@ from .metrics import RunStats, energy_joules, mpki, relative_lifetime
 from .policy import POLICY_KINDS, PolicySettings, build_policy, default_swap_limit
 # exact tuples for the simulators, under the names of the per-event seams that
 # perfbench/tracer.py, tests/test_bench_contract.py and TestOneStreamPerCompare patch
-from .workload import (GENERATOR_KINDS, MAX_ADDRESS, GeneratorSpec,
+from .workload import (GENERATOR_KINDS, MAX_ADDRESS, GeneratorSpec, replacing,
                        generate_tuples as generate, read_trace_tuples as read_trace)
 
 log = logging.getLogger("nvwear.experiment")
@@ -349,22 +348,6 @@ def _csv_text(columns, rows):
     return buf.getvalue()
 
 
-def write_atomic(path, text):
-    """Write text to path via a sibling temp file (mode from the umask), renamed in
-    after path is unlinked: a rename over a fresh file waits for its write-out."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        with suppress(FileNotFoundError):
-            os.unlink(path)
-        os.replace(tmp, path)
-    finally:  # the temp file is left only by a failure
-        with suppress(FileNotFoundError):
-            os.unlink(tmp)
-
-
 def _config_lines(report: ExperimentReport):
     cfg, cache = report.config, report.config.cache
     lam = (default_swap_limit(cache.num_colors) if cfg.swap_limit is None
@@ -397,7 +380,8 @@ def _write_reports(out_dir, runs, baseline=None):
     fills each run's report.csv ratio cells with ``_ratios(baseline, run)``, and
     the last run's ratios add plot.csv rows and the summary's comparison section."""
     def write(name, text):
-        write_atomic(os.path.join(out_dir, name), text)
+        with replacing(os.path.join(out_dir, name), "utf-8") as fh:
+            fh.write(text)
 
     rows, plot, lines = [], [], [
         f"# nvwear {'run' if baseline is None else 'comparison'} summary", ""]

@@ -1,10 +1,11 @@
-"""Trace file I/O and deterministic synthetic access-stream generators."""
+"""Trace file I/O, deterministic synthetic access-stream generators, and the
+one writer of every output file (``replacing``)."""
 
 import os
 import random
 import re
 from bisect import bisect_right
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
 from operator import itemgetter
@@ -190,8 +191,7 @@ def read_trace(path):
 
 def read_trace_tuples(path):
     """Yield the events of ``read_trace`` as exact tuples, which unpack faster."""
-    last_icount = 0
-    lineno = 0
+    last_icount = lineno = 0
     # latin-1 decodes every byte, so a non-ASCII byte fails the batch match
     # and reaches the line check, which can name its line
     with open(path, "r", encoding="latin-1") as fh:
@@ -261,27 +261,46 @@ def _parse_lines(path, lines, lineno, last_icount):
     return last_icount
 
 
+@contextmanager
+def replacing(path, encoding="ascii"):
+    """Yield a text file (LF endings) that replaces ``path`` all or nothing: a
+    temp file beside the target (parents made), renamed in on a clean exit after
+    the old target is unlinked (a rename over a fresh file waits for its
+    write-out), removed on a failure. A symlink's target is replaced; a target
+    that is not a regular file (/dev/null, a pipe) is written in place. Errors name path."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding=encoding, newline="\n") as fh:
+            yield fh
+        return
+    real = os.path.realpath(path)
+    os.makedirs(os.path.dirname(real), exist_ok=True)
+    tmp = f"{real}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding=encoding, newline="\n") as fh:
+            yield fh
+        with suppress(FileNotFoundError):
+            os.unlink(real)
+        os.replace(tmp, real)
+    except OSError as exc:
+        if exc.filename == tmp:
+            exc.filename = os.fspath(path)
+        raise
+    finally:  # the temp file is left only by a failure
+        with suppress(OSError):
+            os.unlink(tmp)
+
+
 def write_trace(path, events):
-    """Write ``(is_write, addr, icount)`` events in the text format
-    ``read_trace`` accepts (LF endings), 1024 lines per write. Each batch is
+    """Write ``(is_write, addr, icount)`` events through ``replacing`` in the
+    text format ``read_trace`` accepts, 1024 lines per write. Each batch is
     rendered once (an int address in hex, any other value by its ``repr``) and
     written if it passes the reader's bulk test; else the reader's line parser
-    raises its TraceFormatError, the event's 1-based position as the line. The
-    file then holds the batches before it, as it does when ``events`` raises
-    after its first batch. A regular file at ``path`` is unlinked first
-    (truncating one written a moment ago waits for its write-out); a symlink or
-    device is written through. The first batch is taken before the unlink, so
-    a stream that raises in it leaves ``path`` as it was, and a stream that
-    reads ``path`` holds the old file open. A ``generate`` or ``read_trace``
-    stream is read through its tuple producer, which builds no TraceEvents."""
+    raises its TraceFormatError, the event's 1-based position as the line. A
+    ``generate`` or ``read_trace`` stream is read through its tuple producer."""
     events = iter(events.source if type(events) is _Views else events)
     written = last_icount = 0
-    batch = list(islice(events, 1024))
-    with suppress(OSError):  # a file we may not unlink is written in place
-        if os.path.isfile(path) and not os.path.islink(path):
-            os.unlink(path)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        while batch:
+    with replacing(path) as fh:
+        while batch := list(islice(events, 1024)):
             lines = [f"{'W' if is_write else 'R'} "
                      f"{hex(addr) if isinstance(addr, int) else repr(addr)} {icount!r}\n"
                      for is_write, addr, icount in batch]
@@ -293,4 +312,3 @@ def write_trace(path, events):
             fh.write(text)
             written += len(batch)
             last_icount = icounts[-1]
-            batch = list(islice(events, 1024))

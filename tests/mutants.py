@@ -173,16 +173,19 @@ MUTANTS = (
      "    views.source = producer(*args)",
      ["tests/test_workload.py::TestViewStreamsWriteFromTheirProducer::"
       "test_a_partly_read_stream_writes_the_rest"]),
-    ("workload: the writer takes its first batch after the unlink", "workload.py",
-     "    batch = list(islice(events, 1024))\n"
-     "    with suppress(OSError):  # a file we may not unlink is written in place\n"
-     "        if os.path.isfile(path) and not os.path.islink(path):\n"
-     "            os.unlink(path)\n",
-     "    with suppress(OSError):\n"
-     "        if os.path.isfile(path) and not os.path.islink(path):\n"
-     "            os.unlink(path)\n"
-     "    batch = list(islice(events, 1024))\n",
-     ["tests/test_workload.py::TestRoundTrip::test_a_trace_rewritten_in_place_keeps_its_bytes"]),
+    ("workload: the writer leaves its temp file after a failure", "workload.py",
+     "            os.unlink(tmp)",
+     "            pass",
+     ["tests/test_cli.py::TestWriteAtomic::test_failed_write_leaves_no_temp_file"]),
+    ("workload: the writer renames over the old target without unlinking it", "workload.py",
+     "        with suppress(FileNotFoundError):\n            os.unlink(real)\n",
+     "",
+     ["tests/test_cli.py::TestWriteAtomic::test_rewrite_renames_onto_no_existing_file"]),
+    ("workload: a symlink's target is written in place", "workload.py",
+     "    if os.path.exists(path) and not os.path.isfile(path):",
+     "    if os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path):",
+     ["tests/test_workload.py::TestRoundTrip::"
+      "test_a_trace_rewritten_through_a_symlink_keeps_its_bytes_and_the_link"]),
     ("workload: generated pages ignore the cache's page size", "workload.py",
      "    page_size = cache.page_size_bytes",
      "    page_size = 4096",
@@ -222,10 +225,6 @@ MUTANTS = (
      "            b.stats.cycles / t.stats.cycles if",
      "            t.stats.cycles / b.stats.cycles if",
      ["tests/test_golden.py::test_output_bytes_match_known_good"]),
-    ("experiment: write_atomic leaves its temp file after a failure", "experiment.py",
-     "            os.unlink(tmp)",
-     "            pass",
-     ["tests/test_cli.py::TestWriteAtomic::test_failed_write_leaves_no_temp_file"]),
     ("experiment: the INI reader accepts a key before any section", "experiment.py",
      '        elif name is None:\n            raise ConfigError(f"{path}:{n}: key {key!r} '
      'before any section")',

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import hashlib
 import logging
 import os
 import re
@@ -16,7 +17,8 @@ from nvwear import (CacheState, ConfigError, ExperimentConfig, GeneratorSpec, bu
                     read_trace, run_experiment)
 from nvwear.cache import AccessOutcome
 from nvwear.cli import _build_parser, main
-from nvwear.experiment import _SETTINGS, parse_bool, parse_size, write_atomic
+from nvwear.experiment import _SETTINGS, parse_bool, parse_size
+from nvwear.workload import replacing, write_trace
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -513,6 +515,26 @@ class TestGenTrace:
                          "--seed", "11"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_makes_the_missing_directories(self, tmp_path):
+        out = tmp_path / "a" / "b" / "t.trace"
+        assert main(["gen-trace", str(out), "--events", "10"]) == 0
+        assert len(list(read_trace(out))) == 10
+
+    def test_to_dev_stdout_on_a_file_and_a_pipe(self, tmp_path):
+        # a file behind /dev/stdout is replaced like any regular file; a
+        # pipe is written in place
+        argv = [sys.executable, "-m", "nvwear.cli", "gen-trace", "/dev/stdout",
+                "--kind", "uniform", "--events", "5000", "--seed", "5"]
+        env = {**os.environ, "PYTHONPATH": str(Path(nvwear.__file__).parents[1])}
+        out = tmp_path / "out.trace"
+        with open(out, "wb") as fh:
+            subprocess.run(argv, stdout=fh, env=env, check=True)
+        piped = subprocess.run(argv, stdout=subprocess.PIPE, env=env, check=True).stdout
+        assert out.read_bytes() == piped
+        assert hashlib.sha256(piped).hexdigest() == (
+            "d37b408597d88cdded1b7b9a947a6ea7a286813d78facd6a17236b35af008873")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.trace"]
+
 
     def test_trace_workload_names_the_file_and_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "t.ini", "[workload]\ntrace = some.trace\n")
@@ -819,11 +841,14 @@ class TestCompareEdges:
 
 
 class TestWriteAtomic:
+    """Every output file goes through workload.replacing: all or nothing."""
+
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("old\n")
         with pytest.raises(UnicodeEncodeError):
-            write_atomic(path, "a\ud800")  # a lone surrogate has no UTF-8 form
+            with replacing(path, "utf-8") as fh:
+                fh.write("a\ud800")  # a lone surrogate has no UTF-8 form
         assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
         assert path.read_text() == "old\n"
 
@@ -837,7 +862,7 @@ class TestWriteAtomic:
 
     def test_rewrite_renames_onto_no_existing_file(self, tmp_path, monkeypatch):
         # a rename over a file written a moment earlier stalls until the
-        # kernel has written that file out, so the old report goes first
+        # kernel has written that file out, so the old file goes first
         targets = []
 
         def check_target(rename):
@@ -848,12 +873,24 @@ class TestWriteAtomic:
 
         monkeypatch.setattr(os, "replace", check_target(os.replace))
         monkeypatch.setattr(os, "rename", check_target(os.rename))
-        path = tmp_path / "r.csv"
-        write_atomic(path, "old\n")
-        write_atomic(path, "new\n")
-        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+        path, trace = tmp_path / "r.csv", tmp_path / "t.trace"
+        for text in ("old\n", "new\n"):
+            with replacing(path, "utf-8") as fh:
+                fh.write(text)
+        for icount in (1, 2):
+            write_trace(trace, [(True, 0x40, icount)])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "t.trace"]
         assert path.read_text() == "new\n"
-        assert targets == [(path, False), (path, False)]
+        assert trace.read_text() == "W 0x40 2\n"
+        assert targets == [(os.path.realpath(p), False) for p in (path, path, trace, trace)]
+
+    def test_errors_name_the_path_given(self, tmp_path):
+        path = tmp_path / "t.trace"
+        (tmp_path / f"t.trace.{os.getpid()}.tmp").mkdir()  # the temp file's name, taken
+        with pytest.raises(IsADirectoryError) as raised:
+            write_trace(path, [(True, 0x40, 1)])
+        assert raised.value.filename == str(path)
+        assert not path.exists()
 
 
 class TestSelftest:

@@ -292,25 +292,38 @@ class TestRoundTrip:
         write_trace(os.devnull, [TraceEvent(True, 0x40, 1)])
         assert os.path.exists(os.devnull)
 
-    def test_stream_that_raises_leaves_the_written_batches(self, tmp_path):
+    def test_a_stream_that_raises_after_its_first_batch_leaves_the_target(self, tmp_path):
         def events():
             for i in range(1500):
                 yield True, 64 * i, i
             raise RuntimeError("stream failed")
 
-        path = tmp_path / "t.trace"
-        with pytest.raises(RuntimeError, match="stream failed"):
-            write_trace(path, events())
-        assert path.read_text().splitlines() == [f"W 0x{64 * i:x} {i}" for i in range(1024)]
+        path, new = tmp_path / "t.trace", tmp_path / "new.trace"
+        path.write_bytes(b"W 0x40 1\n")
+        for target in (path, new):
+            with pytest.raises(RuntimeError, match="stream failed"):
+                write_trace(target, events())
+        assert path.read_bytes() == b"W 0x40 1\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.trace"]
 
     def test_a_trace_rewritten_in_place_keeps_its_bytes(self, tmp_path):
-        # many of the reader's 8 KiB batches, so most are read after the unlink
+        # many of the reader's 8 KiB batches, read while the new file is written
         path = tmp_path / "t.trace"
         write_trace(path, generate(GeneratorSpec(num_events=20_000, seed=8)))
         before = path.read_bytes()
         assert len(before) > 20 * workload._BATCH_BYTES
         write_trace(path, read_trace(path))
         assert path.read_bytes() == before
+
+    def test_a_trace_rewritten_through_a_symlink_keeps_its_bytes_and_the_link(self, tmp_path):
+        target, link = tmp_path / "t.trace", tmp_path / "link.trace"
+        write_trace(target, generate(GeneratorSpec(num_events=20_000, seed=8)))
+        before = target.read_bytes()
+        link.symlink_to("t.trace")
+        write_trace(link, read_trace(link))
+        assert link.is_symlink() and os.readlink(link) == "t.trace"
+        assert target.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.trace", "t.trace"]
 
     def test_a_stream_that_raises_in_its_first_batch_leaves_the_target(self, tmp_path):
         def events():
@@ -337,11 +350,16 @@ class TestRoundTrip:
         ((False, "0x40", 5), "address must be 0x-prefixed hex, got \"'0x40'\""),
     ])
     def test_writer_refuses_what_the_reader_refuses(self, tmp_path, event, message):
-        path = tmp_path / "t.trace"
-        with pytest.raises(TraceFormatError) as raised:
-            write_trace(path, [(True, 0, 0), event])
-        assert str(raised.value) == f"{path}:2: {message}"
-        assert path.read_bytes() == b""
+        # a new path as the second event, an existing target as the first
+        path, existing = tmp_path / "t.trace", tmp_path / "old.trace"
+        existing.write_bytes(b"W 0x40 1\n")
+        for target, events, line in ((path, [(True, 0, 0), event], 2),
+                                     (existing, [event], 1)):
+            with pytest.raises(TraceFormatError) as raised:
+                write_trace(target, events)
+            assert str(raised.value) == f"{target}:{line}: {message}"
+        assert existing.read_bytes() == b"W 0x40 1\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["old.trace"]
 
     # a valid stream with a few fields replaced, across the writer's batch
     # edges: the writer raises exactly when the per-line reader refuses the
@@ -378,11 +396,12 @@ class TestRoundTrip:
     def test_writer_refuses_an_icount_that_decreases_across_a_batch_edge(self, tmp_path):
         events = [(True, 64 * i, 10 + i) for i in range(1024)] + [(False, 0, 3)]
         path = tmp_path / "t.trace"
+        path.write_bytes(b"W 0x40 1\n")
         with pytest.raises(TraceFormatError) as raised:
             write_trace(path, events)
         assert str(raised.value) == f"{path}:1025: instruction count decreased (1033 -> 3)"
-        assert path.read_text().splitlines() == [f"W 0x{64 * i:x} {10 + i}"
-                                                 for i in range(1024)]
+        assert path.read_bytes() == b"W 0x40 1\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.trace"]
 
     def test_gen_trace_bytes_are_pinned(self, tmp_path):
         # digest of the file as the one-write-per-line writer made it
@@ -636,10 +655,10 @@ class TestViewStreamsWriteFromTheirProducer:
             path = _fresh_path(tmp_path)
             with pytest.raises(TraceFormatError) as raised:
                 write_trace(path, stream)
-            outcomes.append((str(raised.value), path.read_bytes()))
+            outcomes.append((str(raised.value), path.exists()))
         assert outcomes[0] == outcomes[1] == (
-            f"{source}:{lineno}: bad instruction count 'junk'",
-            b"".join(lines[:(lineno - 1) // 1024 * 1024]))
+            f"{source}:{lineno}: bad instruction count 'junk'", False)
+        assert [p.name for p in tmp_path.iterdir()] == ["source.trace"]
 
 
 def _randrange_stream(spec, cache):
