@@ -380,7 +380,7 @@ def _write_reports(out_dir, runs, baseline=None):
     fills each run's report.csv ratio cells with ``_ratios(baseline, run)``, and
     the last run's ratios add plot.csv rows and the summary's comparison section."""
     def write(name, text):
-        with replacing(os.path.join(out_dir, name), "utf-8") as fh:
+        with replacing(os.path.join(out_dir, name)) as fh:
             fh.write(text)
 
     rows, plot, lines = [], [], [

@@ -22,17 +22,17 @@ def default_swap_limit(num_colors):
 
 @dataclass
 class RemapDecision:
-    """One policy execution. The policy sets ``ran`` (False: the imbalance gate
-    rejected remapping, no swaps), ``swaps``, ``sdw`` and ``n_higher``; the
-    engine sets the interval index, the cycle and the flush writebacks."""
+    """One policy execution. The policy passes ``ran`` (False: the imbalance
+    gate rejected remapping, no swaps), ``swaps``, ``sdw`` and ``n_higher``; the
+    engine sets the rest: the interval index, the cycle and the flush writebacks."""
 
     ran: bool
     swaps: list = field(default_factory=list)
     sdw: float = 0.0
     n_higher: int = 0
-    interval: int = 0
-    cycle: int = 0
-    writebacks: int = 0
+    interval: int = field(default=0, init=False)
+    cycle: int = field(default=0, init=False)
+    writebacks: int = field(default=0, init=False)
 
 
 @dataclass(kw_only=True)
@@ -51,20 +51,20 @@ class PolicySettings:
 class PolicyState(PolicySettings):
     """The swl policy: counters and thresholds driving the periodic remap decision.
 
-    ``n_write_global`` accumulates over the whole run; ``n_write_last_interval``
-    restarts whenever the decision procedure executes. The engine advances
-    both, and ``writes_since_check``, inline as ``observe_write`` would, and
-    calls ``poll`` only at the K-th counted write. ``swap_limit`` is the cap
-    on swapped pairs per execution (defaults to a quarter of the colors) and
-    must stay within [1, N/2].
+    Built from the color count and the five settings; the run state below them
+    starts empty. ``n_write_global`` accumulates over the whole run;
+    ``n_write_last_interval`` restarts at each execution. The engine advances both,
+    and ``writes_since_check``, inline as ``observe_write`` would, and calls ``poll``
+    only at the K-th counted write. ``swap_limit``, the cap on swapped pairs per
+    execution (default: a quarter of the colors), must lie in [1, N/2].
     """
 
     num_colors: int
     n_write_global: list = field(init=False, repr=False)
     n_write_last_interval: list = field(init=False, repr=False)
-    writes_since_check: int = 0
-    last_run_cycle: int = 0
-    deferred: bool = False
+    writes_since_check: int = field(default=0, init=False)
+    last_run_cycle: int = field(default=0, init=False)
+    deferred: bool = field(default=False, init=False)
 
     def __post_init__(self):
         n = self.num_colors

@@ -66,8 +66,8 @@ class GeneratorSpec:
             raise ConfigError("must lie in (0, 1]", "hotset_fraction")
         if not 0.0 <= self.hotset_probability <= 1.0:
             raise ConfigError("must lie in [0, 1]", "hotset_probability")
-        if self.page_count < 1:
-            raise ConfigError("must be >= 1", "page_count")
+        if not 1 <= self.page_count <= MAX_ADDRESS:  # no cache has more pages than bytes
+            raise ConfigError("must lie in [1, 2^48]", "page_count")
         if self.kind == "zipf" and self.page_count > 1 << 24:  # ~1 GiB of zipf table
             raise ConfigError("must be <= 2^24 for zipf (64 B per page)", "page_count")
         if not self.zipf_exponent >= 0:  # NaN too
@@ -262,21 +262,21 @@ def _parse_lines(path, lines, lineno, last_icount):
 
 
 @contextmanager
-def replacing(path, encoding="ascii"):
-    """Yield a text file (LF endings) that replaces ``path`` all or nothing: a
-    temp file beside the target (parents made), renamed in on a clean exit after
-    the old target is unlinked (a rename over a fresh file waits for its
-    write-out), removed on a failure. A symlink's target is replaced; a target
-    that is not a regular file (/dev/null, a pipe) is written in place. Errors name path."""
+def replacing(path):
+    """Yield a UTF-8 text file (LF endings) that replaces ``path`` all or nothing: a
+    temp file beside it, ``<name>.<pid>.tmp`` with the name cut to 60 characters (parents
+    made), renamed in on a clean exit after the old target is unlinked (a rename over a
+    fresh file waits for its write-out), removed on a failure. A symlink's target is
+    replaced; a non-regular target (/dev/null, a pipe) is written in place. Errors name path."""
     if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding=encoding, newline="\n") as fh:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
         return
-    real = os.path.realpath(path)
-    os.makedirs(os.path.dirname(real), exist_ok=True)
-    tmp = f"{real}.{os.getpid()}.tmp"
+    head, name = os.path.split(os.path.realpath(path))
+    os.makedirs(head, exist_ok=True)
+    real, tmp = os.path.join(head, name), os.path.join(head, f"{name[:60]}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding=encoding, newline="\n") as fh:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
         with suppress(FileNotFoundError):
             os.unlink(real)

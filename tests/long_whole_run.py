@@ -7,7 +7,7 @@ tests/test_engine.py::TestWholeRunAtBenchmarkGeometry.
     python -m pytest -q tests/long_whole_run.py
 
 Tier-1 does not collect this file (its name does not start with test_); it
-takes about 7 s. Each side draws the deterministic stream itself, so
+took 13-15 s on CPython 3.11.7 with 2 vCPUs. Each side draws the deterministic stream itself, so
 the 3M events are never held in memory at once.
 """
 

@@ -109,6 +109,10 @@ MUTANTS = (
      "self.color_of.index(c1), self.color_of.index(c2)",
      "self.color_of.index(c1), self.color_of.index(c1)",
      ["tests/test_coloring.py::TestSwap::test_identity_swap_0_3"]),
+    ("policy: the constructor takes the deferred flag", "policy.py",
+     "    deferred: bool = field(default=False, init=False)",
+     "    deferred: bool = False",
+     ["tests/test_policy.py::TestValidation::test_constructors_take_only_what_callers_set"]),
     ("policy: the beta gate opens only above beta", "policy.py",
      "        if sdw < self.beta:",
      "        if sdw <= self.beta:",
@@ -176,11 +180,21 @@ MUTANTS = (
     ("workload: the writer leaves its temp file after a failure", "workload.py",
      "            os.unlink(tmp)",
      "            pass",
-     ["tests/test_cli.py::TestWriteAtomic::test_failed_write_leaves_no_temp_file"]),
+     ["tests/test_cli.py::TestReplacing::test_failed_write_leaves_no_temp_file"]),
     ("workload: the writer renames over the old target without unlinking it", "workload.py",
      "        with suppress(FileNotFoundError):\n            os.unlink(real)\n",
      "",
-     ["tests/test_cli.py::TestWriteAtomic::test_rewrite_renames_onto_no_existing_file"]),
+     ["tests/test_cli.py::TestReplacing::test_rewrite_renames_onto_no_existing_file"]),
+    ("workload: the writer's temp name grows with the target's name", "workload.py",
+     'os.path.join(head, f"{name[:60]}.{os.getpid()}.tmp")',
+     'f"{os.path.join(head, name)}.{os.getpid()}.tmp"',
+     ["tests/test_cli.py::TestReplacing::"
+      "test_a_trace_takes_any_name_its_directory_can_hold[255-ascii-bytes]"]),
+    ("workload: a page count above 2^48 reaches the zipf overflow check", "workload.py",
+     "        if not 1 <= self.page_count <= MAX_ADDRESS:",
+     "        if not 1 <= self.page_count:",
+     ["tests/test_workload.py::TestSpecValidation::"
+      "test_refuses_more_pages_than_an_address_space_has_bytes"]),
     ("workload: a symlink's target is written in place", "workload.py",
      "    if os.path.exists(path) and not os.path.isfile(path):",
      "    if os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path):",

@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import inspect
 import logging
 import os
 import re
@@ -192,6 +193,9 @@ class TestBuildConfig:
          "[policy] lambda must lie in [1, 32] for 64 colors, got 0\n"),
         ("cache", "read_hit_cycles", "-1",
          "[cache] read_hit_cycles must be non-negative\n"),
+        # a float of it overflows: refused on pages, not as a zipf_s overflow
+        pytest.param("workload", "pages", str(2 ** 1100),
+                     "[workload] pages must lie in [1, 2^48]\n", id="workload-pages-2^1100"),
     ])
     def test_out_of_range_value_names_file(self, tmp_path, capsys, section, key,
                                            value, message):
@@ -214,6 +218,8 @@ class TestBuildConfig:
         ("--zipf-s", "600", "error: override zipf_s is too large for 4 pages"),
         ("--events", "-5", "error: override events must be >= 0"),
         ("--lambda", "99", "error: override lambda must lie in [1, 2] for 4 colors"),
+        pytest.param("--pages", str(2 ** 1100), "error: override pages must lie in [1, 2^48]\n",
+                     id="--pages-2^1100"),
     ])
     def test_out_of_range_flag_names_the_flag_not_the_file(self, tmp_path, capsys,
                                                            flag, value, message):
@@ -840,14 +846,14 @@ class TestCompareEdges:
         assert "at least 2 colors" in capsys.readouterr().err
 
 
-class TestWriteAtomic:
+class TestReplacing:
     """Every output file goes through workload.replacing: all or nothing."""
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("old\n")
         with pytest.raises(UnicodeEncodeError):
-            with replacing(path, "utf-8") as fh:
+            with replacing(path) as fh:
                 fh.write("a\ud800")  # a lone surrogate has no UTF-8 form
         assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
         assert path.read_text() == "old\n"
@@ -875,7 +881,7 @@ class TestWriteAtomic:
         monkeypatch.setattr(os, "rename", check_target(os.rename))
         path, trace = tmp_path / "r.csv", tmp_path / "t.trace"
         for text in ("old\n", "new\n"):
-            with replacing(path, "utf-8") as fh:
+            with replacing(path) as fh:
                 fh.write(text)
         for icount in (1, 2):
             write_trace(trace, [(True, 0x40, icount)])
@@ -891,6 +897,21 @@ class TestWriteAtomic:
             write_trace(path, [(True, 0x40, 1)])
         assert raised.value.filename == str(path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("name", [pytest.param("t" * 249 + ".trace", id="255-ascii-bytes"),
+                                      pytest.param("\U0001f600" * 63, id="63-four-byte-chars")])
+    def test_a_trace_takes_any_name_its_directory_can_hold(self, tmp_path, name):
+        # the temp file's name is cut, so it fits wherever the target's fits
+        assert len(os.fsencode(name)) in (255, 252)
+        path = tmp_path / name
+        for icount in (1, 2):
+            write_trace(path, [(True, 0x40, icount)])
+        assert [tuple(e) for e in read_trace(path)] == [(True, 0x40, 2)]
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
+    def test_takes_only_a_path(self):
+        # every output file is UTF-8; a trace is ASCII because the writer checks it
+        assert list(inspect.signature(replacing).parameters) == ["path"]
 
 
 class TestSelftest:

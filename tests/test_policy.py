@@ -1,3 +1,4 @@
+import inspect
 import statistics
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from nvwear import (CacheState, ConfigError, MappingTable, PolicyState,
                     StaticPolicy, SwapWearPolicy, XorRemapPolicy, build_policy)
 from nvwear.metrics import population_sd
+from nvwear.policy import PolicySettings, RemapDecision
 
 from helpers import seeded, small_cfg
 from oracles import plan_remap_oracle
@@ -305,6 +307,21 @@ class TestValidation:
             PolicyState(4, beta=float("nan"))
         with pytest.raises(ConfigError):
             PolicyState(4, k_writes=0)
+
+    def test_constructors_take_only_what_callers_set(self):
+        # run state starts empty, and the engine stamps a decision after the fact
+        settings = list(inspect.signature(PolicySettings).parameters)
+        for cls in (PolicyState, XorRemapPolicy):
+            assert list(inspect.signature(cls).parameters) == ["num_colors", *settings]
+        assert list(inspect.signature(RemapDecision).parameters) == [
+            "ran", "swaps", "sdw", "n_higher"]
+        with pytest.raises(TypeError):
+            PolicyState(4, deferred=True)
+        with pytest.raises(TypeError):
+            RemapDecision(True, interval=3)
+        ps, decision = PolicyState(4), RemapDecision(True)
+        assert (ps.writes_since_check, ps.last_run_cycle, ps.deferred) == (0, 0, False)
+        assert (decision.interval, decision.cycle, decision.writebacks) == (0, 0, 0)
 
     def test_build_policy_kinds(self):
         assert isinstance(build_policy("static", 4), StaticPolicy)

@@ -722,6 +722,15 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             GeneratorSpec(**kwargs)
 
+    def test_refuses_more_pages_than_an_address_space_has_bytes(self):
+        GeneratorSpec(kind="uniform", page_count=1 << 48)
+        for kind in GENERATOR_KINDS:
+            for pages in ((1 << 48) + 1, 2 ** 1100):  # a float of 2^1100 overflows
+                with pytest.raises(ConfigError) as exc:
+                    GeneratorSpec(kind=kind, page_count=pages)
+                assert (exc.value.field, exc.value.reason) == ("page_count",
+                                                               "must lie in [1, 2^48]")
+
     def test_accepts_pages_up_to_the_zipf_bound(self):
         # validation only: no table of this size is built
         GeneratorSpec(kind="zipf", page_count=1 << 24)
