@@ -71,12 +71,12 @@ def mpki(misses, instructions):
     return misses * 1000.0 / instructions
 
 
-def population_sd(rows):
-    """Population standard deviation of the integers in a sequence of rows.
-    One ``Counter`` pass gives each distinct value's count, and from those the
+def population_sd(values):
+    """Population standard deviation of a sequence of integers. One
+    ``Counter`` pass gives each distinct value's count, and from those the
     number of values, their exact sum, and the correctly rounded ``math.fsum``
     of their squared deviations, one term per value repeated by its count."""
-    counts = Counter(chain.from_iterable(rows))
+    counts = Counter(values)
     n = sum(counts.values())
     if n < 1:
         raise ValueError("population SD needs at least one value")
@@ -87,4 +87,4 @@ def population_sd(rows):
 
 def block_write_sd(state):
     """Population SD of the write counters across every block in the cache."""
-    return population_sd((state._writes,))
+    return population_sd(state._writes)

@@ -127,7 +127,7 @@ class PolicyState(PolicySettings):
         last = self.n_write_last_interval[:]
         self.n_write_last_interval[:] = [0] * self.num_colors
         avg = sum(last) / self.num_colors
-        return last, population_sd((last,)), sum(1 for v in last if v > avg)
+        return last, population_sd(last), sum(1 for v in last if v > avg)
 
     def plan_remap(self) -> RemapDecision:
         """Decide which color pairs to swap for this interval.

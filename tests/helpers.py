@@ -8,8 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from nvwear import CacheConfig
+from nvwear import CacheConfig, run_experiment
+from nvwear.policy import PolicySettings
 from nvwear.reference import replay_against_reference
+
+from oracles import reference_run
 
 
 def small_cfg(colors=4, sets_per_color=4, assoc=2, block=64, **kwargs):
@@ -48,16 +51,29 @@ def perfbench(name):
     return module
 
 
-def assert_matches_reference_run(sim, reference):
-    """A finished ``Simulator`` against the (stats, decisions, audit) of
+def assert_matches_reference_run(run, reference):
+    """A finished run's (stats, decisions, audit) against those of
     ``oracles.reference_run`` on the same stream: the same RunStats, the
     block-write SD to rounding, the same decision log, sdw to rounding, and
     the same mapping audit."""
-    stats, decisions, audit = reference
-    assert dataclasses.asdict(sim.result()) == {
-        **stats, "block_write_sd": pytest.approx(stats["block_write_sd"])}
+    (stats, decisions, audit), (ref_stats, ref_decisions, ref_audit) = run, reference
+    assert dataclasses.asdict(stats) == {
+        **ref_stats, "block_write_sd": pytest.approx(ref_stats["block_write_sd"])}
     assert [(d.interval, d.cycle, d.ran, d.swaps, d.sdw, d.n_higher, d.writebacks)
-            for d in sim.decisions] == [
+            for d in decisions] == [
         (*head, pytest.approx(sdw), n_higher, writebacks)
-        for *head, sdw, n_higher, writebacks in decisions]
-    assert sim.mapping_audit == audit
+        for *head, sdw, n_higher, writebacks in ref_decisions]
+    assert audit == ref_audit
+
+
+def check_run_against_reference(cfg, events):
+    """``run_experiment(cfg)``, the chunked path of nvwear run and compare, against
+    ``reference_run`` over ``events`` (the stream ``cfg`` names) with the policy
+    settings the run resolved; returns the reference's (stats, decisions, audit)."""
+    report = run_experiment(cfg)
+    policy = cfg.make_policy()  # static has no settings, and reference_run reads none
+    params = {f.name: getattr(policy, f.name, None) for f in dataclasses.fields(PolicySettings)}
+    reference = reference_run(cfg.cache, cfg.policy_kind, params, events, cfg.count_fills)
+    assert_matches_reference_run((report.stats, report.decisions, report.mapping_audit),
+                                 reference)
+    return reference

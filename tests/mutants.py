@@ -3,22 +3,27 @@ src/nvwear, and the test node ids of the row must fail on it.
 
     python tests/mutants.py
 
-Each mutant gets a fresh temp copy of src/, with the row's old text replaced
-once by its new text, and runs its node ids in a pytest subprocess that
-imports nvwear from that copy. A row whose old text is not found exactly once
-fails the run, so a refactor that moves the code must update the row. Before
-any mutant, all named node ids run once on the unmutated copy and must pass.
-Exit status 0 means every mutant was killed.
+src/ is copied to a temp directory once. Each mutant replaces the row's old
+text once by its new text in that copy, runs the row's node ids with
+pytest.main in a forked child that imports nvwear from the copy, and restores
+the file. The parent imports pytest and hypothesis once and never nvwear, so
+every child imports nvwear afresh. A row whose old text is not found exactly
+once fails the run, so a refactor that moves the code must update the row.
+Before any mutant, all named node ids run once on the unmutated copy and must
+pass. Exit status 0 means every mutant was killed; 2, that the platform has
+no os.fork.
 
 This file is not collected by pytest (its name does not start with test_).
 """
 
+import os
 import shutil
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -61,6 +66,13 @@ MUTANTS = (
      ["tests/test_engine.py::TestOneStreamPerCompare::test_stream_produced_once_per_compare",
       "tests/test_engine.py::TestOneStreamPerCompare::"
       "test_malformed_trace_fails_once_naming_its_line"]),
+    ("experiment: the last partial chunk is dropped", "experiment.py",
+     "    while chunk := list(islice(events, CHUNK)):",
+     "    while len(chunk := list(islice(events, CHUNK))) == CHUNK:",
+     ["tests/test_engine.py::TestWholeRunAtBenchmarkGeometry::"
+      "test_run_matches_reference_run[zipf-miss]",
+      "tests/test_engine.py::TestWholeRunAtBenchmarkGeometry::"
+      "test_run_matches_reference_run[trace-replay]"]),
     ("cache: the LRU MRU check inverted", "cache.py",
      "            if lru[0] != tag:",
      "            if lru[0] == tag:",
@@ -255,49 +267,68 @@ MUTANTS = (
 )
 
 
-def _pytest(src, node_ids, workdir):
-    """Run node ids with nvwear imported from ``src``; cwd is ``workdir``, so
-    hypothesis keeps its example database out of the repository."""
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-           f"--rootdir={ROOT}", "-o", f"pythonpath={src}",
-           *(str(ROOT / node) for node in node_ids)]
-    return subprocess.run(cmd, cwd=workdir, capture_output=True, text=True)
-
-
-def _copy_src(workdir):
-    src = Path(workdir) / "src"
-    shutil.rmtree(src, ignore_errors=True)
-    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-    return src
+def _pytest(src, node_ids):
+    """Pytest's exit status (minus the signal that ended it, if one did) on the
+    node ids in a forked child importing nvwear from ``src``, its output in
+    pytest.log. Hypothesis is imported before pytest could rewrite it, so that
+    warning is not made an error."""
+    sys.stdout.flush()
+    pid = os.fork()
+    if pid == 0:
+        status = 3  # pytest's internal error, if pytest.main itself raises
+        try:
+            log = os.open("pytest.log", os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+            os.dup2(log, 1)
+            os.dup2(log, 2)
+            status = pytest.main([
+                "-q", "-x", "-p", "no:cacheprovider", f"--rootdir={ROOT}",
+                "-o", f"pythonpath={src}", "-W", "ignore::pytest.PytestAssertRewriteWarning",
+                *(str(ROOT / node) for node in node_ids)])
+        finally:
+            sys.stdout.flush()
+            sys.stderr.flush()
+            os._exit(status)  # never back into the parent's loop
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 def main():
+    if not hasattr(os, "fork"):
+        print("tests/mutants.py runs each mutant in a forked child, and this "
+              "platform has no os.fork", file=sys.stderr)
+        return 2
+    sys.dont_write_bytecode = True  # a mutant of the same size never loads a stale .pyc
     rows, failed = MUTANTS, []
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="nvwear-mutants-") as workdir:
+        # hypothesis puts its example database under the cwd it is imported
+        # in, which must not be the repository; it is imported once, here
+        os.chdir(workdir)
+        import hypothesis  # noqa: F401
         for name, file, old, _, _ in rows:
             count = (ROOT / "src" / "nvwear" / file).read_text().count(old)
             if count != 1:
                 failed.append(f"{name}: old text found {count} times in {file}")
+        src = Path(workdir) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         nodes = sorted({node for row in rows for node in row[4]})
-        proc = _pytest(_copy_src(workdir), nodes, workdir)
-        if proc.returncode != 0:
-            failed.append(f"unmutated source: the named tests do not pass\n{proc.stdout}")
+        if _pytest(src, nodes) != 0:
+            log = Path("pytest.log").read_text()
+            failed.append(f"unmutated source: the named tests do not pass\n{log}")
         if failed:
             print("\n".join(failed))
             return 1
         for name, file, old, new, node_ids in rows:
             t0 = time.perf_counter()
-            src = _copy_src(workdir)
             target = src / "nvwear" / file
-            target.write_text(target.read_text().replace(old, new, 1))
-            proc = _pytest(src, node_ids, workdir)
+            text = target.read_text()
+            target.write_text(text.replace(old, new, 1))
+            status = _pytest(src, node_ids)
+            target.write_text(text)
             # pytest exits 1 when a test failed; 0 is a survivor, anything else
-            # (an internal or usage error) does not count as a kill
-            verdict = {0: "SURVIVED", 1: "killed"}.get(proc.returncode,
-                                                        f"ERROR (exit {proc.returncode})")
+            # (an internal or usage error, or a signal) does not count as a kill
+            verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"ERROR (exit {status})")
             print(f"{verdict:>10}  {time.perf_counter() - t0:5.1f} s  {name}", flush=True)
-            if proc.returncode != 1:
+            if status != 1:
                 failed.append(name)
     print(f"{len(rows) - len(failed)} of {len(rows)} mutants killed in "
           f"{time.perf_counter() - start:.1f} s")

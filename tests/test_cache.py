@@ -378,7 +378,7 @@ class TestFlatWriteCounters:
         rows = cache.write_counts
         assert len(rows) == cfg.num_sets
         assert cache.max_block_writes() == max(map(max, rows))
-        assert block_write_sd(cache).hex() == population_sd(rows).hex()
+        assert block_write_sd(cache).hex() == population_sd([v for row in rows for v in row]).hex()
 
     def test_default_cache_object_budget(self):
         cfg = CacheConfig()

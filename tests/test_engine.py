@@ -9,7 +9,8 @@ from nvwear import (ExperimentConfig, GeneratorSpec, ReferenceSimulator, Simulat
 from nvwear import experiment
 from nvwear.workload import MAX_ADDRESS
 
-from helpers import assert_matches_reference_run, perfbench, seeded, small_cfg
+from helpers import (assert_matches_reference_run, check_run_against_reference,
+                     perfbench, seeded, small_cfg)
 from oracles import reference_run
 
 
@@ -200,6 +201,20 @@ class TestPolicyIntegration:
         assert all(len(d.swaps) == cfg.num_colors // 2
                    for d in sim.decisions)
 
+    def test_xor_at_two_colors_swaps_only_at_its_first_execution(self):
+        # the register walks 1..N-1, which is {1}: once there it stays, so each
+        # later execution runs, and counts in remap_runs, with no swap or flush
+        cfg = small_cfg(colors=2, sets_per_color=4, assoc=2)
+        spec = GeneratorSpec(kind="uniform", num_events=300, write_fraction=1.0,
+                             page_count=8, seed=5)
+        sim, stats = run_sim(cfg, generate(spec, cfg), "xor", k_writes=100,
+                             min_gap_cycles=0)
+        assert [(d.ran, d.swaps) for d in sim.decisions] == [
+            (True, [(0, 1)]), (True, []), (True, [])]
+        assert [d.writebacks > 0 for d in sim.decisions] == [True, False, False]
+        assert stats.remap_runs == 3
+        assert sim.mapping_audit == [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
+
     def test_trigger_respects_cycle_gap(self):
         cfg = small_cfg(colors=4, sets_per_color=4, assoc=2)
         spec = GeneratorSpec(kind="hotset", num_events=30_000,
@@ -306,16 +321,10 @@ class TestDeterminismAndOracle:
         cfg = small_cfg(colors=4, sets_per_color=4, assoc=2)
         spec = GeneratorSpec(kind="uniform", num_events=10_000, page_count=16,
                              seed=21)
-        _, stats = run_sim(cfg, generate(spec, cfg))
-        ref = ReferenceSimulator(cfg)
-        hits = 0
-        for ev in generate(spec, cfg):
-            hit, _ = ref.access_addr(ev.addr, ev.is_write)
-            hits += hit
-        total = spec.num_events
-        assert stats.misses == total - hits
-        assert stats.writebacks == ref.writebacks
-        assert stats.max_block_writes == ref.max_block_writes()
+        stats, _, _ = check_run_against_reference(
+            ExperimentConfig(cache=cfg, policy_kind="static", workload=spec),
+            generate(spec, cfg))
+        assert stats["reads"] + stats["writes"] == spec.num_events
 
 
 class TestWholeRunAgainstReference:
@@ -347,18 +356,19 @@ class TestWholeRunAgainstReference:
                                      page_no * page + rng.randrange(page), icount))
         sim = Simulator(cfg, build_policy(kind, colors, **params), count_fills=count_fills)
         sim.run(events)
-        assert_matches_reference_run(
-            sim, reference_run(cfg, kind, params, events, count_fills))
+        assert_matches_reference_run((sim.result(), sim.decisions, sim.mapping_audit),
+                                     reference_run(cfg, kind, params, events, count_fills))
 
 
 BENCH = perfbench("run")
 
 
 class TestWholeRunAtBenchmarkGeometry:
-    """Simulator.run against reference_run on the default cache (64 colors of
+    """run_experiment against reference_run on the default cache (64 colors of
     64 sets, 16 ways), over each benchmark workload's stream at seed 5 and
-    300k events with the technique's settings: full 16-way sets and policy
-    executions at a size the drawn runs above never reach."""
+    300k events with the technique's settings: full 16-way sets, policy
+    executions at a size the drawn runs above never reach, and the chunked
+    feed of nvwear run and compare, ending in a partial chunk."""
 
     @pytest.mark.parametrize("name", sorted(BENCH.WORKLOADS))
     def test_run_matches_reference_run(self, name, tmp_path):
@@ -368,15 +378,9 @@ class TestWholeRunAtBenchmarkGeometry:
         cfg = build_config(None, plan.overrides(plan.workload.technique))
         cache = cfg.cache
         assert (cache.num_colors, cache.sets_per_color, cache.associativity) == (64, 64, 16)
-        events = list(plan.events_prefix(300_000))
-        sim = Simulator(cache, cfg.make_policy(), count_fills=cfg.count_fills)
-        sim.run(events)
-        params = dict(beta=cfg.beta, swap_limit=16,  # the default: a quarter of the colors
-                      k_writes=cfg.k_writes, min_gap_cycles=cfg.min_gap_cycles,
-                      swap_limit_mode=cfg.swap_limit_mode)
-        reference = reference_run(cache, cfg.policy_kind, params, events, cfg.count_fills)
-        assert reference[1]  # the technique acted
-        assert_matches_reference_run(sim, reference)
+        assert 300_000 % experiment.CHUNK  # so the feed ends in a partial chunk
+        _, decisions, _ = check_run_against_reference(cfg, plan.events_prefix(300_000))
+        assert decisions  # the technique acted
 
 
 class TestInlineSplitAgainstReference:

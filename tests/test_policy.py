@@ -35,25 +35,25 @@ class TestObserveWrite:
 
 class TestStddev:
     def test_constant_vector(self):
-        assert population_sd(([2, 2, 2, 2],)) == 0.0
+        assert population_sd([2, 2, 2, 2]) == 0.0
 
     def test_single_hot_color(self):
         # mean 100, variance (300^2 + 3*100^2)/4 = 30000
-        assert population_sd(([400, 0, 0, 0],)) == pytest.approx(
+        assert population_sd([400, 0, 0, 0]) == pytest.approx(
             173.20508075688772, rel=1e-12)
 
     def test_single_element(self):
-        assert population_sd(([5],)) == 0.0
+        assert population_sd([5]) == 0.0
 
     def test_empty_vector_rejected(self):
         with pytest.raises(ValueError):
-            population_sd(([],))
+            population_sd([])
 
     def test_matches_pstdev_on_random_vectors(self):
         rng = seeded(31)
         for _ in range(300):
             vec = [rng.randrange(1000) for _ in range(rng.randint(1, 32))]
-            assert population_sd((vec,)) == pytest.approx(statistics.pstdev(vec),
+            assert population_sd(vec) == pytest.approx(statistics.pstdev(vec),
                                                            rel=1e-12, abs=1e-12)
 
 
