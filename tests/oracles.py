@@ -65,10 +65,12 @@ def reference_run(cfg, policy_kind, params, events, count_fills):
 
     ``params`` names every policy setting (beta, swap_limit, k_writes,
     min_gap_cycles, swap_limit_mode); static ignores them. Returns ``(stats,
-    decisions, audit)``: ``stats`` maps each ``RunStats`` field to its value,
-    ``decisions`` holds one ``(interval, cycle, ran, swaps, sdw, n_higher,
-    writebacks)`` per policy execution and ``audit`` the ``(interval, region,
-    color)`` rows of the initial mapping and of each mapping a remap left.
+    decisions, audit, write_counts)``: ``stats`` maps each ``RunStats`` field
+    to its value, ``decisions`` holds one ``(interval, cycle, ran, swaps, sdw,
+    n_higher, writebacks)`` per policy execution, ``audit`` the ``(interval,
+    region, color)`` rows of the initial mapping and of each mapping a remap
+    left, and ``write_counts`` each block's final write count, one row of ways
+    per set.
     """
     ref = ReferenceSimulator(cfg, count_fills=count_fills)
     n = ref.n_colors
@@ -152,14 +154,15 @@ def reference_run(cfg, policy_kind, params, events, count_fills):
                 audit.extend((interval, region, color)
                              for region, color in enumerate(ref.color_of))
         decisions.append((interval, cycles, ran, swaps, sdw, n_higher, flushed))
-    counts = [v for row in ref.write_count_matrix() for v in row]
+    write_counts = ref.write_count_matrix()
+    counts = [v for row in write_counts for v in row]
     stats = {"reads": reads, "writes": writes, "misses": misses, "fills": misses,
              "write_hits": write_hits, "block_write_events": block_writes,
              "writebacks": ref.writebacks, "flush_writebacks": ref.flush_writebacks,
              "cycles": cycles, "instructions": previous_icount,
              "max_block_writes": max(counts),
              "block_write_sd": statistics.pstdev(counts), "remap_runs": remap_runs}
-    return stats, decisions, audit
+    return stats, decisions, audit, write_counts
 
 
 # The text-trace parser as it was before the batch path, one line at a time,

@@ -84,6 +84,9 @@ def test_c02_plan_remap_matches_straight_line_transcription():
             assert decision.swaps == swaps
             assert decision.n_higher == n_higher
             assert decision.sdw == pytest.approx(sdw, rel=1e-9, abs=1e-9)
+            # the window restarts at zero; the lifetime counts are untouched
+            assert ps.n_write_last_interval == [0] * n
+            assert ps.n_write_global == cumulative
             checked += 1
     _passed(f"criterion 2: plan_remap equals the independent transcription on "
             f"{checked} decisions (both swap-limit modes)")

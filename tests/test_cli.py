@@ -686,15 +686,6 @@ class TestRun:
                      "--out", str(out)]) == 0
         assert f"lambda={lam}," in (out / "summary.md").read_text()
 
-    def test_repeat_runs_identical_csv(self, tmp_path):
-        cfg = small_config(tmp_path)
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert main(["run", "--config", cfg, "--out", str(out1)]) == 0
-        assert main(["run", "--config", cfg, "--out", str(out2)]) == 0
-        for name in ("report.csv", "decisions.csv", "mapping_audit.csv",
-                     "plot.csv", "summary.md"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
 
 class TestCompare:
     def test_static_vs_swl(self, tmp_path):

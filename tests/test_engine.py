@@ -327,39 +327,6 @@ class TestDeterminismAndOracle:
         assert stats["reads"] + stats["writes"] == spec.num_events
 
 
-class TestWholeRunAgainstReference:
-    """Simulator.run against reference_run: statistics, decision log and
-    mapping audit of whole runs through every policy."""
-
-    @settings(max_examples=120, deadline=None)
-    @given(kind=st.sampled_from(["swl", "xor", "static"]), count_fills=st.booleans(),
-           colors=st.sampled_from([2, 4, 8]), sets_per_color=st.sampled_from([2, 4]),
-           assoc=st.sampled_from([1, 2, 4]), k=st.integers(1, 40),
-           min_gap=st.sampled_from([0, 1, 300, 2000]),
-           beta=st.sampled_from([0.0, 0.5, 2.0, 6.0]),
-           mode=st.sampled_from(["min", "max"]), n_events=st.integers(0, 400),
-           seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_run_matches_reference_run(self, kind, count_fills, colors, sets_per_color,
-                                       assoc, k, min_gap, beta, mode, n_events, seed,
-                                       data):
-        cfg = small_cfg(colors=colors, sets_per_color=sets_per_color, assoc=assoc)
-        params = dict(beta=beta, swap_limit=data.draw(st.integers(1, colors // 2)),
-                      k_writes=k, min_gap_cycles=min_gap, swap_limit_mode=mode)
-        rng = seeded(seed)
-        page, pages = cfg.page_size_bytes, 3 * colors
-        icount, events = 0, []
-        for _ in range(n_events):
-            icount += rng.choice((0, 1, 1, 2, 7))  # repeats and gaps
-            # a few hot pages, so colors wear unevenly and sets fill up
-            page_no = rng.randrange(2) if rng.random() < 0.6 else rng.randrange(pages)
-            events.append(TraceEvent(rng.random() < 0.6,
-                                     page_no * page + rng.randrange(page), icount))
-        sim = Simulator(cfg, build_policy(kind, colors, **params), count_fills=count_fills)
-        sim.run(events)
-        assert_matches_reference_run((sim.result(), sim.decisions, sim.mapping_audit),
-                                     reference_run(cfg, kind, params, events, count_fills))
-
-
 BENCH = perfbench("run")
 
 
@@ -383,49 +350,6 @@ class TestWholeRunAtBenchmarkGeometry:
         assert decisions  # the technique acted
 
 
-class TestInlineSplitAgainstReference:
-    """The engine splits addresses inline; replay each event on the reference
-    too, remapping it as the engine's decision log says, and compare."""
-
-    @settings(max_examples=30, deadline=None)
-    @given(kind=st.sampled_from(["swl", "xor", "static"]), count_fills=st.booleans(),
-           colors=st.sampled_from([2, 4, 8]), k=st.integers(1, 12),
-           seed=st.integers(0, 2**32 - 1))
-    def test_one_event_runs_match_reference_through_remaps(self, kind, count_fills,
-                                                           colors, k, seed):
-        cfg = small_cfg(colors=colors, sets_per_color=4, assoc=2)
-        rng = seeded(seed)
-        page = cfg.page_size_bytes
-        sim = Simulator(cfg, build_policy(kind, colors, k_writes=k, beta=0,
-                                          min_gap_cycles=0), count_fills=count_fills)
-        ref = ReferenceSimulator(cfg, count_fills=count_fills)
-        misses = logged = 0
-        for i in range(1, 301):
-            # skewed toward page 0, any byte offset, some addresses near 2^48
-            if rng.random() < 0.5:
-                addr = rng.randrange(page)
-            elif rng.random() < 0.9:
-                addr = rng.randrange(4 * colors * page)
-            else:
-                addr = rng.randrange(MAX_ADDRESS + 1)
-            ev = TraceEvent(rng.random() < 0.7, addr, 3 * i)
-            sim.run([ev])
-            hit, _ = ref.access_addr(ev.addr, ev.is_write)
-            misses += not hit
-            for decision in sim.decisions[logged:]:
-                for c1, c2 in decision.swaps:
-                    ref.remap(c1, c2)
-            logged = len(sim.decisions)
-        stats = sim.result()
-        if kind == "xor":
-            assert any(d.swaps for d in sim.decisions)
-        assert stats.misses == misses
-        assert stats.writebacks == ref.writebacks
-        assert stats.flush_writebacks == ref.flush_writebacks
-        assert sim.mapping.color_of == ref.color_of
-        assert sim.cache.write_counts == ref.write_count_matrix()
-
-
 def _run_split(cfg, events, splits, policy_kind, count_fills, **policy_kw):
     """One simulator fed ``events`` in pieces cut at the ``splits`` indices."""
     sim = Simulator(cfg, build_policy(policy_kind, cfg.num_colors, **policy_kw),
@@ -442,6 +366,48 @@ def _assert_same_run(a, b):
     assert a.decisions == b.decisions
     assert a.mapping_audit == b.mapping_audit
     assert a.mapping.color_of == b.mapping.color_of
+    assert a.cache.write_counts == b.cache.write_counts
+
+
+class TestRunAgainstReference:
+    """Simulator.run against reference_run through every policy: statistics,
+    decision log, mapping audit and every block's write count, with the stream
+    fed in one call and, bit for bit the same, in pieces."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["swl", "xor", "static"]), count_fills=st.booleans(),
+           colors=st.sampled_from([2, 4, 8]), sets_per_color=st.sampled_from([2, 4]),
+           assoc=st.sampled_from([1, 2, 4]), k=st.integers(1, 40),
+           min_gap=st.sampled_from([0, 1, 300, 2000]),
+           beta=st.sampled_from([0.0, 0.5, 2.0, 6.0]),
+           mode=st.sampled_from(["min", "max"]), n_events=st.integers(0, 400),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_any_split_matches_reference_run(self, kind, count_fills, colors,
+                                             sets_per_color, assoc, k, min_gap, beta,
+                                             mode, n_events, seed, data):
+        cfg = small_cfg(colors=colors, sets_per_color=sets_per_color, assoc=assoc)
+        params = dict(beta=beta, swap_limit=data.draw(st.integers(1, colors // 2)),
+                      k_writes=k, min_gap_cycles=min_gap, swap_limit_mode=mode)
+        rng = seeded(seed)
+        page, pages = cfg.page_size_bytes, 3 * colors
+        icount, events = 0, []
+        for _ in range(n_events):
+            icount += rng.choice((0, 1, 1, 2, 7))  # repeats and gaps
+            # a few hot pages, so colors wear unevenly and sets fill up, and
+            # now and then any address up to 2^48
+            page_no = rng.randrange(2) if rng.random() < 0.6 else rng.randrange(pages)
+            addr = (rng.randrange(MAX_ADDRESS + 1) if rng.random() < 0.05
+                    else page_no * page + rng.randrange(page))
+            events.append(TraceEvent(rng.random() < 0.6, addr, icount))
+        splits = data.draw(st.one_of(st.lists(st.integers(0, n_events), max_size=8),
+                                     st.just(range(1, n_events))))  # one event per call
+        whole = _run_split(cfg, events, [], kind, count_fills, **params)
+        _assert_same_run(whole, _run_split(cfg, events, splits, kind, count_fills,
+                                           **params))
+        reference = reference_run(cfg, kind, params, events, count_fills)
+        assert_matches_reference_run(
+            (whole.result(), whole.decisions, whole.mapping_audit), reference)
+        assert whole.cache.write_counts == reference[3]
 
 
 class TestResumableRun:
@@ -451,24 +417,6 @@ class TestResumableRun:
         spec = GeneratorSpec(kind="hotset", num_events=n, write_fraction=write_fraction,
                              hotset_fraction=0.25, page_count=16, seed=seed)
         return list(generate(spec, self.CFG))
-
-    @settings(max_examples=60, deadline=None)
-    @given(kind=st.sampled_from(["static", "swl", "xor"]),
-           count_fills=st.booleans(),
-           min_gap=st.sampled_from([0, 3000]),
-           k_writes=st.integers(1, 60),
-           seed=st.integers(0, 1000),
-           n=st.integers(0, 1500),
-           data=st.data())
-    def test_any_split_gives_the_one_call_result(self, kind, count_fills, min_gap,
-                                                 k_writes, seed, n, data):
-        events = self._events(n, seed)
-        splits = data.draw(st.lists(st.integers(0, n), max_size=8))
-        kw = {} if kind == "static" else dict(k_writes=k_writes, min_gap_cycles=min_gap,
-                                              beta=0.0)
-        whole = _run_split(self.CFG, events, [], kind, count_fills, **kw)
-        pieces = _run_split(self.CFG, events, splits, kind, count_fills, **kw)
-        _assert_same_run(whole, pieces)
 
     @pytest.mark.parametrize("kind", ["swl", "xor"])
     @pytest.mark.parametrize("min_gap", [0, 3000])

@@ -1,15 +1,12 @@
 import inspect
-import statistics
 
 import pytest
 
 from nvwear import (CacheState, ConfigError, MappingTable, PolicyState,
                     StaticPolicy, SwapWearPolicy, XorRemapPolicy, build_policy)
-from nvwear.metrics import population_sd
 from nvwear.policy import PolicySettings, RemapDecision
 
 from helpers import seeded, small_cfg
-from oracles import plan_remap_oracle
 
 
 class TestObserveWrite:
@@ -31,30 +28,6 @@ class TestObserveWrite:
         for color in (0, 1, 0):
             ps.observe_write(color)
         assert ps.writes_since_check == 3
-
-
-class TestStddev:
-    def test_constant_vector(self):
-        assert population_sd([2, 2, 2, 2]) == 0.0
-
-    def test_single_hot_color(self):
-        # mean 100, variance (300^2 + 3*100^2)/4 = 30000
-        assert population_sd([400, 0, 0, 0]) == pytest.approx(
-            173.20508075688772, rel=1e-12)
-
-    def test_single_element(self):
-        assert population_sd([5]) == 0.0
-
-    def test_empty_vector_rejected(self):
-        with pytest.raises(ValueError):
-            population_sd([])
-
-    def test_matches_pstdev_on_random_vectors(self):
-        rng = seeded(31)
-        for _ in range(300):
-            vec = [rng.randrange(1000) for _ in range(rng.randint(1, 32))]
-            assert population_sd(vec) == pytest.approx(statistics.pstdev(vec),
-                                                           rel=1e-12, abs=1e-12)
 
 
 class TestTrigger:
@@ -202,28 +175,6 @@ class TestPlanRemap:
                 assert len(decision.swaps) <= min(decision.n_higher, limit)
             else:
                 assert len(decision.swaps) <= max(decision.n_higher, limit)
-
-    def test_differential_against_transcription(self):
-        rng = seeded(404)
-        for _ in range(1500):
-            n = rng.choice((2, 4, 8, 16))
-            last = [rng.randrange(0, rng.choice((3, 40, 500))) for _ in range(n)]
-            cumulative = [rng.randrange(0, 2000) for _ in range(n)]
-            beta = rng.choice((0.0, 5.0, 75.0, 300.0))
-            limit = rng.randint(1, n // 2)
-            mode = rng.choice(("min", "max"))
-            ps = PolicyState(n, beta=beta, swap_limit=limit, swap_limit_mode=mode)
-            ps.n_write_last_interval[:] = last
-            ps.n_write_global[:] = cumulative
-            decision = ps.plan_remap()
-            ran, swaps, sdw, n_higher = plan_remap_oracle(last, cumulative,
-                                                          beta, limit, mode)
-            assert decision.ran == ran
-            assert decision.swaps == swaps
-            assert decision.n_higher == n_higher
-            assert decision.sdw == pytest.approx(sdw, rel=1e-9, abs=1e-9)
-            assert ps.n_write_last_interval == [0] * n
-            assert ps.n_write_global == cumulative
 
 
 class TestXorPolicy:
