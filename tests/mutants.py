@@ -40,32 +40,32 @@ MUTANTS = (
      "        self._counters = (last_icount, read_hits,",
      "        self._counters = (0, read_hits,",
      ["tests/test_engine.py::TestCycleAccounting::test_decreasing_icount_across_run_calls_raises",
-      "tests/test_engine.py::TestRunAgainstReference::test_any_split_matches_reference_run"]),
+      "tests/test_engine.py::TestResumableRun::test_any_split_gives_the_one_call_result"]),
     ("engine: the K-write count reset per run call", "engine.py",
      "            counted = policy.writes_since_check\n        # the access",
      "            counted = 0\n        # the access",
      ["tests/test_engine.py::TestResumableRun::test_split_at_the_k_th_write",
-      "tests/test_engine.py::TestRunAgainstReference::test_any_split_matches_reference_run"]),
+      "tests/test_engine.py::TestResumableRun::test_any_split_gives_the_one_call_result"]),
     ("engine: a dirty eviction not counted as a writeback", "engine.py",
      "                    writebacks += 1",
      "                    writebacks += 0",
      ["tests/test_engine.py::TestDeterminismAndOracle::test_static_run_matches_reference_counts",
-      "tests/test_engine.py::TestRunAgainstReference::test_any_split_matches_reference_run"]),
+      "tests/test_engine.py::TestWholeRunAgainstReference::test_run_matches_reference_run"]),
     ("engine: read fills always counted", "engine.py",
      "                    if not count_fills:\n                        continue",
      "                    if False:\n                        continue",
      ["tests/test_engine.py::TestStatsBookkeeping::"
       "test_policy_ledger_is_the_cache_counters_by_color",
       "tests/test_engine.py::TestStatsBookkeeping::test_count_fills_off_shrinks_write_counts",
-      "tests/test_engine.py::TestRunAgainstReference::test_any_split_matches_reference_run"]),
+      "tests/test_engine.py::TestWholeRunAgainstReference::test_run_matches_reference_run"]),
     ("engine: the set bits permuted inside a color", "engine.py",
      "(addr >> block_shift & set_mask)",
      "((addr >> block_shift ^ 1) & set_mask)",
-     ["tests/test_engine.py::TestRunAgainstReference::test_any_split_matches_reference_run"]),
+     ["tests/test_engine.py::TestWholeRunAgainstReference::test_run_matches_reference_run"]),
     ("engine: the region bits permuted", "engine.py",
      "color_of[addr >> page_shift & color_mask]",
      "color_of[(addr >> page_shift ^ 1) & color_mask]",
-     ["tests/test_engine.py::TestRunAgainstReference::test_any_split_matches_reference_run"]),
+     ["tests/test_engine.py::TestWholeRunAgainstReference::test_run_matches_reference_run"]),
     ("experiment: the stream produced per config", "experiment.py",
      "    while chunk := list(islice(events, CHUNK)):\n        for sim in sims:\n"
      "            sim.run(chunk)",

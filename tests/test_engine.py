@@ -1,4 +1,5 @@
 import dataclasses
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -369,29 +370,21 @@ def _assert_same_run(a, b):
     assert a.cache.write_counts == b.cache.write_counts
 
 
-class TestRunAgainstReference:
-    """Simulator.run against reference_run through every policy: statistics,
-    decision log, mapping audit and every block's write count, with the stream
-    fed in one call and, bit for bit the same, in pieces."""
+class DrawnRun(NamedTuple):
+    """A policy, a small geometry, all five settings and ``count_fills``, with
+    the seed and length of the stream ``events`` builds for them."""
+    kind: str
+    count_fills: bool
+    cfg: object
+    params: dict
+    seed: int
+    n_events: int
 
-    @settings(max_examples=150, deadline=None)
-    @given(kind=st.sampled_from(["swl", "xor", "static"]), count_fills=st.booleans(),
-           colors=st.sampled_from([2, 4, 8]), sets_per_color=st.sampled_from([2, 4]),
-           assoc=st.sampled_from([1, 2, 4]), k=st.integers(1, 40),
-           min_gap=st.sampled_from([0, 1, 300, 2000]),
-           beta=st.sampled_from([0.0, 0.5, 2.0, 6.0]),
-           mode=st.sampled_from(["min", "max"]), n_events=st.integers(0, 400),
-           seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_any_split_matches_reference_run(self, kind, count_fills, colors,
-                                             sets_per_color, assoc, k, min_gap, beta,
-                                             mode, n_events, seed, data):
-        cfg = small_cfg(colors=colors, sets_per_color=sets_per_color, assoc=assoc)
-        params = dict(beta=beta, swap_limit=data.draw(st.integers(1, colors // 2)),
-                      k_writes=k, min_gap_cycles=min_gap, swap_limit_mode=mode)
-        rng = seeded(seed)
-        page, pages = cfg.page_size_bytes, 3 * colors
+    def events(self):
+        rng = seeded(self.seed)
+        page, pages = self.cfg.page_size_bytes, 3 * self.cfg.num_colors
         icount, events = 0, []
-        for _ in range(n_events):
+        for _ in range(self.n_events):
             icount += rng.choice((0, 1, 1, 2, 7))  # repeats and gaps
             # a few hot pages, so colors wear unevenly and sets fill up, and
             # now and then any address up to 2^48
@@ -399,15 +392,60 @@ class TestRunAgainstReference:
             addr = (rng.randrange(MAX_ADDRESS + 1) if rng.random() < 0.05
                     else page_no * page + rng.randrange(page))
             events.append(TraceEvent(rng.random() < 0.6, addr, icount))
-        splits = data.draw(st.one_of(st.lists(st.integers(0, n_events), max_size=8),
-                                     st.just(range(1, n_events))))  # one event per call
-        whole = _run_split(cfg, events, [], kind, count_fills, **params)
-        _assert_same_run(whole, _run_split(cfg, events, splits, kind, count_fills,
-                                           **params))
-        reference = reference_run(cfg, kind, params, events, count_fills)
-        assert_matches_reference_run(
-            (whole.result(), whole.decisions, whole.mapping_audit), reference)
-        assert whole.cache.write_counts == reference[3]
+        return events
+
+    def simulate(self, events, splits):
+        return _run_split(self.cfg, events, splits, self.kind, self.count_fills,
+                          **self.params)
+
+    def assert_matches_reference(self, sim, events):
+        """``sim``'s statistics, decision log, mapping audit and every block's
+        write count against ``reference_run`` over ``events``."""
+        reference = reference_run(self.cfg, self.kind, self.params, events,
+                                  self.count_fills)
+        assert_matches_reference_run((sim.result(), sim.decisions, sim.mapping_audit),
+                                     reference)
+        assert sim.cache.write_counts == reference[3]
+
+
+@st.composite
+def drawn_runs(draw):
+    kind = draw(st.sampled_from(["swl", "xor", "static"]))
+    colors = draw(st.sampled_from([2, 4, 8]))
+    cfg = small_cfg(colors=colors, sets_per_color=draw(st.sampled_from([2, 4])),
+                    assoc=draw(st.sampled_from([1, 2, 4])))
+    params = dict(beta=draw(st.sampled_from([0.0, 0.5, 2.0, 6.0])),
+                  swap_limit=draw(st.integers(1, colors // 2)),
+                  k_writes=draw(st.integers(1, 40)),
+                  min_gap_cycles=draw(st.sampled_from([0, 1, 300, 2000])),
+                  swap_limit_mode=draw(st.sampled_from(["min", "max"])))
+    return DrawnRun(kind, draw(st.booleans()), cfg, params,
+                    draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 400)))
+
+
+class TestWholeRunAgainstReference:
+    """Simulator.run against reference_run through every policy, the stream
+    fed in one call: statistics, decision log, mapping audit and every
+    block's write count, so a write that lands in the wrong set fails it even
+    when every total agrees."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(run=drawn_runs())
+    def test_run_matches_reference_run(self, run):
+        events = run.events()
+        run.assert_matches_reference(run.simulate(events, []), events)
+
+
+class TestInlineSplitAgainstReference:
+    """The engine splits addresses inline and keeps its state between run
+    calls; the same drawn runs, fed one event per call, against the oracle."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(run=drawn_runs())
+    def test_one_event_runs_match_reference_through_remaps(self, run):
+        events = run.events()
+        run.assert_matches_reference(run.simulate(events, range(1, len(events))),
+                                     events)
 
 
 class TestResumableRun:
@@ -417,6 +455,15 @@ class TestResumableRun:
         spec = GeneratorSpec(kind="hotset", num_events=n, write_fraction=write_fraction,
                              hotset_fraction=0.25, page_count=16, seed=seed)
         return list(generate(spec, self.CFG))
+
+    @settings(max_examples=60, deadline=None)
+    @given(run=drawn_runs(), data=st.data())
+    def test_any_split_gives_the_one_call_result(self, run, data):
+        # bit for bit, block write counts included; the one-call run is
+        # checked against the oracle above
+        events = run.events()
+        splits = data.draw(st.lists(st.integers(0, len(events)), max_size=8))
+        _assert_same_run(run.simulate(events, []), run.simulate(events, splits))
 
     @pytest.mark.parametrize("kind", ["swl", "xor"])
     @pytest.mark.parametrize("min_gap", [0, 3000])
