@@ -134,9 +134,10 @@ def _selftest_case(rng, case_index, ops):
 
 
 def _cmd_selftest(args):
-    for flag, value in (("--cases", args.cases), ("--ops", args.ops)):
-        if value < 1:
-            raise ConfigError(f"selftest {flag} must be >= 1, got {value}")
+    for flag, value, least in (("--cases", args.cases, 1), ("--ops", args.ops, 1),
+                               ("--seed", args.seed, 0)):
+        if value < least:
+            raise ConfigError(f"selftest {flag} must be >= {least}, got {value}")
     rng = random.Random(args.seed)
     for case_index in range(args.cases):
         failure = _selftest_case(rng, case_index, args.ops)

@@ -60,6 +60,8 @@ class GeneratorSpec:
             raise ConfigError(f"{self.kind!r} is not one of {GENERATOR_KINDS}", "kind")
         if self.num_events < 0:
             raise ConfigError("must be >= 0", "num_events")
+        if self.seed < 0:  # Random(-n) draws Random(n)'s stream
+            raise ConfigError("must be >= 0", "seed")
         if not 0.0 <= self.write_fraction <= 1.0:
             raise ConfigError("must lie in [0, 1]", "write_fraction")
         if not 0.0 < self.hotset_fraction <= 1.0:
@@ -72,8 +74,9 @@ class GeneratorSpec:
             raise ConfigError("must be <= 2^24 for zipf (64 B per page)", "page_count")
         if not self.zipf_exponent >= 0:  # NaN too
             raise ConfigError("must be >= 0", "zipf_exponent")
-        try:  # of the zipf weights, the largest rank's overflows first
-            self.page_count ** self.zipf_exponent
+        try:  # of the zipf weights, the largest rank's overflows first (to inf if s is inf)
+            if self.page_count ** self.zipf_exponent == float("inf"):
+                raise OverflowError
         except OverflowError:
             raise ConfigError(f"is too large for {self.page_count} pages: "
                               "their zipf weights overflow", "zipf_exponent") from None
@@ -272,8 +275,9 @@ def replacing(path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
         return
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)  # errors name path
     head, name = os.path.split(os.path.realpath(path))
-    os.makedirs(head, exist_ok=True)
+    os.makedirs(head, exist_ok=True)  # a dangling symlink's target directory
     real, tmp = os.path.join(head, name), os.path.join(head, f"{name[:60]}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:

@@ -1,5 +1,5 @@
-"""Shared fixtures-in-spirit: tiny cache geometries, differential replay, the
-benchmark's own modules and the whole-run comparison against the oracle."""
+"""Shared fixtures-in-spirit: tiny cache geometries and configs, differential
+replay, the benchmark's own modules and the whole-run comparison against the oracle."""
 
 import dataclasses
 import importlib.util
@@ -20,6 +20,18 @@ def small_cfg(colors=4, sets_per_color=4, assoc=2, block=64, **kwargs):
     return CacheConfig(cache_size_bytes=colors * page * assoc,
                        associativity=assoc, block_size_bytes=block,
                        page_size_bytes=page, **kwargs)
+
+
+# a 4-color cache: 2 KiB, 2 ways, 64 B blocks, 256 B pages
+SMALL_CACHE = "\n[cache]\nsize_bytes = 2K\nassociativity = 2\nblock_bytes = 64\npage_bytes = 256\n"
+
+
+def small_ini(policy="swl", extra_policy="",
+              workload="kind = hotset\nevents = 20000\nwrite_fraction = 1.0\n"
+                       "hotset_fraction = 0.25\npages = 4\nseed = 5\n"):
+    """Config text of SMALL_CACHE under a policy that may act at every 1000th write."""
+    return (f"{SMALL_CACHE}\n[policy]\nkind = {policy}\nk_writes = 1000\nmin_gap_cycles = 0\n"
+            f"{extra_policy}\n[workload]\n{workload}")
 
 
 def random_trace(rng, length, pages, page_bytes, block_bytes, write_bias=0.5):

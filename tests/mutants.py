@@ -27,6 +27,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
+
+def refused(*rows):  # the node ids of rows of tests/test_refusals.py's REFUSALS table
+    return [f"tests/test_refusals.py::test_refused_with_exit_2_naming_the_source[{r}]"
+            for r in rows]
+
+
 # One row per mutant: a name, the file under src/nvwear, the exact old text,
 # the new text, and the test node ids (relative to the repository root)
 # expected to kill it.
@@ -169,7 +175,7 @@ MUTANTS = (
     ("workload: _in_order skips the 2^48 test", "workload.py",
      "    return (max(addrs) <= MAX_ADDRESS and icounts[0] >= last_icount",
      "    return (icounts[0] >= last_icount",
-     ["tests/test_workload.py::TestReadTrace::test_rejects_address_above_48_bits",
+     [*refused("trace-address-above-2^48"),
       "tests/test_workload.py::TestRoundTrip::test_writer_refuses_what_the_reader_refuses"]),
     ("workload: the bulk reader reads W as a read", "workload.py",
      'zip(map("W".__eq__, fields[::3]), addrs, icounts)',
@@ -241,8 +247,7 @@ MUTANTS = (
     ("workload: the per-line parser names the line before", "workload.py",
      'raise TraceFormatError(f"{path}:{lineno}: {exc}")',
      'raise TraceFormatError(f"{path}:{lineno - 1}: {exc}")',
-     ["tests/test_workload.py::TestReadTrace::test_error_carries_line_number",
-      "tests/test_workload.py::TestReadTrace::test_non_ascii_byte_names_its_line"]),
+     refused("trace-error-names-its-line", "trace-non-ascii-comment")),
     ("workload: the zipf table totals its weights in a separate sum pass", "workload.py",
      "    return [acc / sums[-1] for acc in sums]",
      "    total = sum(1.0 / (rank ** s) for rank in range(1, spec.page_count + 1))\n"
@@ -262,15 +267,35 @@ MUTANTS = (
      '        elif name is None:\n            raise ConfigError(f"{path}:{n}: key {key!r} '
      'before any section")',
      "        elif name is None:\n            continue",
-     ["tests/test_cli.py::TestIniGrammar::test_refusals_name_the_file_and_line"]),
+     refused("key-before-section")),
     ("experiment: the INI reader names the line after a value", "experiment.py",
      'values[name, key] = value, f"{path}:{n}: [{name}] {key}"',
      'values[name, key] = value, f"{path}:{n + 1}: [{name}] {key}"',
-     ["tests/test_cli.py::TestBuildConfig::test_file_value_error_names_its_line"]),
+     refused("file-value-names-its-line")),
     ("experiment: gen-trace writes a stream for a trace config", "experiment.py",
      "        elif not policy:\n",
      "        elif False:\n",
-     ["tests/test_cli.py::TestGenTrace::test_trace_workload_names_the_file_and_key"]),
+     refused("gen-trace-of-a-trace-config")),
+    ("cli: an OSError is printed without its file name", "cli.py",
+     'print(f"error: {exc}", file=sys.stderr)',
+     'print(f"error: {exc.strerror if isinstance(exc, OSError) else exc}", file=sys.stderr)',
+     refused("no-config", "no-trace-file")),
+    ("cli: selftest draws a negative seed's stream as its absolute value's", "cli.py",
+     '("--seed", args.seed, 0)',
+     '("--seed", abs(args.seed), 0)',
+     refused("selftest-seed--1")),
+    ("workload: a negative seed draws its absolute value's stream", "workload.py",
+     "        if self.seed < 0:",
+     "        if False:",
+     refused("seed-negative", "seed-negative-flag")),
+    ("workload: an infinite zipf weight passes the overflow check", "workload.py",
+     'if self.page_count ** self.zipf_exponent == float("inf"):',
+     "if False:",
+     refused("zipf-s-inf", "zipf-s-inf-flag")),
+    ("workload: the writer makes the real path's directory, naming it", "workload.py",
+     "    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)  # errors name path\n",
+     "",
+     refused("out-is-a-file", "trace-under-a-file")),
 )
 
 

@@ -18,8 +18,12 @@ from nvwear import (CacheState, ConfigError, ExperimentConfig, GeneratorSpec, bu
                     read_trace, run_experiment)
 from nvwear.cache import AccessOutcome
 from nvwear.cli import _build_parser, main
-from nvwear.experiment import _SETTINGS, parse_bool, parse_size
+from nvwear.experiment import _SETTINGS, compare_experiments, parse_bool, parse_size
 from nvwear.workload import replacing, write_trace
+
+from helpers import small_cfg, small_ini
+# refusal tests folded into test_refusals.py keep their names, as folded(<its rows>)
+from test_refusals import folded
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,23 +33,8 @@ def write_config(path, text):
     return str(path)
 
 
-SMALL_CACHE = """
-[cache]
-size_bytes = 2K
-associativity = 2
-block_bytes = 64
-page_bytes = 256
-"""
-
-
-def small_config(tmp_path, name="cfg.ini", policy="swl", extra_policy="",
-                 workload="kind = hotset\nevents = 20000\nwrite_fraction = 1.0\n"
-                          "hotset_fraction = 0.25\npages = 4\nseed = 5\n"):
-    text = (SMALL_CACHE
-            + f"\n[policy]\nkind = {policy}\nk_writes = 1000\n"
-              f"min_gap_cycles = 0\n{extra_policy}"
-            + f"\n[workload]\n{workload}")
-    return write_config(tmp_path / name, text)
+def small_config(tmp_path, name="cfg.ini", **kwargs):
+    return write_config(tmp_path / name, small_ini(**kwargs))
 
 
 def read_csv(path):
@@ -111,26 +100,6 @@ class TestBuildConfig:
         assert build_config(path).swap_limit == 2
         assert build_config(path, {"lambda": 1}).swap_limit == 1
 
-    def test_unknown_section_and_key_rejected(self, tmp_path):
-        bad = write_config(tmp_path / "bad.ini", "[tuning]\nx = 1\n")
-        with pytest.raises(ConfigError):
-            build_config(bad)
-        bad2 = write_config(tmp_path / "bad2.ini", "[cache]\nsize = 4M\n")
-        with pytest.raises(ConfigError):
-            build_config(bad2)
-
-    def test_trace_workload_requires_path(self, tmp_path):
-        bad = write_config(tmp_path / "t.ini", "[workload]\nkind = trace\n")
-        with pytest.raises(ConfigError):
-            build_config(bad)
-
-    def test_without_policy_a_trace_workload_is_refused(self, tmp_path):
-        cfg = write_config(tmp_path / "t.ini", "[workload]\ntrace = some.trace\n")
-        with pytest.raises(ConfigError) as excinfo:
-            build_config(cfg, policy=False)
-        assert str(excinfo.value) == (
-            f"{cfg}:2: [workload] trace is set, but gen-trace needs a generator workload")
-
     @pytest.mark.parametrize("sources", [{}, {"workload": GeneratorSpec(),
                                               "trace_path": "t.trace"}],
                              ids=["neither", "both"])
@@ -138,33 +107,6 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="exactly one of a generator workload "
                                               "or a trace path"):
             ExperimentConfig(**sources)
-
-    @pytest.mark.parametrize("section,key,value", [
-        ("cache", "associativity", "abc"),        # int
-        ("policy", "beta", "high"),               # float
-        ("cache", "size_bytes", "4.5M"),          # parse_size
-        ("policy", "count_fills", "maybe"),       # parse_bool
-    ])
-    def test_malformed_value_names_file_section_and_key(self, tmp_path, capsys,
-                                                        section, key, value):
-        bad = write_config(tmp_path / "bad.ini", f"[{section}]\n{key} = {value}\n")
-        assert main(["run", "--config", bad, "--out", str(tmp_path / "o")]) == 2
-        assert f"{bad}:2: [{section}] {key}: " in capsys.readouterr().err
-
-    def test_malformed_override_names_override_key(self):
-        with pytest.raises(ConfigError, match=r"^override lambda: "):
-            build_config(None, {"lambda": "many"})
-
-    def test_empty_file_value_names_file_section_and_key(self, tmp_path, capsys):
-        bad = write_config(tmp_path / "bad.ini", "[workload]\ntrace =\n")
-        assert main(["run", "--config", bad, "--out", str(tmp_path / "o")]) == 2
-        assert f"error: {bad}:2: [workload] trace: empty value" in capsys.readouterr().err
-
-    def test_empty_override_names_override_key(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["run", "--events", "100", "--out", ""]) == 2
-        assert "error: override out: empty value" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("key,value", [("events", 1.5), ("k", 2.9), ("pages", True),
                                            ("seed", 3.7)])
@@ -178,64 +120,6 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="lamda"):
             build_config(None, {"lamda": 2})
 
-    @pytest.mark.parametrize("section,key,value,message", [
-        ("cache", "size_bytes", "3000", "positive power of two"),
-        ("workload", "write_fraction", "2", "write_fraction must lie in [0, 1]"),
-        ("policy", "beta", "-1", "beta must be >= 0"),
-        ("policy", "beta", "nan", "[policy] beta must be >= 0\n"),
-        ("workload", "zipf_s", "nan", "[workload] zipf_s must be >= 0\n"),
-        ("workload", "zipf_s", "400", "[workload] zipf_s is too large for 256 pages: "
-                                      "their zipf weights overflow\n"),
-        ("cache", "size_bytes", "3000",
-         "[cache] size_bytes must be a positive power of two, got 3000\n"),
-        ("workload", "events", "-5", "[workload] events must be >= 0\n"),
-        ("policy", "lambda", "0",
-         "[policy] lambda must lie in [1, 32] for 64 colors, got 0\n"),
-        ("cache", "read_hit_cycles", "-1",
-         "[cache] read_hit_cycles must be non-negative\n"),
-        # a float of it overflows: refused on pages, not as a zipf_s overflow
-        pytest.param("workload", "pages", str(2 ** 1100),
-                     "[workload] pages must lie in [1, 2^48]\n", id="workload-pages-2^1100"),
-    ])
-    def test_out_of_range_value_names_file(self, tmp_path, capsys, section, key,
-                                           value, message):
-        bad = write_config(tmp_path / "bad.ini", f"[{section}]\n{key} = {value}\n")
-        assert main(["run", "--config", bad, "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {bad}:2: ") and message in err
-        assert not (tmp_path / "o").exists()
-
-    def test_file_value_error_names_its_line(self, tmp_path, capsys):
-        bad = write_config(tmp_path / "bad.ini", "# a comment\n[cache]\nsize_bytes = 4M\n"
-                                                 "\n[policy]\nbeta = -1\n")
-        assert main(["run", "--config", bad, "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == f"error: {bad}:6: [policy] beta must be >= 0\n"
-
-    @pytest.mark.parametrize("flag,value,message", [
-        ("--beta", "-1", "error: override beta must be >= 0"),
-        ("--beta", "nan", "error: override beta must be >= 0\n"),
-        ("--zipf-s", "nan", "error: override zipf_s must be >= 0\n"),
-        ("--zipf-s", "600", "error: override zipf_s is too large for 4 pages"),
-        ("--events", "-5", "error: override events must be >= 0"),
-        ("--lambda", "99", "error: override lambda must lie in [1, 2] for 4 colors"),
-        pytest.param("--pages", str(2 ** 1100), "error: override pages must lie in [1, 2^48]\n",
-                     id="--pages-2^1100"),
-    ])
-    def test_out_of_range_flag_names_the_flag_not_the_file(self, tmp_path, capsys,
-                                                           flag, value, message):
-        cfg = small_config(tmp_path)
-        assert main(["run", "--config", cfg, flag, value,
-                     "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(message)
-        assert cfg not in err
-        assert not (tmp_path / "o").exists()
-
-    def test_policy_parameters_checked_when_the_config_is_built(self):
-        with pytest.raises(ConfigError, match="^override k must be >= 1"):
-            build_config(None, {"k": 0})
-        assert build_config(None, {"policy": "static", "k": 0}).k_writes == 0
-
     def test_every_flag_is_a_setting_and_every_setting_a_run_flag(self):
         subparsers = next(a for a in _build_parser()._actions
                           if isinstance(a, argparse._SubParsersAction)).choices
@@ -246,22 +130,45 @@ class TestBuildConfig:
         assert dests["gen-trace"] <= override_keys
         assert dests["run"] == override_keys
 
+    test_unknown_section_and_key_rejected = folded("unknown-section", "unknown-key")
+    test_trace_workload_requires_path = folded("no-trace-path")
+    test_without_policy_a_trace_workload_is_refused = folded("gen-trace-of-a-trace-config")
+    test_malformed_value_names_file_section_and_key = folded(**{
+        "cache-associativity-abc": "malformed-int", "policy-beta-high": "malformed-float",
+        "cache-size_bytes-4.5M": "malformed-size", "policy-count_fills-maybe": "malformed-bool"})
+    test_malformed_override_names_override_key = folded("malformed-lambda-flag")
+    test_empty_file_value_names_file_section_and_key = folded("empty-value")
+    test_empty_override_names_override_key = folded("empty-flag")
+    test_out_of_range_value_names_file = folded(**{
+        "cache-size_bytes-3000-positive power of two": "size-not-a-power-of-two",
+        "workload-write_fraction-2-write_fraction must lie in [0, 1]": "write-fraction-above-1",
+        "policy-beta--1-beta must be >= 0": "beta-negative",
+        "policy-beta-nan-[policy] beta must be >= 0\n": "beta-nan",
+        "workload-zipf_s-nan-[workload] zipf_s must be >= 0\n": "zipf-s-nan",
+        "workload-zipf_s-400-[workload] zipf_s is too large for 256 pages: "
+        "their zipf weights overflow\n": "zipf-s-400",
+        "cache-size_bytes-3000-[cache] size_bytes must be a positive power of two, "
+        "got 3000\n": "size-not-a-power-of-two",
+        "workload-events--5-[workload] events must be >= 0\n": "events-negative",
+        "policy-lambda-0-[policy] lambda must lie in [1, 32] for 64 colors, got 0\n": "lambda-0",
+        "cache-read_hit_cycles--1-[cache] read_hit_cycles must be non-negative\n":
+            "read-hit-cycles-negative",
+        "workload-pages-2^1100": "pages-2^1100"})
+    test_file_value_error_names_its_line = folded("file-value-names-its-line")
+    test_out_of_range_flag_names_the_flag_not_the_file = folded(**{
+        "--beta--1-error: override beta must be >= 0": "beta-negative-flag",
+        "--beta-nan-error: override beta must be >= 0\n": "beta-nan-flag",
+        "--zipf-s-nan-error: override zipf_s must be >= 0\n": "zipf-s-nan-flag",
+        "--zipf-s-600-error: override zipf_s is too large for 4 pages": "zipf-s-600-flag",
+        "--events--5-error: override events must be >= 0": "events-negative-flag",
+        "--lambda-99-error: override lambda must lie in [1, 2] for 4 colors": "lambda-99-flag",
+        "--pages-2^1100": "pages-2^1100-flag"})
+    test_policy_parameters_checked_when_the_config_is_built = folded("k-0-flag", "static-k-0")
+
 
 class TestSettingFlags:
     """Setting flags are built from _SETTINGS and their values parsed like the
     file's: the form always, the range only when the run uses the value."""
-
-    def test_malformed_flag_value_names_the_override_key(self, tmp_path, capsys):
-        assert main(["run", "--k", "abc", "--events", "10",
-                     "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err.startswith("error: override k: ")
-        assert not (tmp_path / "o").exists()
-
-    def test_out_of_range_flag_value_names_the_override_key(self, tmp_path, capsys):
-        assert main(["run", "--min-gap-cycles", "-1", "--events", "10",
-                     "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == "error: override min_gap_cycles must be >= 0\n"
-        assert not (tmp_path / "o").exists()
 
     def test_bool_flag_takes_the_file_words(self, tmp_path):
         workload = "kind = uniform\nevents = 5000\npages = 64\n"
@@ -276,83 +183,6 @@ class TestSettingFlags:
         report = {name: (tmp_path / name / "report.csv").read_bytes()
                   for name in ("file", "flag", "no")}
         assert report["flag"] == report["file"] != report["no"]
-
-    def test_ignored_swap_limit_mode_is_still_checked(self, tmp_path, capsys):
-        out = str(tmp_path / "o")
-        assert main(["run", "--policy", "static", "--swap-limit-mode", "bogus",
-                     "--events", "10", "--out", out]) == 2
-        assert capsys.readouterr().err.startswith(
-            "error: override swap_limit_mode: 'bogus' is not one of min|max")
-        cfg = write_config(tmp_path / "s.ini",
-                           "[policy]\nkind = static\nswap_limit_mode = bogus\n")
-        assert main(["run", "--config", cfg, "--events", "10", "--out", out]) == 2
-        assert capsys.readouterr().err.startswith(
-            f"error: {cfg}:3: [policy] swap_limit_mode: 'bogus' is not one of")
-        assert not (tmp_path / "o").exists()
-
-    def test_ignored_workload_kind_is_still_checked(self, tmp_path, capsys):
-        trace = tmp_path / "t.trace"
-        trace.write_text("W 0x40 5\n")
-        out = str(tmp_path / "o")
-        assert main(["run", "--trace", str(trace), "--kind", "bogus",
-                     "--out", out]) == 2
-        assert capsys.readouterr().err.startswith(
-            "error: override workload_kind: 'bogus' is not one of ")
-        cfg = write_config(tmp_path / "w.ini",
-                           f"[workload]\nkind = bogus\ntrace = {trace}\n")
-        assert main(["run", "--config", cfg, "--out", out]) == 2
-        assert capsys.readouterr().err.startswith(
-            f"error: {cfg}:2: [workload] kind: 'bogus' is not one of ")
-        assert not (tmp_path / "o").exists()
-        assert main(["run", "--kind", "trace", "--trace", str(trace),
-                     "--out", out]) == 0
-        assert read_csv(tmp_path / "o" / "report.csv")[1][2] == "trace:t.trace"
-
-    def test_address_space_error_names_the_pages_setting(self, tmp_path, capsys):
-        reason = "pages * page_size_bytes exceeds the 2^48 address space\n"
-        out = str(tmp_path / "o")
-        assert main(["run", "--pages", str(2 ** 37), "--out", out]) == 2
-        assert capsys.readouterr().err == f"error: override {reason}"
-        cfg = write_config(tmp_path / "exp.ini", f"[workload]\npages = {2 ** 37}\n")
-        assert main(["run", "--config", cfg, "--out", out]) == 2
-        assert capsys.readouterr().err == f"error: {cfg}:2: [workload] {reason}"
-        assert main(["run", "--pages", str(2 ** 36), "--events", "10", "--out", out]) == 0
-
-    def test_zipf_page_bound_names_the_pages_setting(self, tmp_path, capsys):
-        # refused while the config is built, before any page table
-        reason = "pages must be <= 2^24 for zipf (64 B per page)\n"
-        out = str(tmp_path / "o")
-        assert main(["run", "--kind", "zipf", "--pages", str(2 ** 24 + 1),
-                     "--out", out]) == 2
-        assert capsys.readouterr().err == f"error: override {reason}"
-        cfg = write_config(tmp_path / "exp.ini",
-                           f"[workload]\nkind = zipf\npages = {2 ** 24 + 1}\n")
-        assert main(["run", "--config", cfg, "--out", out]) == 2
-        assert capsys.readouterr().err == f"error: {cfg}:3: [workload] {reason}"
-
-    def test_cache_block_bound_names_the_size_setting(self, tmp_path, capsys):
-        # refused while the config is built, before any cache state
-        cfg = write_config(tmp_path / "big.ini", "[cache]\nsize_bytes = 64G\n")
-        out = tmp_path / "o"
-        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {cfg}:2: [cache] size_bytes must hold at most 2^24 blocks\n")
-        assert not out.exists()
-
-    def test_cache_set_bound_names_the_size_setting(self, tmp_path, capsys):
-        # 2^24 blocks, within the block bound, but one set each
-        cfg = write_config(tmp_path / "sets.ini",
-                           "[cache]\nsize_bytes = 1G\nassociativity = 1\n")
-        out = tmp_path / "o"
-        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {cfg}:2: [cache] size_bytes must hold at most 2^20 sets\n")
-        assert not out.exists()
-
-    def test_trace_kind_without_a_trace_names_the_override_key(self, capsys):
-        assert main(["run", "--kind", "trace"]) == 2
-        assert capsys.readouterr().err == (
-            "error: override workload_kind 'trace' requires a trace path\n")
 
     @pytest.mark.parametrize("command", ["run", "gen-trace"])
     def test_help_names_the_key_each_flag_overrides(self, command, capsys, monkeypatch):
@@ -371,6 +201,18 @@ class TestSettingFlags:
             assert helps[override_key] in text
         assert text.count("overrides [") == len(rows)
 
+    test_malformed_flag_value_names_the_override_key = folded("malformed-k-flag")
+    test_out_of_range_flag_value_names_the_override_key = folded("min-gap-negative-flag")
+    test_ignored_swap_limit_mode_is_still_checked = folded("mode-bogus-flag", "mode-bogus")
+    test_ignored_workload_kind_is_still_checked = folded("kind-bogus-flag", "kind-bogus",
+                                                         "kind-trace")
+    test_address_space_error_names_the_pages_setting = folded("address-space-flag",
+                                                              "address-space", "pages-2^36")
+    test_zipf_page_bound_names_the_pages_setting = folded("zipf-pages-flag", "zipf-pages")
+    test_cache_block_bound_names_the_size_setting = folded("cache-above-2^24-blocks")
+    test_cache_set_bound_names_the_size_setting = folded("cache-above-2^20-sets")
+    test_trace_kind_without_a_trace_names_the_override_key = folded("no-trace-path-flag")
+
 
 class TestIniLiterals:
     def test_percent_signs_are_literal(self, tmp_path, monkeypatch):
@@ -386,42 +228,12 @@ class TestIniLiterals:
         assert main(["run", "--config", twice]) == 0
         assert (tmp_path / "a%%b" / "report.csv").exists()
 
-    @pytest.mark.parametrize("rest", ["", "[workload]\nkind = zipf\n",
-                                      "[policy]\nkind = static\n"])
-    def test_default_section_is_unknown(self, tmp_path, capsys, rest):
-        cfg = write_config(tmp_path / "d.ini", "[DEFAULT]\nevents = 5\n" + rest)
-        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == f"error: {cfg}:1: unknown section [DEFAULT]\n"
-        assert not (tmp_path / "o").exists()
+    test_default_section_is_unknown = folded(**{
+        "": "default-section", "[workload]\nkind = zipf\n": "default-then-workload",
+        "[policy]\nkind = static\n": "default-then-policy"})
 
 
 class TestIniGrammar:
-    def test_an_indented_line_is_an_ordinary_line(self, tmp_path, capsys):
-        # not a continuation of dir, which would name the directory "out\npages = 8"
-        cfg = write_config(tmp_path / "e.ini", "[workload]\nevents = 10\n"
-                                               "[output]\ndir = out\n  pages = 8\n")
-        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {cfg}:5: unknown key 'pages' in [output]\n")
-        assert list(tmp_path.iterdir()) == [tmp_path / "e.ini"]
-
-    @pytest.mark.parametrize("text, message", [
-        ("[workload]\nevents: 10\n", "2: expected [section] or key = value, got 'events: 10'"),
-        ("events = 10\n[workload]\n", "1: key 'events' before any section"),
-        ("[workload]\nevents = 10\n# two\nevents = 20\n",
-         "4: repeated key 'events' in [workload]"),
-        ("[workload]\n[policy]\n\n[workload]\n", "4: repeated section [workload]"),
-        ("[cache]\nSize_Bytes = 2M\n", "2: unknown key 'Size_Bytes' in [cache]"),
-        ("[Policy]\nkind = static\n", "1: unknown section [Policy]"),
-        ("[workload]\n= 10\n", "2: expected [section] or key = value, got '= 10'"),
-        ("[workload]\nevents\n", "2: expected [section] or key = value, got 'events'"),
-    ])
-    def test_refusals_name_the_file_and_line(self, tmp_path, capsys, text, message):
-        cfg = write_config(tmp_path / "g.ini", text)
-        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == f"error: {cfg}:{message}\n"
-        assert not (tmp_path / "o").exists()
-
     def test_comments_values_and_line_ends(self, tmp_path):
         # a comment starts at a line's start or after a blank; "=" after the
         # first is part of the value, and a CRLF line end is stripped
@@ -431,28 +243,20 @@ class TestIniGrammar:
         built = build_config(cfg)
         assert (built.workload.num_events, built.out_dir) == (10, "a#b;c=d")
 
+    test_an_indented_line_is_an_ordinary_line = folded("indented-line")
+    test_refusals_name_the_file_and_line = folded(**{
+        "[workload]\nevents: 10\n-2: expected [section] or key = value, got 'events: 10'": "colon",
+        "events = 10\n[workload]\n-1: key 'events' before any section": "key-before-section",
+        "[workload]\nevents = 10\n# two\nevents = 20\n-4: repeated key 'events' in [workload]":
+            "repeated-key",
+        "[workload]\n[policy]\n\n[workload]\n-4: repeated section [workload]": "repeated-section",
+        "[cache]\nSize_Bytes = 2M\n-2: unknown key 'Size_Bytes' in [cache]": "key-case",
+        "[Policy]\nkind = static\n-1: unknown section [Policy]": "section-case",
+        "[workload]\n= 10\n-2: expected [section] or key = value, got '= 10'": "no-key",
+        "[workload]\nevents\n-2: expected [section] or key = value, got 'events'": "no-value"})
+
 
 class TestIniEncoding:
-    # past the first 8 KiB, so a line counted within one decoder chunk would differ
-    PADDING = "# padding\n" * 1000
-
-    def _latin1_config(self, tmp_path, name):
-        path = tmp_path / name
-        path.write_bytes((SMALL_CACHE + self.PADDING + "# café\n").encode("latin-1"))
-        return str(path), SMALL_CACHE.count("\n") + 1001
-
-    def test_run_names_the_file_line_and_byte(self, tmp_path, capsys):
-        cfg, line = self._latin1_config(tmp_path, "latin.ini")
-        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == f"error: {cfg}:{line}: not UTF-8: byte 0xe9\n"
-        assert not (tmp_path / "o").exists()
-
-    def test_compare_names_the_bad_technique_file(self, tmp_path, capsys):
-        base = small_config(tmp_path, "base.ini", policy="static")
-        tech, line = self._latin1_config(tmp_path, "tech.ini")
-        assert main(["compare", base, tech, "--out", str(tmp_path / "cmp")]) == 2
-        assert capsys.readouterr().err == f"error: {tech}:{line}: not UTF-8: byte 0xe9\n"
-
     def test_leading_byte_order_mark_is_accepted(self, tmp_path):
         plain = small_config(tmp_path, "plain.ini")
         bom = tmp_path / "bom.ini"
@@ -461,6 +265,9 @@ class TestIniEncoding:
             assert main(["run", "--config", cfg, "--out", str(tmp_path / out)]) == 0
         assert ((tmp_path / "a" / "report.csv").read_bytes()
                 == (tmp_path / "b" / "report.csv").read_bytes())
+
+    test_run_names_the_file_line_and_byte = folded("not-utf-8")
+    test_compare_names_the_bad_technique_file = folded("not-utf-8-technique")
 
 
 class TestReadmeConfig:
@@ -541,16 +348,6 @@ class TestGenTrace:
             "d37b408597d88cdded1b7b9a947a6ea7a286813d78facd6a17236b35af008873")
         assert [p.name for p in tmp_path.iterdir()] == ["out.trace"]
 
-
-    def test_trace_workload_names_the_file_and_key(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "t.ini", "[workload]\ntrace = some.trace\n")
-        out = tmp_path / "out.trace"
-        assert main(["gen-trace", str(out), "--config", cfg]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {cfg}:2: [workload] trace is set, but gen-trace needs a generator "
-            "workload\n")
-        assert not out.exists()
-
     @pytest.mark.parametrize("text", ["[policy]\nlambda = 99\n",
                                       "[cache]\nsize_bytes = 64K\n"])  # one color
     def test_policy_settings_are_not_range_checked(self, tmp_path, text):
@@ -560,16 +357,11 @@ class TestGenTrace:
         assert main(["gen-trace", str(out), "--config", cfg, "--events", "300"]) == 0
         assert out.read_bytes() == plain.read_bytes()
 
-    @pytest.mark.parametrize("text, message", [
-        ("[policy]\nlambda = abc\n", "[policy] lambda: invalid literal"),
-        ("[policy]\nkind = bogus\n", "[policy] kind: 'bogus' is not one of swl|static|xor"),
-    ])
-    def test_policy_settings_are_still_parsed(self, tmp_path, capsys, text, message):
-        cfg = write_config(tmp_path / "p.ini", text)
-        out = tmp_path / "out.trace"
-        assert main(["gen-trace", str(out), "--config", cfg]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {cfg}:2: {message}")
-        assert not out.exists()
+    test_trace_workload_names_the_file_and_key = folded("gen-trace-of-a-trace-config")
+    test_policy_settings_are_still_parsed = folded(**{
+        "[policy]\nlambda = abc\n-[policy] lambda: invalid literal": "gen-lambda-form",
+        "[policy]\nkind = bogus\n-[policy] kind: 'bogus' is not one of swl|static|xor":
+            "gen-policy-kind"})
 
 
 class TestConfigPathImports:
@@ -632,52 +424,6 @@ class TestRun:
         assert rows[1][2] == "trace:t.trace"
         assert rows[1][1] == ""  # no generator seed for trace input
 
-    def test_missing_trace_fails_nonzero(self, tmp_path, capsys):
-        cfg = small_config(tmp_path)
-        assert main(["run", "--config", cfg, "--trace",
-                     str(tmp_path / "nope.trace")]) == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_bad_config_fails_nonzero(self, tmp_path, capsys):
-        bad = write_config(tmp_path / "bad.ini",
-                           "[cache]\nsize_bytes = 3000\n")
-        assert main(["run", "--config", bad]) == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_non_numeric_config_value_fails_nonzero(self, tmp_path, capsys):
-        bad = write_config(tmp_path / "bad.ini",
-                           "[workload]\nevents = plenty\n")
-        assert main(["run", "--config", bad]) == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_missing_config_file_fails_nonzero(self, tmp_path, capsys):
-        assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_malformed_trace_fails_nonzero(self, tmp_path, capsys):
-        trace = tmp_path / "bad.trace"
-        trace.write_text("R 0x0 0\nX 0x40 5\n")
-        cfg = small_config(tmp_path)
-        assert main(["run", "--config", cfg, "--trace", str(trace),
-                     "--out", str(tmp_path / "o")]) == 2
-        assert "unknown kind" in capsys.readouterr().err
-
-    def test_non_ascii_trace_fails_with_line(self, tmp_path, capsys):
-        trace = tmp_path / "bad.trace"
-        trace.write_bytes(b"R 0x0 0\nR 0x40 5\nW 0x\xe980 9\n")
-        cfg = small_config(tmp_path)
-        assert main(["run", "--config", cfg, "--trace", str(trace),
-                     "--out", str(tmp_path / "o")]) == 2
-        assert "bad.trace:3: non-ASCII byte 0xe9" in capsys.readouterr().err
-
-    def test_digit_separator_in_trace_fails_with_line(self, tmp_path, capsys):
-        trace = tmp_path / "bad.trace"
-        trace.write_text("R 0x0 0\nW 0x1_0 1_0\n")
-        cfg = small_config(tmp_path)
-        assert main(["run", "--config", cfg, "--trace", str(trace),
-                     "--out", str(tmp_path / "o")]) == 2
-        assert "bad.trace:2: '_' and signs are not allowed" in capsys.readouterr().err
-
     @pytest.mark.parametrize("size,lam", [("128K", 1), ("4M", 16)])
     def test_summary_shows_default_lambda(self, tmp_path, size, lam):
         cfg = write_config(tmp_path / "c.ini", f"[cache]\nsize_bytes = {size}\n")
@@ -685,6 +431,14 @@ class TestRun:
         assert main(["run", "--config", cfg, "--events", "200",
                      "--out", str(out)]) == 0
         assert f"lambda={lam}," in (out / "summary.md").read_text()
+
+    test_missing_trace_fails_nonzero = folded("no-trace-file")
+    test_bad_config_fails_nonzero = folded("size-not-a-power-of-two")
+    test_non_numeric_config_value_fails_nonzero = folded("malformed-events")
+    test_missing_config_file_fails_nonzero = folded("no-config")
+    test_malformed_trace_fails_nonzero = folded("trace-unknown-kind-in-a-run")
+    test_non_ascii_trace_fails_with_line = folded("trace-non-ascii-in-a-run")
+    test_digit_separator_in_trace_fails_with_line = folded("trace-separators-in-a-run")
 
 
 class TestCompare:
@@ -714,50 +468,10 @@ class TestCompare:
         assert float(tech_row[header.index("energyDeltaPct")]) == 0.0
         assert float(tech_row[header.index("mpkiDelta")]) == 0.0
 
-    def test_mismatched_seeds_refused(self, tmp_path, capsys):
-        base = small_config(tmp_path, "b.ini", policy="static")
-        tech_text = small_config(
-            tmp_path, "t.ini", policy="static",
-            workload="kind = hotset\nevents = 20000\nwrite_fraction = 1.0\n"
-                     "hotset_fraction = 0.25\npages = 4\nseed = 6\n")
-        assert main(["compare", base, tech_text, "--out",
-                     str(tmp_path / "cmp")]) == 2
-        assert "workloads differ" in capsys.readouterr().err
-
-    def test_mismatched_cache_refused(self, tmp_path, capsys):
-        base = small_config(tmp_path, "b.ini")
-        narrower = (tmp_path / "b.ini").read_text().replace(
-            "associativity = 2", "associativity = 1")
-        other = write_config(tmp_path / "t.ini", narrower)
-        assert main(["compare", base, other, "--out",
-                     str(tmp_path / "cmp")]) == 2
-        assert "cache configurations differ" in capsys.readouterr().err
-
-
-    def test_mismatched_count_fills_refused(self, tmp_path, capsys):
-        base = small_config(tmp_path, "b.ini", policy="static")
-        tech = small_config(tmp_path, "t.ini", policy="static",
-                            extra_policy="count_fills = off\n")
-        out = tmp_path / "cmp"
-        assert main(["compare", base, tech, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == ("error: compare: count_fills differs, write "
-                                           "counts would not be comparable\n")
-        assert not out.exists()
-
-    def test_differing_output_dirs_refused_without_out(self, tmp_path, capsys,
-                                                       monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        base = small_config(tmp_path, "b.ini", policy="static")
-        tech = small_config(tmp_path, "t.ini")
-        for path, out in ((base, "o_base"), (tech, "o_tech")):
-            with open(path, "a") as fh:
-                fh.write(f"\n[output]\ndir = {out}\n")
-        assert main(["compare", base, tech]) == 2
-        err = capsys.readouterr().err
-        assert base in err and tech in err and "--out" in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.ini", "t.ini"]
-        assert main(["compare", base, tech, "--out", "both"]) == 0
-        assert (tmp_path / "both" / "report.csv").exists()
+    test_mismatched_seeds_refused = folded("compare-seeds-differ")
+    test_mismatched_cache_refused = folded("compare-caches-differ")
+    test_mismatched_count_fills_refused = folded("compare-fills-differ")
+    test_differing_output_dirs_refused_without_out = folded("compare-dirs-differ", "compare-out")
 
 
 class TestCompareSummary:
@@ -797,15 +511,8 @@ class TestCompareSummary:
 
 class TestCompareEdges:
     def test_empty_workload_reports_undefined_ratios(self):
-        import dataclasses
-
-        from nvwear import CacheConfig, ExperimentConfig, GeneratorSpec
-        from nvwear.experiment import compare_experiments
-
-        cache = CacheConfig(cache_size_bytes=2048, associativity=2,
-                            block_size_bytes=64, page_size_bytes=256)
         wl = GeneratorSpec(kind="uniform", num_events=0, page_count=4)
-        base = ExperimentConfig(cache=cache, policy_kind="static",
+        base = ExperimentConfig(cache=small_cfg(), policy_kind="static",  # 2 KiB, 2 ways
                                 workload=wl, out_dir="unused")
         cmp_ = compare_experiments(base, dataclasses.replace(base))
         assert cmp_.relative_lifetime is None
@@ -825,16 +532,7 @@ class TestCompareEdges:
                            "mpkiDelta"):
                 assert row[header.index(column)] == "", column
 
-    def test_single_color_cache_refuses_wear_policies(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "one.ini",
-                           "[cache]\nsize_bytes = 512\nassociativity = 2\n"
-                           "block_bytes = 64\npage_bytes = 256\n"
-                           "[workload]\nevents = 100\npages = 4\n")
-        assert main(["run", "--config", cfg, "--policy", "static",
-                     "--out", str(tmp_path / "o")]) == 0
-        assert main(["run", "--config", cfg, "--policy", "swl",
-                     "--out", str(tmp_path / "o2")]) == 2
-        assert "at least 2 colors" in capsys.readouterr().err
+    test_single_color_cache_refuses_wear_policies = folded("one-color-static", "one-color-swl")
 
 
 class TestReplacing:
@@ -911,14 +609,6 @@ class TestSelftest:
                      "--seed", "1"]) == 0
         assert "selftest passed" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("flag,value", [("--cases", "-1"), ("--cases", "0"),
-                                            ("--ops", "0")])
-    def test_compares_at_least_one_op_of_one_case(self, capsys, flag, value):
-        assert main(["selftest", flag, value]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: selftest {flag} must be >= 1, got {value}\n"
-        assert captured.out == ""
-
     def test_a_divergence_fails_naming_the_case(self, capsys, monkeypatch):
         real_access = CacheState.access
 
@@ -931,6 +621,10 @@ class TestSelftest:
         captured = capsys.readouterr()
         assert captured.err.startswith("selftest FAILED: case 0: op 0: access(")
         assert captured.out == ""
+
+    test_compares_at_least_one_op_of_one_case = folded(**{
+        "--cases--1": "selftest-cases--1", "--cases-0": "selftest-cases-0",
+        "--ops-0": "selftest-ops-0"})
 
 
 class TestLogLevel:

@@ -17,6 +17,8 @@ from nvwear.workload import GENERATOR_KINDS, MAX_ADDRESS
 
 from helpers import small_cfg
 from oracles import read_trace_per_line
+# refusal tests folded into test_refusals.py keep their names, as folded(<its rows>)
+from test_refusals import folded
 
 
 # hypothesis runs every example of a test in one tmp_path, and rewriting a
@@ -44,62 +46,24 @@ class TestReadTrace:
         events = self._read(tmp_path, "# header\n\nR 0x40 5\n")
         assert events == [TraceEvent(False, 0x40, 5)]
 
-    def test_unknown_kind(self, tmp_path):
-        with pytest.raises(TraceFormatError, match="unknown kind"):
-            self._read(tmp_path, "X 0x0 0\n")
-
-    def test_error_carries_line_number(self, tmp_path):
-        with pytest.raises(TraceFormatError, match=":2:"):
-            self._read(tmp_path, "R 0x0 0\nR zzz 1\n")
-
-    def test_requires_hex_prefix(self, tmp_path):
-        with pytest.raises(TraceFormatError, match="0x-prefixed"):
-            self._read(tmp_path, "R 1f40 0\n")
-
-    def test_rejects_wrong_field_count(self, tmp_path):
-        with pytest.raises(TraceFormatError):
-            self._read(tmp_path, "R 0x0\n")
-        with pytest.raises(TraceFormatError):
-            self._read(tmp_path, "R 0x0 0 9\n")
-
-    def test_rejects_address_above_48_bits(self, tmp_path):
-        with pytest.raises(TraceFormatError, match="2\\^48"):
-            self._read(tmp_path, f"R 0x{1 << 49:x} 0\n")
-
-    def test_rejects_decreasing_icount(self, tmp_path):
-        with pytest.raises(TraceFormatError, match="decreased"):
-            self._read(tmp_path, "R 0x0 10\nR 0x40 9\n")
-
-    def test_rejects_bad_icount(self, tmp_path):
-        with pytest.raises(TraceFormatError):
-            self._read(tmp_path, "R 0x0 ten\n")
-
-    @pytest.mark.parametrize("line", ["W 0x1_0 10", "W 0x_10 10", "W 0x10 1_0",
-                                      "R 0x20 +20", "R 0x20 -0"])
-    def test_rejects_separators_and_signs(self, tmp_path, line):
-        with pytest.raises(TraceFormatError,
-                           match=r"t\.trace:2: '_' and signs are not allowed"):
-            self._read(tmp_path, f"R 0x0 0\n{line}\n")
-
-    @pytest.mark.parametrize("line, message", [
-        ("R 0x10 -5", "negative instruction count"),
-        ("R 0x-10 5", "bad hex address"),
-        ("R 0x1_0 zz", "bad instruction count"),
-        ("R 0x1_0 1_0", "decreased"),
-    ])
-    def test_earlier_errors_keep_their_messages(self, tmp_path, line, message):
-        with pytest.raises(TraceFormatError, match=message):
-            self._read(tmp_path, f"R 0x0 20\n{line}\n")
-
-    @pytest.mark.parametrize("body", [b"R 0x0 0\nW 0x40 5 caf\xe9\n",
-                                      b"R 0x0 0\n# caf\xe9\nW 0x40 5\n"],
-                             ids=["event", "comment"])
-    def test_non_ascii_byte_names_its_line(self, tmp_path, body):
-        path = tmp_path / "t.trace"
-        path.write_bytes(body)
-        with pytest.raises(TraceFormatError,
-                           match=r"t\.trace:2: non-ASCII byte 0xe9"):
-            list(read_trace(path))
+    test_unknown_kind = folded("trace-unknown-kind")
+    test_error_carries_line_number = folded("trace-error-names-its-line")
+    test_requires_hex_prefix = folded("trace-no-hex-prefix")
+    test_rejects_wrong_field_count = folded("trace-two-fields", "trace-four-fields")
+    test_rejects_address_above_48_bits = folded("trace-address-above-2^48")
+    test_rejects_decreasing_icount = folded("trace-icount-decreases")
+    test_rejects_bad_icount = folded("trace-icount-word")
+    test_rejects_separators_and_signs = folded(**{
+        "W 0x1_0 10": "trace-address-1_0", "W 0x_10 10": "trace-address-0x_10",
+        "W 0x10 1_0": "trace-icount-1_0", "R 0x20 +20": "trace-icount-plus",
+        "R 0x20 -0": "trace-icount-minus-0"})
+    test_earlier_errors_keep_their_messages = folded(**{
+        "R 0x10 -5-negative instruction count": "trace-negative-icount",
+        "R 0x-10 5-bad hex address": "trace-negative-address",
+        "R 0x1_0 zz-bad instruction count": "trace-separator-and-icount-word",
+        "R 0x1_0 1_0-decreased": "trace-separators-and-decrease"})
+    test_non_ascii_byte_names_its_line = folded(event="trace-non-ascii-event",
+                                                comment="trace-non-ascii-comment")
 
 
 def _parse(reader, path):
@@ -735,6 +699,7 @@ class TestSpecValidation:
         # validation only: no table of this size is built
         GeneratorSpec(kind="zipf", page_count=1 << 24)
         GeneratorSpec(kind="uniform", page_count=(1 << 24) + 1)
+        GeneratorSpec(page_count=1, zipf_exponent=math.inf)  # 1 ** inf is 1: no overflow
 
     def test_labels_are_deterministic(self):
         spec = GeneratorSpec(kind="hotset", num_events=10, page_count=4)
