@@ -75,7 +75,7 @@ class GeneratorSpec:
         if not self.zipf_exponent >= 0:  # NaN too
             raise ConfigError("must be >= 0", "zipf_exponent")
         try:  # of the zipf weights, the largest rank's overflows first (to inf if s is inf)
-            if self.page_count ** self.zipf_exponent == float("inf"):
+            if float(self.page_count) ** self.zipf_exponent == float("inf"):  # an int s too
                 raise OverflowError
         except OverflowError:
             raise ConfigError(f"is too large for {self.page_count} pages: "

@@ -289,7 +289,7 @@ MUTANTS = (
      "        if False:",
      refused("seed-negative", "seed-negative-flag")),
     ("workload: an infinite zipf weight passes the overflow check", "workload.py",
-     'if self.page_count ** self.zipf_exponent == float("inf"):',
+     'if float(self.page_count) ** self.zipf_exponent == float("inf"):',
      "if False:",
      refused("zipf-s-inf", "zipf-s-inf-flag")),
     ("workload: the writer makes the real path's directory, naming it", "workload.py",

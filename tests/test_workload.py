@@ -679,7 +679,7 @@ class TestSpecValidation:
         dict(page_count=0),
         dict(instructions_per_access=0),
         dict(zipf_exponent=float("nan")),
-        dict(zipf_exponent=400.0),  # 256 ** 400 overflows a float
+        dict(zipf_exponent=400),  # 256 ** 400 overflows a float, though as ints it is exact
         dict(kind="zipf", page_count=(1 << 24) + 1),  # its table would need > 1 GiB
     ])
     def test_rejects_bad_specs(self, kwargs):
