@@ -13,10 +13,7 @@ class MappingTable:
         self.color_of = list(range(num_colors))
 
     def swap(self, c1, c2):
-        """Exchange the regions mapped to colors c1 and c2; c1 == c2 is a no-op."""
-        n = len(self.color_of)
-        if not (0 <= c1 < n and 0 <= c2 < n):
-            raise ValueError(f"swap({c1}, {c2}) out of range for {n} colors")
+        """Exchange the regions of colors c1 and c2; a non-color raises ValueError first."""
         r1, r2 = self.color_of.index(c1), self.color_of.index(c2)
         self.color_of[r1], self.color_of[r2] = c2, c1
 

@@ -235,9 +235,7 @@ def build_config(path=None, overrides=None, policy=True) -> ExperimentConfig:
     except ConfigError as exc:
         if exc.field in sources:
             raise ConfigError(f"{sources[exc.field]} {exc.reason}") from None
-        if path:
-            raise ConfigError(f"{path}: {exc}") from None
-        raise
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 # events handed to every simulator of a run or compare at a time: the stream

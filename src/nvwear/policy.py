@@ -60,8 +60,6 @@ class PolicyState(PolicySettings):
     """
 
     num_colors: int
-    n_write_global: list = field(init=False, repr=False)
-    n_write_last_interval: list = field(init=False, repr=False)
     writes_since_check: int = field(default=0, init=False)
     last_run_cycle: int = field(default=0, init=False)
     deferred: bool = field(default=False, init=False)

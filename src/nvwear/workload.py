@@ -106,8 +106,6 @@ class _Views(map):
     """TraceEvent views of a tuple producer, ``source``, which ``write_trace``
     reads in their place; a map pulls no further ahead than it yields."""
 
-    __slots__ = ("source",)
-
 
 def _views(producer, *args):
     views = _Views(tuple.__new__, repeat(TraceEvent), source := producer(*args))

@@ -296,6 +296,72 @@ MUTANTS = (
      "    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)  # errors name path\n",
      "",
      refused("out-is-a-file", "trace-under-a-file")),
+    # survivors of a sweep that deleted each statement and forced each condition
+    ("workload: the per-line reader does not advance the line number", "workload.py",
+     "            last_icount = yield from _parse_lines(path, lines, lineno, last_icount)\n"
+     "            lineno += len(lines)\n",
+     "            last_icount = yield from _parse_lines(path, lines, lineno, last_icount)\n",
+     refused("trace-error-after-a-per-line-batch")),
+    ("workload: the writer names every OSError as its target", "workload.py",
+     "        if exc.filename == tmp:",
+     "        if True:",
+     ["tests/test_workload.py::TestRoundTrip::test_an_input_files_error_keeps_its_name"]),
+    ("workload: the writer does not make a dangling symlink's directory", "workload.py",
+     "    os.makedirs(head, exist_ok=True)  # a dangling symlink's target directory\n",
+     "",
+     ["tests/test_workload.py::TestRoundTrip::test_a_dangling_symlink_gets_its_target_directory"]),
+    ("experiment: compare accepts two different traces", "experiment.py",
+     " or b.trace_path != t.trace_path",
+     "",
+     refused("compare-traces-differ")),
+    ("experiment: the summary always shows the default lambda", "experiment.py",
+     "default_swap_limit(cache.num_colors) if cfg.swap_limit is None",
+     "default_swap_limit(cache.num_colors) if True",
+     ["tests/test_cli.py::TestRun::test_summary_shows_the_given_lambda_and_count_fills"]),
+    ("experiment: the summary always shows count_fills on", "experiment.py",
+     "{'on' if cfg.count_fills else 'off'}",
+     "{'on' if True else 'off'}",
+     ["tests/test_cli.py::TestRun::test_summary_shows_the_given_lambda_and_count_fills"]),
+    ("experiment: every generated stream warns of colors without traffic", "experiment.py",
+     "        if cfg.workload.page_count < cfg.cache.num_colors:",
+     "        if True:",
+     ["tests/test_cli.py::TestRun::test_summary_shows_the_given_lambda_and_count_fills"]),
+    ("cli: selftest never flushes", "cli.py",
+     '                yield "flush", rng.randrange(colors)\n',
+     "                pass\n",
+     ["tests/test_cli.py::TestSelftest::test_draws_every_op_kind"]),
+    ("cli: selftest never remaps", "cli.py",
+     '                yield "remap", rng.randrange(colors), rng.randrange(colors)\n',
+     "                pass\n",
+     ["tests/test_cli.py::TestSelftest::test_draws_every_op_kind"]),
+    ("metrics: mpki undefined for one instruction", "metrics.py",
+     "    if instructions <= 0:",
+     "    if instructions <= 1:",
+     ["tests/test_metrics.py::TestMpki::test_one_instruction"]),
+    ("cli: no handler on the root logger", "cli.py",
+     "        logging.basicConfig(stream=sys.stderr,\n"
+     '                            format="%(levelname)s %(name)s: %(message)s")\n',
+     "",
+     ["tests/test_cli.py::TestLogLevel::test_a_process_logs_to_stderr"]),
+    ("cli: run does not say where it wrote", "cli.py",
+     '    log.info("wrote reports for %s to %s", report.policy, cfg.out_dir)\n',
+     "",
+     ["tests/test_cli.py::TestLogLevel::test_run_and_compare_say_what_they_wrote"]),
+    ("cli: compare does not say where it wrote", "cli.py",
+     '    log.info("wrote comparison (%s vs %s) to %s", comparison.technique.policy,\n'
+     "             comparison.baseline.policy, tech_cfg.out_dir)\n",
+     "",
+     ["tests/test_cli.py::TestLogLevel::test_run_and_compare_say_what_they_wrote"]),
+    ("cli: gen-trace does not say what it wrote", "cli.py",
+     '    log.info("wrote %d events to %s", cfg.workload.num_events, args.path)\n',
+     "",
+     ["tests/test_cli.py::TestLogLevel::test_a_process_logs_to_stderr"]),
+    ("engine: no debug line per decision", "engine.py",
+     '            log.debug("interval %d @%d cycles: sdw=%.3f swaps=%s writebacks=%d",\n'
+     "                      decision.interval, cycles, decision.sdw, decision.swaps,\n"
+     "                      decision.writebacks)\n",
+     "",
+     ["tests/test_cli.py::TestLogLevel::test_run_and_compare_say_what_they_wrote"]),
 )
 
 

@@ -432,6 +432,17 @@ class TestRun:
                      "--out", str(out)]) == 0
         assert f"lambda={lam}," in (out / "summary.md").read_text()
 
+    def test_summary_shows_the_given_lambda_and_count_fills(self, tmp_path, monkeypatch,
+                                                             caplog):
+        # 4 pages on 4 colors: every color can see traffic, so nothing is warned
+        monkeypatch.delenv("NVWEAR_LOG", raising=False)
+        cfg, out = small_config(tmp_path), tmp_path / "o"
+        assert main(["run", "--config", cfg, "--lambda", "2", "--count-fills", "off",
+                     "--out", str(out)]) == 0
+        assert ("- policy: swl (beta=75, lambda=2, K=1000, min_gap=0 cycles, mode=min, "
+                "count_fills=off)\n") in (out / "summary.md").read_text()
+        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+
     test_missing_trace_fails_nonzero = folded("no-trace-file")
     test_bad_config_fails_nonzero = folded("size-not-a-power-of-two")
     test_non_numeric_config_value_fails_nonzero = folded("malformed-events")
@@ -622,6 +633,20 @@ class TestSelftest:
         assert captured.err.startswith("selftest FAILED: case 0: op 0: access(")
         assert captured.out == ""
 
+    def test_draws_every_op_kind(self, monkeypatch):
+        real, kinds = nvwear.cli.replay_against_reference, set()
+
+        def spy(cfg, schedule, count_fills):
+            def seen():
+                for op in schedule:
+                    kinds.add(op[0])
+                    yield op
+            return real(cfg, seen(), count_fills)
+
+        monkeypatch.setattr(nvwear.cli, "replay_against_reference", spy)
+        assert main(["selftest", "--cases", "5", "--ops", "400"]) == 0
+        assert kinds == {"access", "flush", "remap"}
+
     test_compares_at_least_one_op_of_one_case = folded(**{
         "--cases--1": "selftest-cases--1", "--cases-0": "selftest-cases-0",
         "--ops-0": "selftest-ops-0"})
@@ -654,3 +679,26 @@ class TestLogLevel:
             monkeypatch.setenv("NVWEAR_LOG", value)
             assert main(["selftest", "--cases", "1", "--ops", "1"]) == 0
             assert logging.getLogger("nvwear").isEnabledFor(logging.INFO) is info
+
+    def test_run_and_compare_say_what_they_wrote(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("NVWEAR_LOG", "debug")
+        small_config(tmp_path, "t.ini")
+        small_config(tmp_path, "b.ini", policy="static")
+        assert main(["run", "--config", "t.ini", "--out", "o"]) == 0
+        assert "wrote reports for swl to o" in caplog.messages
+        assert any(r.name == "nvwear.engine" and r.levelno == logging.DEBUG
+                   and r.getMessage().startswith("interval 1 @") for r in caplog.records)
+        caplog.clear()
+        assert main(["compare", "b.ini", "t.ini", "--out", "o"]) == 0
+        assert "wrote comparison (swl vs static) to o" in caplog.messages
+
+    def test_a_process_logs_to_stderr(self, tmp_path):
+        # under pytest the root logger already has handlers, so main's
+        # basicConfig is seen only by a process of its own
+        src = str(Path(nvwear.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "nvwear.cli", "gen-trace", "t.trace", "--events", "10"],
+            cwd=tmp_path, capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src, "NVWEAR_LOG": "info"})
+        assert (done.stdout, done.stderr) == ("", "INFO nvwear.cli: wrote 10 events to t.trace\n")

@@ -68,6 +68,9 @@ class TestMpki:
     def test_zero_instructions_undefined(self):
         assert mpki(5, 0) is None
 
+    def test_one_instruction(self):
+        assert mpki(3, 1) == 3000.0
+
 
 class TestBlockWriteSD:
     def test_uniform_counts_give_zero(self):

@@ -28,6 +28,9 @@ HEX = "address must be 0x-prefixed hex, got"
 FIELDS = "expected 'R|W 0xADDR ICOUNT', got"
 SIGNS = "'_' and signs are not allowed in numbers, got"
 EXISTS = "[Errno 17] File exists: 'afile'"  # named as given, not as an absolute path
+# a comment sends the first 8 KiB batch through the per-line parser, the next in bulk
+PER_LINE_FIRST = ("# per-line batch\n" + "".join(f"R 0x{64 * i:x} {i}\n" for i in range(1200))
+                  + "X 0x0 1200\n")
 
 
 def _bad(section, key, value):  # the files and argv of a run setting one key on line 2
@@ -178,6 +181,12 @@ REFUSALS = (
     ("compare-seeds-differ", {"b.ini": STATIC, "t.ini": STATIC.replace("seed = 5", "seed = 6")},
      "compare b.ini t.ini --out cmp",
      "compare: workloads differ (same generator spec, seed, and trace are required)"),
+    ("compare-traces-differ",
+     {"a.trace": "W 0x40 5\n", "b.trace": "W 0x80 5\n",
+      "b.ini": small_ini("static", workload="trace = a.trace\n"),
+      "t.ini": small_ini(workload="trace = b.trace\n")},
+     "compare b.ini t.ini --out cmp",
+     "compare: workloads differ (same generator spec, seed, and trace are required)"),
     ("compare-caches-differ",
      {"b.ini": SMALL, "t.ini": SMALL.replace("associativity = 2", "associativity = 1")},
      "compare b.ini t.ini --out cmp", "compare: cache configurations differ"),
@@ -233,6 +242,8 @@ REFUSALS = (
      "bad.trace:3: non-ASCII byte 0xe9"),
     ("trace-separators-in-a-run", *_small("--trace bad.trace", "R 0x0 0\nW 0x1_0 1_0\n"),
      f"bad.trace:2: {SIGNS} 'W 0x1_0 1_0'"),
+    ("trace-error-after-a-per-line-batch", *_small("--trace bad.trace", PER_LINE_FIRST),
+     "bad.trace:1202: unknown kind 'X'"),
 )
 
 # One row per accepted neighbour of a refusal: an id, the files, the argv, and

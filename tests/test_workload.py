@@ -256,6 +256,21 @@ class TestRoundTrip:
         write_trace(os.devnull, [TraceEvent(True, 0x40, 1)])
         assert os.path.exists(os.devnull)
 
+    def test_a_dangling_symlink_gets_its_target_directory(self, tmp_path):
+        link = tmp_path / "link.trace"
+        link.symlink_to("new/dir/t.trace")
+        write_trace(link, [TraceEvent(True, 0x40, 1)])
+        assert link.is_symlink() and os.readlink(link) == "new/dir/t.trace"
+        assert (tmp_path / "new" / "dir" / "t.trace").read_text() == "W 0x40 1\n"
+
+    def test_an_input_files_error_keeps_its_name(self, tmp_path, monkeypatch):
+        # only the writer's own temp file's errors are named as its target
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(FileNotFoundError) as raised:
+            write_trace("out.trace", read_trace("missing.trace"))
+        assert raised.value.filename == "missing.trace"
+        assert list(tmp_path.iterdir()) == []
+
     def test_a_stream_that_raises_after_its_first_batch_leaves_the_target(self, tmp_path):
         def events():
             for i in range(1500):
