@@ -33,6 +33,10 @@ def refused(*rows):  # the node ids of rows of tests/test_refusals.py's REFUSALS
             for r in rows]
 
 
+def accepted(*rows):  # the node ids of rows of tests/test_refusals.py's ACCEPTED table
+    return [f"tests/test_refusals.py::test_accepted_with_exit_0[{r}]" for r in rows]
+
+
 # One row per mutant: a name, the file under src/nvwear, the exact old text,
 # the new text, and the test node ids (relative to the repository root)
 # expected to kill it.
@@ -362,6 +366,15 @@ MUTANTS = (
      "                      decision.writebacks)\n",
      "",
      ["tests/test_cli.py::TestLogLevel::test_run_and_compare_say_what_they_wrote"]),
+    # survivors of a sweep that flipped each comparison in a guard or trigger
+    ("cache: a zero latency refused", "cache.py",
+     "            if getattr(self, name) < 0:",
+     "            if getattr(self, name) <= 0:",
+     accepted("zero-latencies")),
+    ("workload: one instruction per access refused", "workload.py",
+     "        if self.instructions_per_access < 1:",
+     "        if self.instructions_per_access <= 1:",
+     accepted("instructions-per-access-1")),
 )
 
 

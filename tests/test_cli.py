@@ -22,8 +22,6 @@ from nvwear.experiment import _SETTINGS, compare_experiments, parse_bool, parse_
 from nvwear.workload import replacing, write_trace
 
 from helpers import small_cfg, small_ini
-# refusal tests folded into test_refusals.py keep their names, as folded(<its rows>)
-from test_refusals import folded
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -130,41 +128,6 @@ class TestBuildConfig:
         assert dests["gen-trace"] <= override_keys
         assert dests["run"] == override_keys
 
-    test_unknown_section_and_key_rejected = folded("unknown-section", "unknown-key")
-    test_trace_workload_requires_path = folded("no-trace-path")
-    test_without_policy_a_trace_workload_is_refused = folded("gen-trace-of-a-trace-config")
-    test_malformed_value_names_file_section_and_key = folded(**{
-        "cache-associativity-abc": "malformed-int", "policy-beta-high": "malformed-float",
-        "cache-size_bytes-4.5M": "malformed-size", "policy-count_fills-maybe": "malformed-bool"})
-    test_malformed_override_names_override_key = folded("malformed-lambda-flag")
-    test_empty_file_value_names_file_section_and_key = folded("empty-value")
-    test_empty_override_names_override_key = folded("empty-flag")
-    test_out_of_range_value_names_file = folded(**{
-        "cache-size_bytes-3000-positive power of two": "size-not-a-power-of-two",
-        "workload-write_fraction-2-write_fraction must lie in [0, 1]": "write-fraction-above-1",
-        "policy-beta--1-beta must be >= 0": "beta-negative",
-        "policy-beta-nan-[policy] beta must be >= 0\n": "beta-nan",
-        "workload-zipf_s-nan-[workload] zipf_s must be >= 0\n": "zipf-s-nan",
-        "workload-zipf_s-400-[workload] zipf_s is too large for 256 pages: "
-        "their zipf weights overflow\n": "zipf-s-400",
-        "cache-size_bytes-3000-[cache] size_bytes must be a positive power of two, "
-        "got 3000\n": "size-not-a-power-of-two",
-        "workload-events--5-[workload] events must be >= 0\n": "events-negative",
-        "policy-lambda-0-[policy] lambda must lie in [1, 32] for 64 colors, got 0\n": "lambda-0",
-        "cache-read_hit_cycles--1-[cache] read_hit_cycles must be non-negative\n":
-            "read-hit-cycles-negative",
-        "workload-pages-2^1100": "pages-2^1100"})
-    test_file_value_error_names_its_line = folded("file-value-names-its-line")
-    test_out_of_range_flag_names_the_flag_not_the_file = folded(**{
-        "--beta--1-error: override beta must be >= 0": "beta-negative-flag",
-        "--beta-nan-error: override beta must be >= 0\n": "beta-nan-flag",
-        "--zipf-s-nan-error: override zipf_s must be >= 0\n": "zipf-s-nan-flag",
-        "--zipf-s-600-error: override zipf_s is too large for 4 pages": "zipf-s-600-flag",
-        "--events--5-error: override events must be >= 0": "events-negative-flag",
-        "--lambda-99-error: override lambda must lie in [1, 2] for 4 colors": "lambda-99-flag",
-        "--pages-2^1100": "pages-2^1100-flag"})
-    test_policy_parameters_checked_when_the_config_is_built = folded("k-0-flag", "static-k-0")
-
 
 class TestSettingFlags:
     """Setting flags are built from _SETTINGS and their values parsed like the
@@ -201,18 +164,6 @@ class TestSettingFlags:
             assert helps[override_key] in text
         assert text.count("overrides [") == len(rows)
 
-    test_malformed_flag_value_names_the_override_key = folded("malformed-k-flag")
-    test_out_of_range_flag_value_names_the_override_key = folded("min-gap-negative-flag")
-    test_ignored_swap_limit_mode_is_still_checked = folded("mode-bogus-flag", "mode-bogus")
-    test_ignored_workload_kind_is_still_checked = folded("kind-bogus-flag", "kind-bogus",
-                                                         "kind-trace")
-    test_address_space_error_names_the_pages_setting = folded("address-space-flag",
-                                                              "address-space", "pages-2^36")
-    test_zipf_page_bound_names_the_pages_setting = folded("zipf-pages-flag", "zipf-pages")
-    test_cache_block_bound_names_the_size_setting = folded("cache-above-2^24-blocks")
-    test_cache_set_bound_names_the_size_setting = folded("cache-above-2^20-sets")
-    test_trace_kind_without_a_trace_names_the_override_key = folded("no-trace-path-flag")
-
 
 class TestIniLiterals:
     def test_percent_signs_are_literal(self, tmp_path, monkeypatch):
@@ -228,10 +179,6 @@ class TestIniLiterals:
         assert main(["run", "--config", twice]) == 0
         assert (tmp_path / "a%%b" / "report.csv").exists()
 
-    test_default_section_is_unknown = folded(**{
-        "": "default-section", "[workload]\nkind = zipf\n": "default-then-workload",
-        "[policy]\nkind = static\n": "default-then-policy"})
-
 
 class TestIniGrammar:
     def test_comments_values_and_line_ends(self, tmp_path):
@@ -243,18 +190,6 @@ class TestIniGrammar:
         built = build_config(cfg)
         assert (built.workload.num_events, built.out_dir) == (10, "a#b;c=d")
 
-    test_an_indented_line_is_an_ordinary_line = folded("indented-line")
-    test_refusals_name_the_file_and_line = folded(**{
-        "[workload]\nevents: 10\n-2: expected [section] or key = value, got 'events: 10'": "colon",
-        "events = 10\n[workload]\n-1: key 'events' before any section": "key-before-section",
-        "[workload]\nevents = 10\n# two\nevents = 20\n-4: repeated key 'events' in [workload]":
-            "repeated-key",
-        "[workload]\n[policy]\n\n[workload]\n-4: repeated section [workload]": "repeated-section",
-        "[cache]\nSize_Bytes = 2M\n-2: unknown key 'Size_Bytes' in [cache]": "key-case",
-        "[Policy]\nkind = static\n-1: unknown section [Policy]": "section-case",
-        "[workload]\n= 10\n-2: expected [section] or key = value, got '= 10'": "no-key",
-        "[workload]\nevents\n-2: expected [section] or key = value, got 'events'": "no-value"})
-
 
 class TestIniEncoding:
     def test_leading_byte_order_mark_is_accepted(self, tmp_path):
@@ -265,9 +200,6 @@ class TestIniEncoding:
             assert main(["run", "--config", cfg, "--out", str(tmp_path / out)]) == 0
         assert ((tmp_path / "a" / "report.csv").read_bytes()
                 == (tmp_path / "b" / "report.csv").read_bytes())
-
-    test_run_names_the_file_line_and_byte = folded("not-utf-8")
-    test_compare_names_the_bad_technique_file = folded("not-utf-8-technique")
 
 
 class TestReadmeConfig:
@@ -357,12 +289,6 @@ class TestGenTrace:
         assert main(["gen-trace", str(out), "--config", cfg, "--events", "300"]) == 0
         assert out.read_bytes() == plain.read_bytes()
 
-    test_trace_workload_names_the_file_and_key = folded("gen-trace-of-a-trace-config")
-    test_policy_settings_are_still_parsed = folded(**{
-        "[policy]\nlambda = abc\n-[policy] lambda: invalid literal": "gen-lambda-form",
-        "[policy]\nkind = bogus\n-[policy] kind: 'bogus' is not one of swl|static|xor":
-            "gen-policy-kind"})
-
 
 class TestConfigPathImports:
     def test_no_configparser_or_datetime_on_the_config_path(self, tmp_path):
@@ -443,14 +369,6 @@ class TestRun:
                 "count_fills=off)\n") in (out / "summary.md").read_text()
         assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
 
-    test_missing_trace_fails_nonzero = folded("no-trace-file")
-    test_bad_config_fails_nonzero = folded("size-not-a-power-of-two")
-    test_non_numeric_config_value_fails_nonzero = folded("malformed-events")
-    test_missing_config_file_fails_nonzero = folded("no-config")
-    test_malformed_trace_fails_nonzero = folded("trace-unknown-kind-in-a-run")
-    test_non_ascii_trace_fails_with_line = folded("trace-non-ascii-in-a-run")
-    test_digit_separator_in_trace_fails_with_line = folded("trace-separators-in-a-run")
-
 
 class TestCompare:
     def test_static_vs_swl(self, tmp_path):
@@ -478,11 +396,6 @@ class TestCompare:
         assert float(tech_row[header.index("relPerf")]) == 1.0
         assert float(tech_row[header.index("energyDeltaPct")]) == 0.0
         assert float(tech_row[header.index("mpkiDelta")]) == 0.0
-
-    test_mismatched_seeds_refused = folded("compare-seeds-differ")
-    test_mismatched_cache_refused = folded("compare-caches-differ")
-    test_mismatched_count_fills_refused = folded("compare-fills-differ")
-    test_differing_output_dirs_refused_without_out = folded("compare-dirs-differ", "compare-out")
 
 
 class TestCompareSummary:
@@ -542,8 +455,6 @@ class TestCompareEdges:
             for column in ("relLifetime", "relPerf", "energyDeltaPct",
                            "mpkiDelta"):
                 assert row[header.index(column)] == "", column
-
-    test_single_color_cache_refuses_wear_policies = folded("one-color-static", "one-color-swl")
 
 
 class TestReplacing:
@@ -646,10 +557,6 @@ class TestSelftest:
         monkeypatch.setattr(nvwear.cli, "replay_against_reference", spy)
         assert main(["selftest", "--cases", "5", "--ops", "400"]) == 0
         assert kinds == {"access", "flush", "remap"}
-
-    test_compares_at_least_one_op_of_one_case = folded(**{
-        "--cases--1": "selftest-cases--1", "--cases-0": "selftest-cases-0",
-        "--ops-0": "selftest-ops-0"})
 
 
 class TestLogLevel:

@@ -169,6 +169,8 @@ REFUSALS = (
      "override lambda must lie in [1, 2] for 4 colors, got 99"),
     ("pages-2^1100-flag", *_small(f"--pages {2 ** 1100}"), "override pages must lie in [1, 2^48]"),
     ("k-0-flag", {}, "run --k 0", "override k must be >= 1"),
+    ("instructions-per-access-0-flag", {}, "run --instructions-per-access 0",
+     "override instructions_per_access must be >= 1"),
     ("min-gap-negative-flag", {}, "run --min-gap-cycles -1 --events 10 --out o",
      "override min_gap_cycles must be >= 0"),
     ("address-space-flag", {}, f"run --pages {2 ** 37} --out o",
@@ -262,6 +264,13 @@ ACCEPTED = (
     # no window's spread reaches an infinite beta, so the gate never opens
     ("beta-inf", {}, "run --beta inf --k 1 --min-gap-cycles 0 --events 20 --out o",
      "o/summary.md", "- policy: swl (beta=inf,"),
+    ("zero-latencies",
+     *_ini("z.ini", "[cache]\nread_hit_cycles = 0\nwrite_hit_cycles = 0\nmiss_penalty_cycles = 0\n",
+           "--events 10 --out o"),
+     "o/summary.md", "- latencies: read hit 0, write hit 0, miss 0 cycles"),
+    # 10 instructions plus 10 misses at 172 cycles
+    ("instructions-per-access-1", {}, "run --instructions-per-access 1 --events 10 --out o",
+     "o/report.csv", ",1730,"),
 )
 
 
@@ -293,22 +302,3 @@ def test_refused_with_exit_2_naming_the_source(tmp_path, monkeypatch, capsys, ro
 @pytest.mark.parametrize("row", ACCEPTED, ids=[row[0] for row in ACCEPTED])
 def test_accepted_with_exit_0(tmp_path, monkeypatch, capsys, row):
     _accepted(tmp_path, monkeypatch, capsys, *row[1:])
-
-
-_ROWS = {r[0]: (_refused, r[1:]) for r in REFUSALS} | {r[0]: (_accepted, r[1:]) for r in ACCEPTED}
-
-
-def folded(*rows, **cases):
-    """A test kept under its name from before these tables, as a method of its
-    old class, that runs the rows it was folded into: ``rows`` in one test, or
-    one case per old parameter id in ``cases`` (id: its rows, blank-separated)."""
-    def test(self, tmp_path, monkeypatch, capsys, case):
-        for row in case.split():
-            (tmp_path / row).mkdir()
-            _ROWS[row][0](tmp_path / row, monkeypatch, capsys, *_ROWS[row][1])
-    if cases:
-        return pytest.mark.parametrize("case", [*cases.values()], ids=[*cases])(test)
-
-    def test_rows(self, tmp_path, monkeypatch, capsys):
-        test(self, tmp_path, monkeypatch, capsys, " ".join(rows))
-    return test_rows
