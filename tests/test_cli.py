@@ -22,6 +22,9 @@ from nvwear.experiment import _SETTINGS, compare_experiments, parse_bool, parse_
 from nvwear.workload import replacing, write_trace
 
 from helpers import small_cfg, small_ini
+# INI- and trace-grammar refusals folded into test_refusals.py keep their names,
+# as folded(<its rows>)
+from test_refusals import folded
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -179,6 +182,10 @@ class TestIniLiterals:
         assert main(["run", "--config", twice]) == 0
         assert (tmp_path / "a%%b" / "report.csv").exists()
 
+    test_default_section_is_unknown = folded(**{
+        "": "default-section", "[workload]\nkind = zipf\n": "default-then-workload",
+        "[policy]\nkind = static\n": "default-then-policy"})
+
 
 class TestIniGrammar:
     def test_comments_values_and_line_ends(self, tmp_path):
@@ -190,6 +197,18 @@ class TestIniGrammar:
         built = build_config(cfg)
         assert (built.workload.num_events, built.out_dir) == (10, "a#b;c=d")
 
+    test_an_indented_line_is_an_ordinary_line = folded("indented-line")
+    test_refusals_name_the_file_and_line = folded(**{
+        "[workload]\nevents: 10\n-2: expected [section] or key = value, got 'events: 10'": "colon",
+        "events = 10\n[workload]\n-1: key 'events' before any section": "key-before-section",
+        "[workload]\nevents = 10\n# two\nevents = 20\n-4: repeated key 'events' in [workload]":
+            "repeated-key",
+        "[workload]\n[policy]\n\n[workload]\n-4: repeated section [workload]": "repeated-section",
+        "[cache]\nSize_Bytes = 2M\n-2: unknown key 'Size_Bytes' in [cache]": "key-case",
+        "[Policy]\nkind = static\n-1: unknown section [Policy]": "section-case",
+        "[workload]\n= 10\n-2: expected [section] or key = value, got '= 10'": "no-key",
+        "[workload]\nevents\n-2: expected [section] or key = value, got 'events'": "no-value"})
+
 
 class TestIniEncoding:
     def test_leading_byte_order_mark_is_accepted(self, tmp_path):
@@ -200,6 +219,9 @@ class TestIniEncoding:
             assert main(["run", "--config", cfg, "--out", str(tmp_path / out)]) == 0
         assert ((tmp_path / "a" / "report.csv").read_bytes()
                 == (tmp_path / "b" / "report.csv").read_bytes())
+
+    test_run_names_the_file_line_and_byte = folded("not-utf-8")
+    test_compare_names_the_bad_technique_file = folded("not-utf-8-technique")
 
 
 class TestReadmeConfig:
@@ -368,6 +390,10 @@ class TestRun:
         assert ("- policy: swl (beta=75, lambda=2, K=1000, min_gap=0 cycles, mode=min, "
                 "count_fills=off)\n") in (out / "summary.md").read_text()
         assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+
+    test_malformed_trace_fails_nonzero = folded("trace-unknown-kind-in-a-run")
+    test_non_ascii_trace_fails_with_line = folded("trace-non-ascii-in-a-run")
+    test_digit_separator_in_trace_fails_with_line = folded("trace-separators-in-a-run")
 
 
 class TestCompare:

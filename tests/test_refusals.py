@@ -302,3 +302,22 @@ def test_refused_with_exit_2_naming_the_source(tmp_path, monkeypatch, capsys, ro
 @pytest.mark.parametrize("row", ACCEPTED, ids=[row[0] for row in ACCEPTED])
 def test_accepted_with_exit_0(tmp_path, monkeypatch, capsys, row):
     _accepted(tmp_path, monkeypatch, capsys, *row[1:])
+
+
+_ROWS = {r[0]: (_refused, r[1:]) for r in REFUSALS} | {r[0]: (_accepted, r[1:]) for r in ACCEPTED}
+
+
+def folded(*rows, **cases):
+    """A test kept under its name from before these tables, as a method of its
+    old class, that runs the rows it was folded into: ``rows`` in one test, or
+    one case per old parameter id in ``cases`` (id: its rows, blank-separated)."""
+    def test(self, tmp_path, monkeypatch, capsys, case):
+        for row in case.split():
+            (tmp_path / row).mkdir()
+            _ROWS[row][0](tmp_path / row, monkeypatch, capsys, *_ROWS[row][1])
+    if cases:
+        return pytest.mark.parametrize("case", [*cases.values()], ids=[*cases])(test)
+
+    def test_rows(self, tmp_path, monkeypatch, capsys):
+        test(self, tmp_path, monkeypatch, capsys, " ".join(rows))
+    return test_rows

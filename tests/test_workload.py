@@ -17,6 +17,8 @@ from nvwear.workload import GENERATOR_KINDS, MAX_ADDRESS
 
 from helpers import small_cfg
 from oracles import read_trace_per_line
+# trace-grammar refusals folded into test_refusals.py keep their names, as folded(<its rows>)
+from test_refusals import folded
 
 
 # hypothesis runs every example of a test in one tmp_path, and rewriting a
@@ -43,6 +45,25 @@ class TestReadTrace:
     def test_comments_and_blank_lines(self, tmp_path):
         events = self._read(tmp_path, "# header\n\nR 0x40 5\n")
         assert events == [TraceEvent(False, 0x40, 5)]
+
+    test_unknown_kind = folded("trace-unknown-kind")
+    test_error_carries_line_number = folded("trace-error-names-its-line")
+    test_requires_hex_prefix = folded("trace-no-hex-prefix")
+    test_rejects_wrong_field_count = folded("trace-two-fields", "trace-four-fields")
+    test_rejects_address_above_48_bits = folded("trace-address-above-2^48")
+    test_rejects_decreasing_icount = folded("trace-icount-decreases")
+    test_rejects_bad_icount = folded("trace-icount-word")
+    test_rejects_separators_and_signs = folded(**{
+        "W 0x1_0 10": "trace-address-1_0", "W 0x_10 10": "trace-address-0x_10",
+        "W 0x10 1_0": "trace-icount-1_0", "R 0x20 +20": "trace-icount-plus",
+        "R 0x20 -0": "trace-icount-minus-0"})
+    test_earlier_errors_keep_their_messages = folded(**{
+        "R 0x10 -5-negative instruction count": "trace-negative-icount",
+        "R 0x-10 5-bad hex address": "trace-negative-address",
+        "R 0x1_0 zz-bad instruction count": "trace-separator-and-icount-word",
+        "R 0x1_0 1_0-decreased": "trace-separators-and-decrease"})
+    test_non_ascii_byte_names_its_line = folded(event="trace-non-ascii-event",
+                                                comment="trace-non-ascii-comment")
 
 
 def _parse(reader, path):
